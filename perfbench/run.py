@@ -33,7 +33,6 @@ if __name__ == "__main__" and any(os.environ.get(k) != v for k, v in PINNED_ENV.
 import argparse
 import gc
 import json
-import resource
 import statistics
 import time
 import traceback
@@ -183,19 +182,18 @@ def run_operation(wl: Workload, seed: int, tracer) -> dict:
         wl.check(cfg, setup, out, seed)
     except checks.CheckFailed as exc:
         rec["failure"] = str(exc)
+    except Exception:  # a check that cannot run on these outputs rejects them
+        rec["failure"] = traceback.format_exc()
     return rec
 
 
 def peak_rss_mb() -> float:
-    """High-water resident set size of this process image, in MiB."""
-    try:
-        with open("/proc/self/status") as fh:
-            for line in fh:
-                if line.startswith("VmHWM:"):
-                    return int(line.split()[1]) / 1024.0
-    except OSError:
-        pass
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    """High-water resident set size of this process image (VmHWM), in MiB."""
+    with open("/proc/self/status") as fh:
+        for line in fh:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) / 1024.0
+    raise RuntimeError("VmHWM missing from /proc/self/status")
 
 
 def main(argv=None) -> int:
@@ -242,11 +240,13 @@ def main(argv=None) -> int:
     untraced = [r for r in done if not r["traced"]]
     traced = [r for r in done if r["traced"]]
     if not untraced or (args.trace and not traced):
+        # still report the counts, so that a broken program shows as failed
+        # operations and not as a crashed benchmark
         for r in records:
             print(r.get("error", ""), file=sys.stderr)
-        print("no operation completed", file=sys.stderr)
-        return 1
-    if args.trace:
+        print("no operation completed; no metrics", file=sys.stderr)
+        metrics, units = {}, {}
+    elif args.trace:
         names = traced[0]["layers"]
         metrics = {n: statistics.median(r["layers"][n] for r in traced) for n in names}
         metrics["trace.quad_s"] = statistics.median(r["quad_s"] for r in traced)
@@ -270,7 +270,6 @@ def main(argv=None) -> int:
               "operations": records, "result": result}
     if tracer is not None:
         record["spans"] = tracer.spans
-        record["missing"] = tracer.missing
     path = OUT / f"{args.workload}-seed{args.seed}-trace{args.trace}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
     print(json.dumps(result))

@@ -6,7 +6,7 @@ metric's median and quartile spread (Q3 - Q1 over the median, quartiles as
     python3 perfbench/steady.py --workload darcy-hessian --seeds 0-9
 
 Runs are sequential, each a fresh process, with ``run_seconds`` from
-BENCHMARK.json unless ``--seconds`` is given.  Results are appended to
+BENCHMARK.json.  Results are appended to
 ``perfbench/out/steady.jsonl``.
 """
 
@@ -33,13 +33,12 @@ def main() -> int:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", default="0-9", help="inclusive range, e.g. 0-9")
-    ap.add_argument("--seconds", type=int, default=spec["run_seconds"])
     args = ap.parse_args()
 
     results = []
     for seed in parse_seeds(args.seeds):
         cmd = [*spec["command"], "--workload", args.workload, "--seed", str(seed),
-               "--seconds", str(args.seconds), "--trace", "0"]
+               "--seconds", str(spec["run_seconds"]), "--trace", "0"]
         start = time.perf_counter()
         proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=600)
         wall = time.perf_counter() - start
@@ -54,7 +53,7 @@ def main() -> int:
         results.append({"seed": seed, "wall_s": wall, **result})
 
     summary = {"workload": args.workload, "seeds": args.seeds,
-               "seconds": args.seconds, "time": time.strftime("%Y-%m-%d %H:%M:%S"),
+               "seconds": spec["run_seconds"], "time": time.strftime("%Y-%m-%d %H:%M:%S"),
                "runs": results, "metrics": {}}
     for metric in spec["end_to_end"]:
         name = metric["name"]

@@ -14,7 +14,6 @@ in the rest of the ``run_*`` call.
 from __future__ import annotations
 
 import functools
-import sys
 import time
 from collections import defaultdict
 from dataclasses import replace
@@ -27,7 +26,6 @@ PHASES = ("setup", "run", "quad")
 class Tracer:
     def __init__(self):
         self.spans: list[dict] = []
-        self.missing: list[str] = []
         self.phase: str | None = None
         self.round = -1
         self._stack: list[str] = []
@@ -150,17 +148,9 @@ class Tracer:
 
     def install(self) -> None:
         for owner, attr, factory in self._targets():
-            if isinstance(owner, type):
-                original = owner.__dict__.get(attr)
-            else:
-                original = getattr(owner, attr, None)
-            if original is None:
-                label = f"{getattr(owner, '__name__', owner)}.{attr}"
-                if label not in self.missing:
-                    self.missing.append(label)
-                    print(f"trace: {label} not found; its metrics read 0",
-                          file=sys.stderr)
-                continue
+            # a class's own attribute, so that uninstall restores exactly it;
+            # a renamed target raises here instead of reading 0
+            original = owner.__dict__[attr]
             self._saved.append((owner, attr, original))
             setattr(owner, attr, factory(original))
 
