@@ -26,7 +26,7 @@ from .sparse_quad import (
     evaluate,
     tensor_delta,
 )
-from .fem1d import Mesh1D, OperatorKind, assemble, solve_darcy, solve_poisson
+from .fem1d import Mesh1D, OperatorKind, assemble, solve_poisson
 from .gaussian_measure import (
     EigenPairs,
     GaussianField,
@@ -93,7 +93,6 @@ __all__ = [
     "reweighted_integrands",
     "rng_stream",
     "run_convergence",
-    "solve_darcy",
     "solve_poisson",
     "tensor_delta",
 ]

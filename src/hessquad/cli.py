@@ -2,7 +2,8 @@
 
 Runs write ``convergence.csv``, ``spectrum.csv``, ``trace.csv`` and
 ``summary.json`` into the output directory.  Exit codes: 0 on success, 2 when
-a requested tolerance was not reached within the budgets, 1 on error.
+a requested tolerance was not reached within the budgets or the quadrature
+ran out of levels (``stopped_on`` in the summary says which), 1 on error.
 """
 
 from __future__ import annotations
@@ -79,9 +80,7 @@ def _run_command(args: argparse.Namespace, problem: str) -> int:
     write_outputs(args.out, run)
     print(f"{run.record.label}: rates {run.record.rates}, "
           f"{run.quadrature.n_points} points, outputs in {args.out}")
-    if cfg.tolerance is not None and not run.quadrature.converged:
-        return 2
-    return 0
+    return 0 if run.quadrature.converged else 2
 
 
 def _rules_command(args: argparse.Namespace) -> int:

@@ -274,6 +274,8 @@ def linear_setup(cfg: ExperimentConfig) -> LinearSetup:
         mesh_exp=cfg.mesh_exp, seed=cfg.seed,
     )
     map_result = problem.find_map(cfg=NewtonConfig(tol=1e-12, max_newton=60))
+    if not map_result.converged:
+        raise RuntimeError("MAP solve did not converge")
     J = cfg.kl_dims if cfg.kl_dims is not None else problem.mesh.n_interior
     prior_field = GaussianField(
         mean=problem.prior_mean, pairs=problem.prior_pairs(J), truncation=J

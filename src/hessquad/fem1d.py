@@ -3,9 +3,9 @@
 Everything is symmetric tridiagonal: mass and stiffness matrices, the
 elliptic operator A = -beta * Laplacian + gamma * I (plus optional weighted
 mass terms), and the Darcy operator with a cell-midpoint coefficient.
-Operators are immutable after assembly and cache their banded Cholesky
-factor, so repeated solves against the same operator are cheap; the adaptive
-quadrature loop relies on that.
+Operators are immutable after assembly and cache their LAPACK tridiagonal
+LDL^T factor (``dpttrf``), so repeated solves against the same operator are
+cheap; the prior and the misfit-Hessian actions rely on that.
 
 Dirichlet operators own the interior degrees of freedom only; their vectors
 have length ``n_cells - 1``.  Natural (Neumann) operators own all
@@ -19,7 +19,7 @@ import io
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ class OperatorKind(enum.Enum):
 
 @dataclass
 class TriDiagOperator:
-    """Symmetric tridiagonal SPD operator with a cached Cholesky factor."""
+    """Symmetric tridiagonal SPD operator with a cached LDL^T factor."""
 
     mesh: Mesh1D
     kind: OperatorKind
@@ -75,7 +75,7 @@ class TriDiagOperator:
     dirichlet: bool
     beta: float = 0.0
     gamma: float = 0.0
-    _factor: np.ndarray | None = field(default=None, repr=False)
+    _factor: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     @property
     def n_dof(self) -> int:
@@ -105,9 +105,31 @@ class TriDiagOperator:
         return ab
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve against a vector or a block of column vectors.
+
+        Raises ``numpy.linalg.LinAlgError`` when the operator is not positive
+        definite and ``ValueError`` when it has non-finite entries or the
+        right-hand side has the wrong length.
+        """
+        rhs = np.asarray(rhs, dtype=float)
+        if rhs.shape[0] != self.n_dof:
+            # dpttrs would solve the leading rows of a longer one silently
+            raise ValueError(
+                f"right-hand side has {rhs.shape[0]} rows, operator {self.n_dof}"
+            )
         if self._factor is None:
-            self._factor = cholesky_banded(self._banded(), lower=False)
-        return cho_solve_banded((self._factor, False), np.asarray(rhs, dtype=float))
+            # the f2py wrapper wants a length-1 off-diagonal when n = 1
+            off = self.off if self.n_dof > 1 else np.zeros(1)
+            d, e, info = dpttrf(self.diag, off)
+            if info > 0:
+                raise np.linalg.LinAlgError(
+                    f"operator is not positive definite (leading minor {info})"
+                )
+            if not np.isfinite(d).all():
+                raise ValueError("operator has non-finite entries")
+            self._factor = (d, e)
+        x, _ = dpttrs(*self._factor, rhs)  # info < 0 only for bad arguments
+        return x
 
     def dense(self) -> np.ndarray:
         out = np.diag(self.diag)
@@ -267,27 +289,6 @@ def darcy_stiffness(k_cells: np.ndarray, mesh: Mesh1D) -> TriDiagOperator:
     diag = a[:-1] + a[1:]
     off = -a[1:-1]
     return TriDiagOperator(mesh, OperatorKind.STIFFNESS_A, diag, off, dirichlet=True)
-
-
-def solve_darcy(
-    m: np.ndarray, mesh: Mesh1D, u_left: float = 1.0, u_right: float = 0.0
-) -> np.ndarray:
-    """Solve -(exp(m) u')' = 0 with Dirichlet data u(0), u(1); nodal output."""
-    m = np.asarray(m, dtype=float)
-    if len(m) != mesh.n_nodes:
-        raise ValueError("parameter field length does not match the mesh")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("parameter field must be finite")
-    k = darcy_cell_coeffs(m, mesh)
-    op = darcy_stiffness(k, mesh)
-    rhs = np.zeros(mesh.n_interior)
-    rhs[0] += k[0] / mesh.h * u_left
-    rhs[-1] += k[-1] / mesh.h * u_right
-    u = np.empty(mesh.n_nodes)
-    u[0] = u_left
-    u[-1] = u_right
-    u[1:-1] = op.solve(rhs)
-    return u
 
 
 def cell_slopes(u: np.ndarray, mesh: Mesh1D) -> np.ndarray:

@@ -29,7 +29,7 @@ from .multiindex import (
     MultiIndex,
     b_coefficient,
 )
-from .quad1d import difference_rule
+from .quad1d import MAX_LEVEL, difference_rule
 
 
 class IntegrandError(RuntimeError):
@@ -231,7 +231,8 @@ class _Frontier:
     dimension hint).  Exploration keys on touched dimensions rather than
     adopted ones, so a dimension the integrand does not depend on (its unit
     index pends forever with a vanishing indicator) does not block the
-    dimensions behind it.
+    dimensions behind it.  Candidates above the quadrature's ``MAX_LEVEL``
+    are never admitted; ``capped`` records that one was refused.
     """
 
     def __init__(self, lam: IndexSet, dim_cap: int | None):
@@ -240,6 +241,7 @@ class _Frontier:
         self.touched = 0  # largest dimension whose unit index was seeded
         self.active_dims: list[int] = []  # dims whose unit index was adopted
         self.pending: set[MultiIndex] = set()
+        self.capped = False
         self._seed_next_dimension()
 
     def _seed_next_dimension(self) -> MultiIndex | None:
@@ -274,6 +276,9 @@ class _Frontier:
         lam = self.lam
         pending = self.pending
         for j in self.active_dims:
+            if nu.level(j) == MAX_LEVEL:
+                self.capped = True
+                continue
             cand = nu.plus(j)
             if cand in lam or cand in pending:
                 continue
@@ -303,7 +308,9 @@ def adapt(
     keeps runs deterministic and lets zero-contribution dimensions unblock the
     frontier.  Stops when the maximal indicator drops to the tolerance or a
     budget is hit; a budget stop is reported with ``converged=False`` when a
-    tolerance was requested.
+    tolerance was requested.  A run whose only remaining candidates lie above
+    ``MAX_LEVEL`` stops with ``stopped_on="max_level"`` and
+    ``converged=False``.
     """
     lam = IndexSet()
     cache = PointCache(g)
@@ -340,8 +347,10 @@ def adapt(
     step = 0
     while True:
         if not frontier.pending:
-            converged = cfg.tolerance is None
-            stopped_on = "exhausted"
+            if frontier.capped:
+                converged, stopped_on = False, "max_level"
+            else:
+                converged, stopped_on = cfg.tolerance is None, "exhausted"
             break
 
         chosen = None

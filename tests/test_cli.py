@@ -5,6 +5,8 @@ import pytest
 
 from hessquad.cli import main
 from hessquad.experiments import ConvergenceRecord, ExperimentConfig
+from hessquad.multiindex import MultiIndex
+from hessquad.quad1d import MAX_LEVEL
 from hessquad.sparse_quad import trace_from_csv
 
 
@@ -79,6 +81,19 @@ def test_budget_without_convergence_exit_code(tmp_path):
     cfg_path.write_text(cfg.to_json())
     code = main(["linear", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
     assert code == 2
+
+
+def test_level_cap_does_not_end_the_run(tmp_path):
+    # the prior path refines dimension 1 up to the last supported level
+    # within this budget, then spends the rest on other dimensions
+    out_dir = tmp_path / "o"
+    code = main(["linear", "--mode", "prior", "--max-points", "60000",
+                 "--out", str(out_dir)])
+    assert code == 0
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert summary["stopped_on"] == "max_points"
+    trace = trace_from_csv((out_dir / "trace.csv").read_text())
+    assert MultiIndex([(1, MAX_LEVEL)]) in [r.chosen for r in trace]
 
 
 def test_error_exit_code(tmp_path, capsys):

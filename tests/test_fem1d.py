@@ -11,15 +11,31 @@ from hessquad.fem1d import (
     assemble,
     cell_slopes,
     darcy_cell_coeffs,
+    darcy_stiffness,
     field_to_csv,
     laplace_operator,
     mass_operator,
     scatter_grad,
     scatter_mass,
-    solve_darcy,
     solve_poisson,
     weighted_mass_operator,
 )
+from hessquad.inverse_problem import DarcyProblem, ObservationSetup
+
+
+def darcy_problem(mesh: Mesh1D) -> DarcyProblem:
+    """A Darcy problem on ``mesh`` whose forward solve the tests probe."""
+    center = np.array([0.5])
+    obs = ObservationSetup(centers=center, radius=mesh.h, noise_sigma=1.0)
+    return DarcyProblem(
+        mesh, alpha=1, beta=1.0, gamma=1.0, kappa=1.0, obs=obs, y=np.zeros(1),
+        prior_mean=np.zeros(mesh.n_nodes), measurement_centers=center,
+        measurement_radius=mesh.h,
+    )
+
+
+def darcy_pressure(m: np.ndarray, mesh: Mesh1D) -> np.ndarray:
+    return darcy_problem(mesh)._forward_state(m).u
 
 
 class TestAssembly:
@@ -80,6 +96,32 @@ class TestAssembly:
         rng = np.random.default_rng(1)
         v = rng.standard_normal(op.n_dof)
         np.testing.assert_allclose(op.matvec(op.solve(v)), v, atol=1e-10)
+
+    @pytest.mark.parametrize("n_cells", [2, 64])  # 2 cells: a single dof
+    def test_solve_matches_dense(self, n_cells):
+        mesh = Mesh1D(n_cells)
+        op = darcy_stiffness(np.exp(np.sin(np.arange(n_cells))), mesh)
+        rng = np.random.default_rng(4)
+        dense = op.dense()
+        v = rng.standard_normal(op.n_dof)
+        np.testing.assert_allclose(op.solve(v), np.linalg.solve(dense, v),
+                                   rtol=1e-12, atol=1e-14)
+        V = rng.standard_normal((op.n_dof, 3))
+        np.testing.assert_allclose(op.solve(V), np.linalg.solve(dense, V),
+                                   rtol=1e-12, atol=1e-14)
+
+    def test_solve_rejects_bad_operators_and_lengths(self):
+        mesh = Mesh1D(16)
+        op = assemble(mesh, OperatorKind.STIFFNESS_A, beta=1.0, gamma=1.0)
+        mass = mass_operator(mesh)
+        v = np.ones(op.n_dof)
+        with pytest.raises(np.linalg.LinAlgError):
+            op.add(mass, -1e3).solve(v)
+        with pytest.raises(ValueError):
+            op.add(mass, np.nan).solve(v)
+        for n in (op.n_dof - 2, op.n_dof + 3):
+            with pytest.raises(ValueError):
+                op.solve(np.ones(n))
 
 
 class TestWeightedMass:
@@ -190,12 +232,12 @@ class TestPoisson:
 class TestDarcy:
     def test_zero_field_is_linear_profile(self):
         mesh = Mesh1D(32)
-        u = solve_darcy(np.zeros(mesh.n_nodes), mesh)
+        u = darcy_pressure(np.zeros(mesh.n_nodes), mesh)
         np.testing.assert_allclose(u, 1.0 - mesh.nodes(), atol=1e-13)
 
     def test_constant_field_same_profile(self):
         mesh = Mesh1D(32)
-        u = solve_darcy(np.full(mesh.n_nodes, 0.7), mesh)
+        u = darcy_pressure(np.full(mesh.n_nodes, 0.7), mesh)
         np.testing.assert_allclose(u, 1.0 - mesh.nodes(), atol=1e-13)
 
     @pytest.mark.parametrize("L", [4, 6])
@@ -206,7 +248,7 @@ class TestDarcy:
         mesh = Mesh1D.from_exponent(L)
         x = mesh.nodes()
         m = np.where(x < 0.5, 0.0, math.log(2.0))
-        u = solve_darcy(m, mesh)
+        u = darcy_pressure(m, mesh)
         h = mesh.h
         flux = 1.0 / ((0.5 - h) / 1.0 + h / math.sqrt(2.0) + 0.5 / 2.0)
         assert u[mesh.n_cells // 2] == pytest.approx(flux / 4.0, rel=1e-12)
@@ -217,7 +259,7 @@ class TestDarcy:
         m = np.zeros(mesh.n_nodes)
         m[3] = np.inf
         with pytest.raises(ValueError):
-            solve_darcy(m, mesh)
+            darcy_problem(mesh).forward(m)
 
     def test_cell_coeffs_midpoint(self):
         mesh = Mesh1D(4)

@@ -5,6 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
+from hessquad import fem1d
+from hessquad.experiments import ExperimentConfig, darcy_setup
 from hessquad.fem1d import Mesh1D, solve_poisson
 from hessquad.gaussian_measure import GaussianField, rng_stream
 from hessquad.inverse_problem import (
@@ -20,6 +22,7 @@ from hessquad.inverse_problem import (
     reweighted_integrands,
 )
 from hessquad.quad1d import hermite_rule
+from hessquad.sparse_quad import AdaptConfig, Construction, adapt
 
 
 @pytest.fixture(scope="module")
@@ -203,6 +206,69 @@ class TestFindMap:
         # Newton decrease: accepted steps strictly reduce the cost
         costs = res.cost_history
         assert all(b < a + 1e-12 for a, b in zip(costs, costs[1:]))
+
+    def test_linear_data_seeds_converge(self):
+        # the configuration of experiments.linear_setup
+        cfg = NewtonConfig(tol=1e-12, max_newton=60)
+        for seed in range(40):
+            res = make_linear_problem(seed=seed).find_map(cfg=cfg)
+            assert res.converged, f"seed {seed}"
+            if seed == 0:
+                assert res.newton_iters == 5
+
+    def test_darcy_data_seeds_converge(self):
+        # 7, 8, 27 and 32 reach the roundoff floor of the cost above the
+        # gradient tolerance, so only the Newton-decrement test stops them
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for seed in (0, 7, 8, 10, 27, 32):
+                res = make_darcy_problem(seed=seed).find_map()
+                assert res.converged, f"seed {seed}"
+                if seed == 0:
+                    assert res.newton_iters == 6
+
+
+class TestForwardState:
+    def test_memo_follows_in_place_mutation(self, darcy6):
+        p = darcy6
+        m = p.prior_mean.copy()
+        first = p._forward_state(m)
+        u_first = first.u.copy()
+        assert p._forward_state(m.copy()) is first  # equal values, no solve
+        m += 0.3 * np.sin(np.pi * p.mesh.nodes())
+        second = p._forward_state(m)
+        assert second is not first
+        np.testing.assert_array_equal(first.u, u_first)
+        assert not np.array_equal(second.u, u_first)
+        p._forward_state(p.prior_mean)
+        np.testing.assert_array_equal(p._forward_state(m).u, second.u)
+
+
+@pytest.fixture(scope="module")
+def darcy6_setup():
+    cfg = ExperimentConfig.darcy_default(mesh_exp=6, seed=0, kl_dims=12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return darcy_setup(cfg)
+
+
+@pytest.mark.parametrize("path", ["hessian", "prior"])
+def test_one_factorization_per_quadrature_point(darcy6_setup, path, monkeypatch):
+    setup = darcy6_setup
+    problem = make_darcy_problem(mesh_exp=6, seed=0)  # has solved nothing yet
+    if path == "hessian":
+        g = hessian_reweighted_integrand(
+            problem, setup.posterior_field, setup.map_result.cost_at_map,
+            problem.qoi(),
+        )
+    else:
+        g = prior_weighted_integrand(problem, setup.prior_field, problem.qoi())
+    calls = []
+    factor = fem1d.dpttrf
+    monkeypatch.setattr(fem1d, "dpttrf", lambda *a: calls.append(1) or factor(*a))
+    res = adapt(g, Construction.APOSTERIORI, AdaptConfig(max_points=300))
+    assert res.n_points >= 300
+    assert len(calls) == res.n_points
 
 
 class TestPosteriorEigen:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hessquad.multiindex import ZERO_INDEX, BNuConfig, IndexSet, MultiIndex
-from hessquad.quad1d import hermite_rule
+from hessquad.quad1d import MAX_LEVEL, hermite_rule
 from hessquad.sparse_quad import (
     AdaptConfig,
     Construction,
@@ -224,6 +224,13 @@ class TestAdapt:
         )
         assert not res.converged
         assert res.stopped_on == "max_indices"
+
+    def test_level_cap_is_a_stop_reason(self):
+        g = scalar(lambda xi: math.exp(xi.get(1, 0.0)), dim_hint=1)
+        res = adapt(g, Construction.APOSTERIORI, AdaptConfig())
+        assert res.stopped_on == "max_level"
+        assert not res.converged
+        assert res.index_set.sorted_members()[-1] == idx((1, MAX_LEVEL))
 
     def test_budget_mode_converged_flag(self):
         g = scalar(lambda xi: math.exp(xi.get(1, 0.0)), dim_hint=1)
