@@ -13,8 +13,6 @@ from .multiindex import (
     MultiIndex,
     ZERO_INDEX,
     b_coefficient,
-    forward_neighbors,
-    is_admissible,
 )
 from .quad1d import DifferenceRule, UnivariateRule, difference_rule, hermite_rule
 from .sparse_quad import (
@@ -26,7 +24,7 @@ from .sparse_quad import (
     evaluate,
     tensor_delta,
 )
-from .fem1d import Mesh1D, OperatorKind, assemble, solve_poisson
+from .fem1d import Mesh1D, assemble, solve_poisson
 from .gaussian_measure import (
     EigenPairs,
     GaussianField,
@@ -43,7 +41,6 @@ from .inverse_problem import (
     ObservationSetup,
     make_darcy_problem,
     make_linear_problem,
-    reweighted_integrands,
 )
 from .experiments import (
     ConvergenceRecord,
@@ -70,7 +67,6 @@ __all__ = [
     "Mesh1D",
     "MultiIndex",
     "ObservationSetup",
-    "OperatorKind",
     "QuadratureResult",
     "UnivariateRule",
     "ZERO_INDEX",
@@ -80,9 +76,7 @@ __all__ = [
     "difference_rule",
     "estimate_rate",
     "evaluate",
-    "forward_neighbors",
     "hermite_rule",
-    "is_admissible",
     "kl_map",
     "make_darcy_problem",
     "make_linear_problem",
@@ -90,7 +84,6 @@ __all__ = [
     "prior_eigen_analytic",
     "prior_eigen_numeric",
     "randomized_eigen",
-    "reweighted_integrands",
     "rng_stream",
     "run_convergence",
     "solve_poisson",

@@ -21,7 +21,7 @@ import io
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -91,6 +91,10 @@ class ExperimentConfig:
             raise ValueError("alpha must be 1 or 2")
         if not 3 <= self.mesh_exp <= 12:
             raise ValueError("mesh_exp must be in 3..12")
+        for name, budget in (("max_points", self.max_points),
+                             ("max_indices", self.max_indices)):
+            if budget < 1:
+                raise ValueError(f"{name} must be >= 1, got {budget}")
 
     @classmethod
     def linear_default(cls, **overrides) -> "ExperimentConfig":
@@ -176,24 +180,6 @@ class ConvergenceRecord:
             writer.writerow(row)
         return buf.getvalue()
 
-    @classmethod
-    def from_csv(
-        cls, text: str, rates: tuple[float, ...] = (), reference: tuple[float, ...] = ()
-    ) -> "ConvergenceRecord":
-        rows = list(csv.reader(io.StringIO(text)))
-        n_out = sum(1 for h in rows[0] if h.startswith("value_"))
-        cps = []
-        for row in rows[1:]:
-            if not row:
-                continue
-            vals = tuple(float(row[2 + 3 * i]) for i in range(n_out))
-            abse = tuple(float(row[3 + 3 * i]) for i in range(n_out))
-            rele = tuple(float(row[4 + 3 * i]) for i in range(n_out))
-            cps.append(
-                Checkpoint(int(row[0]), int(row[1]), vals, abse, rele)
-            )
-        return cls(checkpoints=cps, rates=rates, reference=reference)
-
 
 def point_ladder(lo: int, hi: int) -> list[int]:
     """1-2-5 budget ladder between lo and hi inclusive."""
@@ -240,13 +226,6 @@ def trailing_window(n_points: Sequence[float]) -> np.ndarray:
         mask = np.zeros(len(n), dtype=bool)
         mask[-min(5, len(n)):] = True
     return mask
-
-
-def fitted_rate(record: ConvergenceRecord, output: int = 0) -> float:
-    n = record.n_points()
-    e = record.errors(output)
-    mask = trailing_window(n)
-    return estimate_rate(n[mask], e[mask])
 
 
 # ---------------------------------------------------------------------------
@@ -408,14 +387,7 @@ class RunOutput:
     reference: tuple[float, ...]
     estimate: tuple[float, ...]
     spectrum: np.ndarray
-    prior_spectrum: np.ndarray | None = None
     summary: dict = field(default_factory=dict)
-
-
-def _estimates_along_trace(
-    trace: Sequence[TraceRecord], post: Callable[[tuple[float, ...]], tuple[float, ...]]
-) -> list[tuple[float, ...]]:
-    return [post(rec.value) for rec in trace]
 
 
 def _checkpoints_from_trace(
@@ -474,7 +446,7 @@ def run_linear(cfg: ExperimentConfig, setup: LinearSetup | None = None) -> RunOu
         spectrum = setup.prior_field.pairs.values
     construction = Construction(cfg.construction)
     result = adapt(integrand, construction, cfg.adapt_config())
-    estimates = _estimates_along_trace(result.trace, post)
+    estimates = [post(rec.value) for rec in result.trace]
     cps = _checkpoints_from_trace(result.trace, estimates, reference, cfg.max_points)
     record = ConvergenceRecord(
         checkpoints=cps,
@@ -489,7 +461,6 @@ def run_linear(cfg: ExperimentConfig, setup: LinearSetup | None = None) -> RunOu
         reference=reference,
         estimate=estimates[-1],
         spectrum=spectrum,
-        prior_spectrum=setup.prior_field.pairs.values,
         summary=_summary(cfg, record, result, reference, estimates[-1]),
     )
 
@@ -500,7 +471,6 @@ class DarcySetup:
     map_result: MapResult
     prior_field: GaussianField
     posterior_field: GaussianField
-    misfit_spectrum: np.ndarray
 
 
 def darcy_setup(cfg: ExperimentConfig) -> DarcySetup:
@@ -518,16 +488,13 @@ def darcy_setup(cfg: ExperimentConfig) -> DarcySetup:
         oversampling=cfg.posterior_oversampling(J), power_iters=3,
     )
     prior_field = GaussianField.from_pairs(problem.prior_mean, prior_pairs)
-    mis = problem.misfit_eigen(
-        map_result, j1=cfg.misfit_rank_cap, rng=rng_stream(cfg.seed, 11)
-    )
     post_pairs = problem.posterior_eigen(
         map_result, J, j1=cfg.misfit_rank_cap, cutoff=cfg.posterior_cutoff,
         oversampling=cfg.posterior_oversampling(J), power_iters=3,
         rng=rng_stream(cfg.seed, 12),
     )
     posterior_field = GaussianField.from_pairs(map_result.map_point, post_pairs)
-    return DarcySetup(problem, map_result, prior_field, posterior_field, mis.values)
+    return DarcySetup(problem, map_result, prior_field, posterior_field)
 
 
 def run_darcy(cfg: ExperimentConfig, setup: DarcySetup | None = None) -> RunOutput:
@@ -547,8 +514,7 @@ def run_darcy(cfg: ExperimentConfig, setup: DarcySetup | None = None) -> RunOutp
         spectrum = setup.prior_field.pairs.values
     construction = Construction(cfg.construction)
     result = adapt(integrand, construction, cfg.adapt_config())
-    post = lambda v: (v[0], v[1])
-    estimates = _estimates_along_trace(result.trace, post)
+    estimates = [rec.value for rec in result.trace]
     reference = estimates[-1]
     cap = max(10, cfg.max_points // cfg.self_reference_margin)
     cps = _checkpoints_from_trace(result.trace, estimates, reference, cap)
@@ -566,7 +532,6 @@ def run_darcy(cfg: ExperimentConfig, setup: DarcySetup | None = None) -> RunOutp
         reference=reference,
         estimate=reference,
         spectrum=spectrum,
-        prior_spectrum=setup.prior_field.pairs.values,
         summary=_summary(cfg, record, result, reference, reference),
     )
     out.summary["posterior_mean_qoi"] = ratio
@@ -597,7 +562,6 @@ def _summary(cfg, record, result, reference, estimate) -> dict:
         else None,
         "n_points": result.n_points,
         "n_indices": result.n_indices,
-        "n_evals": result.n_evals,
         "converged": result.converged,
         "stopped_on": result.stopped_on,
         "max_active_dim": result.index_set.max_active_dim

@@ -14,8 +14,6 @@ have length ``n_cells - 1``.  Natural (Neumann) operators own all
 
 from __future__ import annotations
 
-import enum
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,30 +49,15 @@ class Mesh1D:
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.n_nodes)
 
-    def interior_nodes(self) -> np.ndarray:
-        return self.nodes()[1:-1]
-
-    def cell_midpoints(self) -> np.ndarray:
-        x = self.nodes()
-        return 0.5 * (x[:-1] + x[1:])
-
-
-class OperatorKind(enum.Enum):
-    MASS = "mass"
-    STIFFNESS_A = "stiffness_a"
-
 
 @dataclass
 class TriDiagOperator:
     """Symmetric tridiagonal SPD operator with a cached LDL^T factor."""
 
     mesh: Mesh1D
-    kind: OperatorKind
     diag: np.ndarray
     off: np.ndarray
     dirichlet: bool
-    beta: float = 0.0
-    gamma: float = 0.0
     _factor: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     @property
@@ -142,12 +125,9 @@ class TriDiagOperator:
             raise ValueError("operator layouts differ")
         return TriDiagOperator(
             mesh=self.mesh,
-            kind=self.kind,
             diag=self.diag + coeff * other.diag,
             off=self.off + coeff * other.off,
             dirichlet=self.dirichlet,
-            beta=self.beta,
-            gamma=self.gamma,
         )
 
 
@@ -159,7 +139,7 @@ def mass_operator(mesh: Mesh1D, dirichlet: bool = False) -> TriDiagOperator:
     if not dirichlet:
         diag[0] = diag[-1] = h / 3.0
     off = np.full(n - 1, h / 6.0)
-    return TriDiagOperator(mesh, OperatorKind.MASS, diag, off, dirichlet)
+    return TriDiagOperator(mesh, diag, off, dirichlet)
 
 
 def laplace_operator(mesh: Mesh1D, dirichlet: bool = True) -> TriDiagOperator:
@@ -170,43 +150,45 @@ def laplace_operator(mesh: Mesh1D, dirichlet: bool = True) -> TriDiagOperator:
     if not dirichlet:
         diag[0] = diag[-1] = 1.0 / h
     off = np.full(n - 1, -1.0 / h)
-    return TriDiagOperator(mesh, OperatorKind.STIFFNESS_A, diag, off, dirichlet)
+    return TriDiagOperator(mesh, diag, off, dirichlet)
 
 
 def assemble(
     mesh: Mesh1D,
-    kind: OperatorKind,
     beta: float = 1.0,
     gamma: float = 0.0,
     dirichlet: bool = False,
 ) -> TriDiagOperator:
-    """Assemble MASS or the elliptic operator beta * (-Laplacian) + gamma * I.
+    """Assemble the elliptic operator beta * (-Laplacian) + gamma * I.
 
-    The elliptic operator is SPD for beta > 0 with either gamma > 0 or
+    The operator is SPD for beta > 0 with either gamma > 0 or
     Dirichlet-eliminated boundary rows (gamma = 0 is the Dirichlet Laplacian
     of the linear benchmark).
     """
-    if kind is OperatorKind.MASS:
-        return mass_operator(mesh, dirichlet=dirichlet)
     if beta <= 0:
         raise ValueError("beta must be positive")
     if gamma < 0 or (gamma == 0 and not dirichlet):
         raise ValueError("gamma must be positive for a natural-boundary operator")
     lap = laplace_operator(mesh, dirichlet=dirichlet)
-    out = TriDiagOperator(
-        mesh, OperatorKind.STIFFNESS_A, beta * lap.diag, beta * lap.off, dirichlet,
-        beta=beta, gamma=gamma,
-    )
-    if gamma != 0.0:
-        m = mass_operator(mesh, dirichlet=dirichlet)
-        out = TriDiagOperator(
-            mesh, OperatorKind.STIFFNESS_A, out.diag + gamma * m.diag,
-            out.off + gamma * m.off, dirichlet, beta=beta, gamma=gamma,
-        )
-    return out
+    scaled = TriDiagOperator(mesh, beta * lap.diag, beta * lap.off, dirichlet)
+    return scaled.add(mass_operator(mesh, dirichlet=dirichlet), gamma)
 
 
 _GAUSS4 = np.polynomial.legendre.leggauss(4)
+
+
+def cell_gauss_rule(mesh: Mesh1D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 4-point Gauss-Legendre rule on every cell.
+
+    Returns the local coordinates t in [0, 1] (shape (4,)), which are also the
+    values of the right hat function phi_r = t (phi_l = 1 - t), the points
+    (shape (n_cells, 4)) and the weights (shape (1, 4)).
+    """
+    pts, wts = _GAUSS4
+    t = 0.5 * (pts + 1.0)
+    xq = mesh.nodes()[:-1, None] + mesh.h * t[None, :]
+    wq = 0.5 * mesh.h * wts[None, :]
+    return t, xq, wq
 
 
 def weighted_mass_operator(
@@ -217,12 +199,7 @@ def weighted_mass_operator(
     Entries are integrated with a 4-point Gauss rule per cell, which resolves
     the mollifier bumps used by the measurement operator.
     """
-    h = mesh.h
-    xs = mesh.nodes()
-    pts, wts = _GAUSS4
-    t = 0.5 * (pts + 1.0)  # local coordinate in [0, 1]
-    xq = xs[:-1, None] + h * t[None, :]  # (n_cells, 4)
-    wq = 0.5 * h * wts[None, :]
+    t, xq, wq = cell_gauss_rule(mesh)
     wx = np.asarray(weight(xq), dtype=float) * wq
     phi_l = 1.0 - t
     phi_r = t
@@ -236,7 +213,7 @@ def weighted_mass_operator(
     if dirichlet:
         diag = diag[1:-1]
         off = off[1:-1]
-    return TriDiagOperator(mesh, OperatorKind.MASS, diag, off, dirichlet)
+    return TriDiagOperator(mesh, diag, off, dirichlet)
 
 
 def apply_A_alpha(
@@ -288,7 +265,7 @@ def darcy_stiffness(k_cells: np.ndarray, mesh: Mesh1D) -> TriDiagOperator:
     a = k_cells / mesh.h
     diag = a[:-1] + a[1:]
     off = -a[1:-1]
-    return TriDiagOperator(mesh, OperatorKind.STIFFNESS_A, diag, off, dirichlet=True)
+    return TriDiagOperator(mesh, diag, off, dirichlet=True)
 
 
 def cell_slopes(u: np.ndarray, mesh: Mesh1D) -> np.ndarray:
@@ -312,11 +289,3 @@ def scatter_grad(q_cells: np.ndarray, mesh: Mesh1D) -> np.ndarray:
     out[1:] += q
     out[:-1] -= q
     return out
-
-
-def field_to_csv(x: np.ndarray, values: np.ndarray) -> str:
-    buf = io.StringIO()
-    buf.write("x,value\n")
-    for xi, vi in zip(x, values):
-        buf.write(f"{xi:.17g},{vi:.17g}\n")
-    return buf.getvalue()

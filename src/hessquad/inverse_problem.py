@@ -25,11 +25,11 @@ import numpy as np
 
 from .fem1d import (
     Mesh1D,
-    OperatorKind,
     TriDiagOperator,
     apply_A_alpha,
     apply_A_alpha_inv,
     assemble,
+    cell_gauss_rule,
     cell_slopes,
     darcy_cell_coeffs,
     darcy_stiffness,
@@ -79,11 +79,7 @@ def assemble_observation_matrix(
     ~2.5e-3 at the benchmark radius, i.e. far below the noise level, and the
     observations carry no information.
     """
-    pts, wts = np.polynomial.legendre.leggauss(4)
-    h = mesh.h
-    t = 0.5 * (pts + 1.0)
-    xq = mesh.nodes()[:-1, None] + h * t[None, :]  # (n_cells, 4)
-    wq = 0.5 * h * wts[None, :]
+    t, xq, wq = cell_gauss_rule(mesh)
     B = np.zeros((len(centers), mesh.n_nodes))
     phi_l = 1.0 - t
     phi_r = t
@@ -310,17 +306,9 @@ class BayesProblem:
                 )
             return out
 
-        def apply_B(X: np.ndarray) -> np.ndarray:
-            if X.ndim == 1:
-                return self.apply_prior_precision(X)
-            out = np.empty_like(X)
-            for k in range(X.shape[1]):
-                out[:, k] = self.apply_prior_precision(X[:, k])
-            return out
-
         b_op = self.A_prior if self.alpha == 1 else None
         return randomized_eigen(
-            op, apply_B, len(map_result.map_point), j1,
+            op, self.apply_prior_precision, len(map_result.map_point), j1,
             oversampling=oversampling, power_iters=power_iters, rng=rng,
             b_operator=b_op,
         )
@@ -400,18 +388,14 @@ class LinearPoissonProblem(BayesProblem):
         sigma: float,
         y: np.ndarray,
         prior_mean: np.ndarray | None = None,
-        discrete_eigs: bool = True,
     ):
         self.mesh = mesh
         self.alpha = int(alpha)
         self.beta = float(beta)
         self.sigma = float(sigma)
-        self.discrete_eigs = discrete_eigs
         self.K = laplace_operator(mesh, dirichlet=True)
         self.M = mass_operator(mesh, dirichlet=True)
-        self.A_prior = assemble(
-            mesh, OperatorKind.STIFFNESS_A, beta=beta, gamma=0.0, dirichlet=True
-        )
+        self.A_prior = assemble(mesh, beta=beta, gamma=0.0, dirichlet=True)
         n = mesh.n_interior
         if len(y) != n:
             raise ValueError("y must be an interior nodal field")
@@ -445,14 +429,12 @@ class LinearPoissonProblem(BayesProblem):
 
     def prior_pairs(self, J: int | None = None) -> EigenPairs:
         J = J if J is not None else self.mesh.n_interior
-        return prior_eigen_analytic(
-            self.beta, self.alpha, J, self.mesh, discrete=self.discrete_eigs
-        )
+        return prior_eigen_analytic(self.beta, self.alpha, J, self.mesh)
 
     def misfit_eigenvalue_analytic(self, j: int) -> float:
         """Prior-preconditioned misfit eigenvalue
         sigma^{-2} * beta^{-alpha} * lap_j^{-alpha-2}."""
-        lam = dirichlet_laplacian_eigenvalue(self.mesh, j, discrete=self.discrete_eigs)
+        lam = dirichlet_laplacian_eigenvalue(self.mesh, j)
         return self.sigma ** (-2) * self.beta ** (-self.alpha) * lam ** (-self.alpha - 2)
 
     def posterior_pairs_analytic(self, J: int | None = None) -> EigenPairs:
@@ -554,9 +536,7 @@ class DarcyProblem(BayesProblem):
         self.sigma = obs.noise_sigma
         self.y = np.asarray(y, dtype=float)
         self.M = mass_operator(mesh, dirichlet=False)
-        self.A_bare = assemble(
-            mesh, OperatorKind.STIFFNESS_A, beta=beta, gamma=gamma, dirichlet=False
-        )
+        self.A_bare = assemble(mesh, beta=beta, gamma=gamma, dirichlet=False)
         self.Mw = measurement_operator(mesh, measurement_centers, measurement_radius)
         self.A_prior = self.A_bare.add(self.Mw, kappa)
         self.B = assemble_observation_matrix(mesh, obs.centers, obs.radius)
@@ -687,23 +667,18 @@ def make_linear_problem(
     sigma: float = 1e-2,
     mesh_exp: int = 10,
     seed: int = 0,
-    discrete_eigs: bool = True,
 ) -> LinearPoissonProblem:
     """Linear benchmark with seeded data: draw a prior sample, push it
     through the forward map, add iid nodal noise of size sigma."""
     mesh = Mesh1D.from_exponent(mesh_exp)
     n = mesh.n_interior
-    stub = LinearPoissonProblem(
-        mesh, alpha, beta, sigma, y=np.zeros(n), discrete_eigs=discrete_eigs
-    )
+    stub = LinearPoissonProblem(mesh, alpha, beta, sigma, y=np.zeros(n))
     pairs = stub.prior_pairs()
     xi = rng_stream(seed, 1).standard_normal(n)
     m_sample = pairs.vectors @ (np.sqrt(pairs.values) * xi)
     u_sample = stub.forward(m_sample)
     noise = sigma * rng_stream(seed, 2).standard_normal(n)
-    return LinearPoissonProblem(
-        mesh, alpha, beta, sigma, y=u_sample + noise, discrete_eigs=discrete_eigs
-    )
+    return LinearPoissonProblem(mesh, alpha, beta, sigma, y=u_sample + noise)
 
 
 def make_darcy_problem(
@@ -732,9 +707,7 @@ def make_darcy_problem(
     obs = ObservationSetup(centers=obs_centers, radius=radius, noise_sigma=sigma)
 
     M = mass_operator(mesh, dirichlet=False)
-    A_bare = assemble(
-        mesh, OperatorKind.STIFFNESS_A, beta=beta, gamma=gamma, dirichlet=False
-    )
+    A_bare = assemble(mesh, beta=beta, gamma=gamma, dirichlet=False)
     j_true = min(j_true, mesh.n_nodes - 1)
     true_pairs = prior_eigen_numeric(
         mesh, A_bare, M, 1, j_true, oversampling=10, power_iters=2,
@@ -812,21 +785,3 @@ def hessian_reweighted_integrand(
 
     return Integrand(fn=fn, n_outputs=2, dim_hint=posterior_field.truncation)
 
-
-def reweighted_integrands(
-    problem: BayesProblem,
-    field: GaussianField,
-    qoi: Callable[[np.ndarray], float],
-    path: str,
-    cost_at_map: float | None = None,
-) -> Integrand:
-    """Dispatch to the prior-based, Hessian-based, or pure-Gaussian integrand."""
-    if path == "prior":
-        return prior_weighted_integrand(problem, field, qoi)
-    if path == "hessian":
-        if cost_at_map is None:
-            raise ValueError("hessian path needs the cost at the MAP point")
-        return hessian_reweighted_integrand(problem, field, cost_at_map, qoi)
-    if path == "gaussian":
-        return gaussian_qoi_integrand(field, qoi)
-    raise ValueError(f"unknown path {path!r}")

@@ -2,10 +2,11 @@
 
 Multi-indices are finitely supported sequences of nonnegative integer levels,
 one per parameter dimension (dimensions are 1-based).  Downward-closed
-("admissible") sets of them drive the sparse quadrature; the forward-neighbor
-set is the frontier explored by the adaptive loop, one new dimension at a
-time.  The a priori construction ranks candidate indices by a closed-form
-coefficient built from a nondecreasing weight sequence tau_j = c * j**beta.
+("admissible") sets of them drive the sparse quadrature; their forward
+neighbors are the frontier the adaptive loop explores (``sparse_quad``), one
+new dimension at a time.  The a priori construction ranks candidate indices
+by a closed-form coefficient built from a nondecreasing weight sequence
+tau_j = c * j**beta.
 """
 
 from __future__ import annotations
@@ -107,10 +108,6 @@ class MultiIndex:
         for j, _ in self._entries:
             yield self.minus(j)
 
-    def preceq(self, other: "MultiIndex") -> bool:
-        """Componentwise partial order: self_j <= other_j for all j."""
-        return all(v <= other.level(j) for j, v in self._entries)
-
     def sort_key(self) -> tuple[int, ...]:
         """Dense tuple (nu_1, ..., nu_maxdim); lexicographic comparison of
         these keys is the deterministic tie-break order."""
@@ -130,17 +127,6 @@ class MultiIndex:
         """
         return ",".join(f"{j}:{v}" for j, v in self._entries)
 
-    @classmethod
-    def parse(cls, text: str) -> "MultiIndex":
-        text = text.strip()
-        if not text:
-            return cls()
-        pairs = []
-        for chunk in text.split(","):
-            j, v = chunk.split(":")
-            pairs.append((int(j), int(v)))
-        return cls(pairs)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, MultiIndex) and self._entries == other._entries
 
@@ -155,17 +141,6 @@ class MultiIndex:
 
 
 ZERO_INDEX = MultiIndex()
-
-
-def is_admissible(members: Iterable[MultiIndex]) -> bool:
-    """True iff the collection is downward closed (every backward neighbor of
-    every member is also a member)."""
-    pool = set(members)
-    for nu in pool:
-        for mu in nu.backward_neighbors():
-            if mu not in pool:
-                return False
-    return True
 
 
 class IndexSet:
@@ -213,30 +188,6 @@ class IndexSet:
 
     def __iter__(self) -> Iterator[MultiIndex]:
         return iter(self._members)
-
-
-def forward_neighbors(
-    index_set: IndexSet, max_dim: int | None = None
-) -> list[MultiIndex]:
-    """Forward-neighbor set of an admissible index set.
-
-    Returns exactly the indices nu not in the set whose backward neighbors all
-    lie inside it, restricted to dimensions <= (max active dim of the set) + 1
-    so that new dimensions are explored one at a time.  ``max_dim`` optionally
-    caps the explorable dimension (e.g. at a KL truncation).
-    """
-    limit = index_set.max_active_dim + 1
-    if max_dim is not None:
-        limit = min(limit, max_dim)
-    found: set[MultiIndex] = set()
-    for nu in index_set:
-        for j in range(1, limit + 1):
-            cand = nu.plus(j)
-            if cand in index_set or cand in found:
-                continue
-            if all(mu in index_set for mu in cand.backward_neighbors()):
-                found.add(cand)
-    return sorted(found, key=MultiIndex.sort_key)
 
 
 @dataclass(frozen=True)

@@ -31,9 +31,6 @@ class UnivariateRule:
     nodes: np.ndarray
     weights: np.ndarray
 
-    def apply(self, g) -> float:
-        return float(np.dot(self.weights, [g(x) for x in self.nodes]))
-
 
 @dataclass(frozen=True)
 class DifferenceRule:
@@ -45,9 +42,6 @@ class DifferenceRule:
     # Node coordinates pre-rendered as cache-key strings (15 significant
     # digits), aligned with ``nodes``; exact zeros render as "0".
     node_keys: tuple[str, ...]
-
-    def apply(self, g) -> float:
-        return float(np.dot(self.signed_weights, [g(x) for x in self.nodes]))
 
 
 def coordinate_key(x: float) -> str:

@@ -45,9 +45,10 @@ class Integrand:
     """A pure map from a sparse parameter vector to one or more real outputs.
 
     ``fn`` receives a mapping {dimension (1-based) -> coordinate}; absent
-    dimensions are zero.  It must be deterministic: the point cache and the
-    concurrency contract both rely on purity.  ``dim_hint`` caps the
-    dimensions the adaptive loop may explore (e.g. a KL truncation).
+    dimensions are zero.  It must be deterministic: the point cache calls it
+    once per distinct point and reuses that value wherever the point recurs.
+    ``dim_hint`` caps the dimensions the adaptive loop may explore (e.g. a KL
+    truncation).
     """
 
     fn: Callable[[Mapping[int, float]], object]
@@ -61,7 +62,6 @@ class PointCache:
     def __init__(self, integrand: Integrand):
         self._integrand = integrand
         self._data: dict[tuple, np.ndarray] = {}
-        self.n_evals = 0
 
     @property
     def n_points(self) -> int:
@@ -84,7 +84,6 @@ class PointCache:
             if not np.all(np.isfinite(out)):
                 raise IntegrandError(f"integrand returned non-finite value {out}", point)
             self._data[key] = out
-            self.n_evals += 1
         return out
 
 
@@ -94,17 +93,6 @@ def grid_size(nu: MultiIndex) -> int:
     for _, level in nu.entries:
         n *= len(difference_rule(level).nodes)
     return n
-
-
-def max_levels_per_dim(index_set: IndexSet) -> dict[int, int]:
-    """Largest adopted quadrature level per dimension (dims at level 0
-    omitted); the usual structural summary of an adaptive run."""
-    levels: dict[int, int] = {}
-    for nu in index_set:
-        for j, v in nu.entries:
-            if v > levels.get(j, 0):
-                levels[j] = v
-    return levels
 
 
 def tensor_delta(nu: MultiIndex, g: Integrand, cache: PointCache) -> np.ndarray:
@@ -154,12 +142,19 @@ class QuadratureResult:
     converged: bool = True
     stopped_on: str = "tolerance"
     index_set: IndexSet | None = None
-    n_evals: int = 0
 
 
 class Construction(enum.Enum):
     APRIORI = "apriori"
     APOSTERIORI = "aposteriori"
+
+
+# A posteriori scores at or below this (relative) level are treated as exact
+# ties, so selection falls through to the lexicographic tie-break.  Without it,
+# an index whose difference quadrature vanishes identically (a dimension the
+# integrand does not depend on) would block frontier exploration forever
+# behind roundoff-level indicators of exhausted dimensions.
+TIE_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
@@ -169,7 +164,7 @@ class AdaptConfig:
     ``tolerance = None`` means pure budget stopping; with the a priori
     construction that also skips all neighbor evaluations until adoption.
     ``work_normalized`` divides the a posteriori indicator by the candidate's
-    grid size before selection.
+    grid size before selection; scores at or below ``TIE_FLOOR`` tie.
     """
 
     tolerance: float | None = None
@@ -177,12 +172,6 @@ class AdaptConfig:
     max_points: int = 100_000
     bnu: BNuConfig = BNuConfig()
     work_normalized: bool = False
-    # Indicators at or below this (relative) level are treated as exact ties,
-    # so selection falls through to the lexicographic tie-break.  Without it,
-    # an index whose difference quadrature vanishes identically (a dimension
-    # the integrand does not depend on) would block frontier exploration
-    # forever behind roundoff-level indicators of exhausted dimensions.
-    tie_floor: float = 1e-14
 
     def __post_init__(self):
         if self.tolerance is not None and self.tolerance <= 0:
@@ -218,7 +207,6 @@ def evaluate(
         converged=True,
         stopped_on="evaluated",
         index_set=index_set,
-        n_evals=cache.n_evals,
     )
 
 
@@ -385,7 +373,7 @@ def adapt(
                 if ind > max_ind:
                     max_ind = ind
                 score = ind / grid_size(nu) if cfg.work_normalized else ind
-                if score <= cfg.tie_floor:
+                if score <= TIE_FLOOR:
                     score = 0.0
                 if score > best:
                     best, best_key, chosen = score, nu.sort_key(), nu
@@ -437,7 +425,6 @@ def adapt(
         converged=converged,
         stopped_on=stopped_on,
         index_set=lam,
-        n_evals=cache.n_evals,
     )
 
 
@@ -461,21 +448,3 @@ def trace_to_csv(trace: Sequence[TraceRecord]) -> str:
         )
     return buf.getvalue()
 
-
-def trace_from_csv(text: str) -> list[TraceRecord]:
-    rows = list(csv.reader(io.StringIO(text)))
-    out = []
-    for row in rows[1:]:
-        if not row:
-            continue
-        out.append(
-            TraceRecord(
-                step=int(row[0]),
-                chosen=MultiIndex.parse(row[1]),
-                indicator=float(row[2]),
-                n_indices=int(row[3]),
-                n_points=int(row[4]),
-                value=tuple(float(v) for v in row[5:]),
-            )
-        )
-    return out

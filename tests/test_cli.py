@@ -1,13 +1,18 @@
+import csv
 import json
 import math
 
 import pytest
 
 from hessquad.cli import main
-from hessquad.experiments import ConvergenceRecord, ExperimentConfig
+from hessquad.experiments import ExperimentConfig
 from hessquad.multiindex import MultiIndex
 from hessquad.quad1d import MAX_LEVEL
-from hessquad.sparse_quad import trace_from_csv
+
+
+def read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 def test_rules_stdout(capsys):
@@ -44,13 +49,13 @@ def test_linear_run_outputs(tmp_path):
     assert summary["config"]["qoi"] == "q2"  # flag overrides the config file
     assert summary["n_points"] >= 500
 
-    record = ConvergenceRecord.from_csv((out_dir / "convergence.csv").read_text())
-    assert record.checkpoints
-    assert record.checkpoints[-1].n_points <= summary["n_points"]
+    convergence = read_csv(out_dir / "convergence.csv")
+    assert convergence
+    assert int(convergence[-1]["n_points"]) <= summary["n_points"]
 
-    trace = trace_from_csv((out_dir / "trace.csv").read_text())
-    assert trace[0].n_indices == 1
-    assert trace[-1].n_points == summary["n_points"]
+    trace = read_csv(out_dir / "trace.csv")
+    assert int(trace[0]["n_indices"]) == 1
+    assert int(trace[-1]["n_points"]) == summary["n_points"]
 
     spectrum = (out_dir / "spectrum.csv").read_text().strip().splitlines()
     assert spectrum[0] == "j,sqrt_lambda"
@@ -69,8 +74,8 @@ def test_darcy_run_outputs(tmp_path):
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["label"] == "darcy-hessian"
     assert "posterior_mean_qoi" in summary
-    record = ConvergenceRecord.from_csv((out_dir / "convergence.csv").read_text())
-    assert record.checkpoints[-1].n_points <= 150  # tenth of the budget
+    convergence = read_csv(out_dir / "convergence.csv")
+    assert int(convergence[-1]["n_points"]) <= 150  # tenth of the budget
 
 
 def test_budget_without_convergence_exit_code(tmp_path):
@@ -92,8 +97,8 @@ def test_level_cap_does_not_end_the_run(tmp_path):
     assert code == 0
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["stopped_on"] == "max_points"
-    trace = trace_from_csv((out_dir / "trace.csv").read_text())
-    assert MultiIndex([(1, MAX_LEVEL)]) in [r.chosen for r in trace]
+    chosen = [row["chosen_index"] for row in read_csv(out_dir / "trace.csv")]
+    assert MultiIndex([(1, MAX_LEVEL)]).render() in chosen
 
 
 def test_error_exit_code(tmp_path, capsys):
@@ -102,3 +107,10 @@ def test_error_exit_code(tmp_path, capsys):
     code = main(["linear", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_budget_below_one_is_an_error(tmp_path, capsys, budget):
+    code = main(["linear", "--max-points", budget, "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "max_points" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import warnings
@@ -9,8 +11,8 @@ from hessquad.experiments import (
     Checkpoint,
     ConvergenceRecord,
     ExperimentConfig,
+    _fit_all_rates,
     estimate_rate,
-    fitted_rate,
     functional_coefficients,
     linear_gaussian_integrand,
     linear_prior_integrand,
@@ -91,6 +93,13 @@ class TestConfig:
             ExperimentConfig(alpha=3)
         with pytest.raises(ValueError):
             ExperimentConfig(mesh_exp=2)
+        for budget in (0, -5):
+            with pytest.raises(ValueError, match="max_points"):
+                ExperimentConfig(max_points=budget)
+            with pytest.raises(ValueError, match="max_indices"):
+                ExperimentConfig(max_indices=budget)
+        with pytest.raises(ValueError, match="max_indices"):
+            ExperimentConfig.from_json('{"problem": "linear", "max_indices": 0}')
 
 
 def test_convergence_record_csv_roundtrip():
@@ -102,9 +111,16 @@ def test_convergence_record_csv_roundtrip():
         rates=(1.0, 1.0),
         reference=(1.56, 2.43),
     )
-    back = ConvergenceRecord.from_csv(rec.to_csv(), rates=rec.rates,
-                                      reference=rec.reference)
-    assert back.checkpoints == rec.checkpoints
+    rows = list(csv.DictReader(io.StringIO(rec.to_csv())))
+    back = [
+        Checkpoint(
+            int(row["n_points"]), int(row["n_indices"]),
+            *(tuple(float(row[f"{col}_{i}"]) for i in range(2))
+              for col in ("value", "abs_error", "rel_error")),
+        )
+        for row in rows
+    ]
+    assert back == rec.checkpoints
 
 
 class TestReferences:
@@ -260,8 +276,6 @@ class TestRunLinear:
     def test_zero_coupling_dimensions_stay_at_level_zero(self):
         # Q1 does not depend on KL modes whose eigenvector vanishes at the
         # center node; those dimensions are pended but never enriched
-        from hessquad.sparse_quad import max_levels_per_dim
-
         cfg = ExperimentConfig.linear_default(
             mesh_exp=7, seed=0, max_points=4000, qoi="q1"
         )
@@ -270,7 +284,10 @@ class TestRunLinear:
         base, coefs = functional_coefficients(
             setup.posterior_field, setup.problem.linear_functional("q1")
         )
-        levels = max_levels_per_dim(out.quadrature.index_set)
+        levels = {}
+        for nu in out.quadrature.index_set:
+            for j, v in nu.entries:
+                levels[j] = max(levels.get(j, 0), v)
         dead = [j for j, c in enumerate(coefs, start=1) if c == 0.0]
         assert dead, "expected zero-coupling dimensions in the rearrangement"
         assert all(levels.get(j, 0) == 0 for j in dead)
@@ -378,5 +395,4 @@ def test_fitted_rate_uses_trailing_window():
             np.logspace(1, 4, 10), np.r_[np.full(5, 1.0), np.logspace(0, -2, 5)]
         )
     ]
-    rec = ConvergenceRecord(checkpoints=cps, rates=(), reference=(0.0,))
-    assert fitted_rate(rec) > 0.5
+    assert _fit_all_rates(cps)[0] > 0.5

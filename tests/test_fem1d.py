@@ -5,14 +5,12 @@ import pytest
 
 from hessquad.fem1d import (
     Mesh1D,
-    OperatorKind,
     apply_A_alpha,
     apply_A_alpha_inv,
     assemble,
     cell_slopes,
     darcy_cell_coeffs,
     darcy_stiffness,
-    field_to_csv,
     laplace_operator,
     mass_operator,
     scatter_grad,
@@ -54,28 +52,24 @@ class TestAssembly:
 
     def test_stiffness_reduces_to_laplacian(self):
         mesh = Mesh1D(16)
-        a = assemble(mesh, OperatorKind.STIFFNESS_A, beta=1.0, gamma=0.0,
-                     dirichlet=True)
+        a = assemble(mesh, beta=1.0, gamma=0.0, dirichlet=True)
         lap = laplace_operator(mesh, dirichlet=True)
         np.testing.assert_array_equal(a.diag, lap.diag)
         np.testing.assert_array_equal(a.off, lap.off)
 
     def test_neumann_needs_positive_gamma(self):
         with pytest.raises(ValueError):
-            assemble(Mesh1D(8), OperatorKind.STIFFNESS_A, beta=1.0, gamma=0.0,
-                     dirichlet=False)
+            assemble(Mesh1D(8), beta=1.0, gamma=0.0, dirichlet=False)
         with pytest.raises(ValueError):
-            assemble(Mesh1D(8), OperatorKind.STIFFNESS_A, beta=-1.0, gamma=1.0)
+            assemble(Mesh1D(8), beta=-1.0, gamma=1.0)
 
     @pytest.mark.parametrize("dirichlet", [True, False])
     def test_operators_spd(self, dirichlet):
         mesh = Mesh1D(32)  # dense check on a small mesh
         ops = [mass_operator(mesh, dirichlet=dirichlet)]
         if dirichlet:
-            ops.append(assemble(mesh, OperatorKind.STIFFNESS_A, beta=2.0,
-                                gamma=0.0, dirichlet=True))
-        ops.append(assemble(mesh, OperatorKind.STIFFNESS_A, beta=2.0, gamma=1.0,
-                            dirichlet=dirichlet))
+            ops.append(assemble(mesh, beta=2.0, gamma=0.0, dirichlet=True))
+        ops.append(assemble(mesh, beta=2.0, gamma=1.0, dirichlet=dirichlet))
         for op in ops:
             dense = op.dense()
             np.testing.assert_allclose(dense, dense.T, atol=1e-15)
@@ -83,7 +77,7 @@ class TestAssembly:
 
     def test_matvec_matches_dense(self):
         mesh = Mesh1D(16)
-        op = assemble(mesh, OperatorKind.STIFFNESS_A, beta=1.5, gamma=0.7)
+        op = assemble(mesh, beta=1.5, gamma=0.7)
         rng = np.random.default_rng(0)
         v = rng.standard_normal(op.n_dof)
         np.testing.assert_allclose(op.matvec(v), op.dense() @ v, atol=1e-12)
@@ -92,7 +86,7 @@ class TestAssembly:
 
     def test_solve_roundtrip(self):
         mesh = Mesh1D(64)
-        op = assemble(mesh, OperatorKind.STIFFNESS_A, beta=1.0, gamma=2.0)
+        op = assemble(mesh, beta=1.0, gamma=2.0)
         rng = np.random.default_rng(1)
         v = rng.standard_normal(op.n_dof)
         np.testing.assert_allclose(op.matvec(op.solve(v)), v, atol=1e-10)
@@ -112,7 +106,7 @@ class TestAssembly:
 
     def test_solve_rejects_bad_operators_and_lengths(self):
         mesh = Mesh1D(16)
-        op = assemble(mesh, OperatorKind.STIFFNESS_A, beta=1.0, gamma=1.0)
+        op = assemble(mesh, beta=1.0, gamma=1.0)
         mass = mass_operator(mesh)
         v = np.ones(op.n_dof)
         with pytest.raises(np.linalg.LinAlgError):
@@ -158,8 +152,7 @@ class TestWeightedMass:
 class TestAAlpha:
     def setup_method(self):
         self.mesh = Mesh1D(64)
-        self.A = assemble(self.mesh, OperatorKind.STIFFNESS_A, beta=1.0,
-                          gamma=1.0)
+        self.A = assemble(self.mesh, beta=1.0, gamma=1.0)
         self.M = mass_operator(self.mesh)
         self.rng = np.random.default_rng(2)
 
@@ -292,15 +285,6 @@ class TestScatterHelpers:
         np.testing.assert_allclose(
             cell_slopes(u, mesh), np.diff(mesh.nodes() ** 2) / mesh.h
         )
-
-
-def test_field_csv_format():
-    mesh = Mesh1D(2)
-    text = field_to_csv(mesh.nodes(), np.array([1.0, 2.0, 3.0]))
-    lines = text.strip().splitlines()
-    assert lines[0] == "x,value"
-    assert lines[1].startswith("0,1")
-    assert len(lines) == 4
 
 
 def test_mesh_validation():

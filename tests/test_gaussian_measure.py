@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from hessquad.fem1d import Mesh1D, OperatorKind, assemble, mass_operator
+from hessquad.fem1d import Mesh1D, assemble, mass_operator
 from hessquad.gaussian_measure import (
     EigenPairs,
     GaussianField,
@@ -163,8 +163,7 @@ class TestRandomizedEigen:
         # one iteration, 1.4e-10 at six).
         mesh = Mesh1D.from_exponent(8)
         beta, alpha = 5e-2, 1
-        A = assemble(mesh, OperatorKind.STIFFNESS_A, beta=beta, gamma=0.0,
-                     dirichlet=True)
+        A = assemble(mesh, beta=beta, gamma=0.0, dirichlet=True)
         M = mass_operator(mesh, dirichlet=True)
         Ad, Md = A.dense(), M.dense()
         dense_vals = np.sort(scipy.linalg.eigh(
@@ -187,8 +186,7 @@ class TestRandomizedEigen:
         # machinery check at the discrete eigenvalues (tight), plus the
         # continuum formula within its discretization error
         mesh = Mesh1D.from_exponent(8)
-        A = assemble(mesh, OperatorKind.STIFFNESS_A, beta=5e-2, gamma=0.0,
-                     dirichlet=True)
+        A = assemble(mesh, beta=5e-2, gamma=0.0, dirichlet=True)
         M = mass_operator(mesh, dirichlet=True)
         num = prior_eigen_numeric(mesh, A, M, 1, 20, oversampling=20,
                                   power_iters=6, rng=rng_stream(2, 5))

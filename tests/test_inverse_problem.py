@@ -19,7 +19,6 @@ from hessquad.inverse_problem import (
     make_darcy_problem,
     make_linear_problem,
     prior_weighted_integrand,
-    reweighted_integrands,
 )
 from hessquad.quad1d import hermite_rule
 from hessquad.sparse_quad import AdaptConfig, Construction, adapt
@@ -376,25 +375,6 @@ class TestReweightedIntegrands:
         i = p.mesh.n_cells // 2
         stencil = (10.0 * (u[i + 1] - u[i - 1]) / (2 * h)) ** 2
         assert q2(res.map_point) == pytest.approx(stencil, rel=1e-12)
-
-    def test_dispatcher(self, linear6):
-        p = linear6
-        res = p.find_map()
-        fld = GaussianField.from_pairs(
-            res.map_point, p.posterior_pairs_analytic(10)
-        )
-        qoi = p.qoi("q1")
-        for path in ("prior", "hessian", "gaussian"):
-            g = reweighted_integrands(
-                p, fld, qoi, path,
-                cost_at_map=res.cost_at_map if path == "hessian" else None,
-            )
-            out = np.atleast_1d(np.asarray(g.fn({1: 0.5})))
-            assert np.all(np.isfinite(out))
-        with pytest.raises(ValueError):
-            reweighted_integrands(p, fld, qoi, "hessian")
-        with pytest.raises(ValueError):
-            reweighted_integrands(p, fld, qoi, "bogus")
 
 
 def dense_tensor_expectation(integrand, dims, level):

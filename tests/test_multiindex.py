@@ -1,18 +1,19 @@
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hessquad import sparse_quad
 from hessquad.multiindex import (
     ZERO_INDEX,
     BNuConfig,
     IndexSet,
     MultiIndex,
     b_coefficient,
-    forward_neighbors,
-    is_admissible,
 )
+from hessquad.sparse_quad import _Frontier
 
 
 def idx(*pairs):
@@ -32,6 +33,27 @@ def brute_force_admissible(members):
             if nu.minus(j) not in pool:
                 return False
     return True
+
+
+def forward_neighbors(index_set, limit):
+    """Oracle: every nu outside the set whose backward neighbors all lie in
+    it, supported in dimensions 1..limit, in canonical order."""
+    found = set()
+    for nu in index_set:
+        for j in range(1, limit + 1):
+            cand = nu.plus(j)
+            if cand not in index_set and all(
+                mu in index_set for mu in cand.backward_neighbors()
+            ):
+                found.add(cand)
+    return sorted(found, key=MultiIndex.sort_key)
+
+
+def frontier_after(adopted, dim_cap=None):
+    frontier = _Frontier(IndexSet(), dim_cap)
+    for nu in adopted:
+        frontier.adopt(nu)
+    return frontier
 
 
 class TestMultiIndex:
@@ -57,35 +79,32 @@ class TestMultiIndex:
         with pytest.raises(ValueError):
             nu.minus(2)
 
-    def test_render_parse_roundtrip(self):
-        nu = idx((1, 2), (3, 1))
-        assert nu.render() == "1:2,3:1"
-        assert MultiIndex.parse(nu.render()) == nu
+    def test_render(self):
+        assert idx((3, 1), (1, 2)).render() == "1:2,3:1"
         assert ZERO_INDEX.render() == ""
-        assert MultiIndex.parse("") == ZERO_INDEX
 
     def test_sort_key_lexicographic(self):
         # e2 = (0, 1) precedes 2*e1 = (2,): frontier indices sort first
         assert e2.sort_key() < idx((1, 2)).sort_key()
         assert ZERO_INDEX.sort_key() == ()
 
-    def test_preceq(self):
-        assert e1.preceq(idx((1, 2), (2, 1)))
-        assert not idx((1, 2)).preceq(idx((2, 5)))
-
 
 class TestAdmissibility:
     def test_zero_only(self):
-        assert is_admissible([ZERO_INDEX])
+        assert list(IndexSet()) == [ZERO_INDEX]
+        assert list(IndexSet([ZERO_INDEX])) == [ZERO_INDEX]
 
     def test_full_box(self):
-        assert is_admissible([ZERO_INDEX, e1, e2, idx((1, 1), (2, 1))])
+        box = [ZERO_INDEX, e1, e2, idx((1, 1), (2, 1))]
+        assert brute_force_admissible(box)
+        assert set(IndexSet(reversed(box))) == set(box)
 
     def test_missing_backward_neighbors(self):
         # oracle agrees: e1 and e2 are missing
         members = [ZERO_INDEX, idx((1, 1), (2, 1))]
         assert not brute_force_admissible(members)
-        assert not is_admissible(members)
+        with pytest.raises(ValueError):
+            IndexSet(members)
 
     def test_index_set_add_guards(self):
         s = IndexSet()
@@ -98,21 +117,20 @@ class TestAdmissibility:
 
 
 class TestForwardNeighbors:
+    """The adaptive loop's frontier (``sparse_quad._Frontier``)."""
+
     def test_zero_set(self):
-        assert forward_neighbors(IndexSet()) == [e1]
+        assert frontier_after([]).pending == {e1}
 
     def test_one_dim(self):
-        got = forward_neighbors(IndexSet([e1]))
-        assert got == sorted([e2, idx((1, 2))], key=MultiIndex.sort_key)
+        assert frontier_after([e1]).pending == {e2, idx((1, 2))}
 
     def test_two_dims(self):
-        got = forward_neighbors(IndexSet([e1, e2]))
-        expect = [e3, idx((2, 2)), idx((1, 1), (2, 1)), idx((1, 2))]
-        assert got == sorted(expect, key=MultiIndex.sort_key)
+        got = frontier_after([e1, e2]).pending
+        assert got == {e3, idx((2, 2)), idx((1, 1), (2, 1)), idx((1, 2))}
 
     def test_dim_cap(self):
-        got = forward_neighbors(IndexSet([e1]), max_dim=1)
-        assert got == [idx((1, 2))]
+        assert frontier_after([e1], dim_cap=1).pending == {idx((1, 2))}
 
 
 @st.composite
@@ -121,9 +139,7 @@ def admissible_growth(draw):
     s = IndexSet()
     n_steps = draw(st.integers(min_value=0, max_value=12))
     for _ in range(n_steps):
-        neigh = forward_neighbors(s, max_dim=4)
-        if not neigh:
-            break
+        neigh = forward_neighbors(s, min(s.max_active_dim + 1, 4))
         pick = draw(st.integers(min_value=0, max_value=len(neigh) - 1))
         s.add(neigh[pick])
     return s
@@ -132,17 +148,36 @@ def admissible_growth(draw):
 @settings(max_examples=60, deadline=None)
 @given(admissible_growth())
 def test_growth_preserves_admissibility(s):
-    assert is_admissible(list(s))
+    assert brute_force_admissible(list(s))
 
 
 @settings(max_examples=60, deadline=None)
-@given(admissible_growth())
-def test_forward_neighbors_contract(s):
-    members = set(s)
-    for nu in forward_neighbors(s):
-        assert nu not in members
-        assert all(mu in members for mu in nu.backward_neighbors())
-        assert nu.max_dim <= s.max_active_dim + 1
+@given(
+    st.integers(min_value=1, max_value=4),
+    st.none() | st.integers(min_value=1, max_value=4),
+    st.lists(st.integers(min_value=0, max_value=10**6), max_size=14),
+)
+def test_forward_neighbors_contract(max_level, dim_cap, picks):
+    """After any adopt sequence the frontier's pending set is exactly the
+    brute-force forward-neighbor set of the adopted indices, within the
+    dimensions touched so far (one more per step, up to the cap) and at
+    most ``MAX_LEVEL`` in every dimension."""
+    with mock.patch.object(sparse_quad, "MAX_LEVEL", max_level):
+        frontier = _Frontier(IndexSet(), dim_cap)
+        for step, pick in enumerate(picks + [None]):
+            limit = step + 1 if dim_cap is None else min(step + 1, dim_cap)
+            assert frontier.touched == limit
+            expect = [
+                nu for nu in forward_neighbors(frontier.lam, limit)
+                if nu.max_level() <= max_level
+            ]
+            assert sorted(frontier.pending, key=MultiIndex.sort_key) == expect
+            assert frontier.capped == any(
+                nu.max_level() == max_level for nu in frontier.lam
+            )
+            if pick is None or not expect:
+                break
+            frontier.adopt(expect[pick % len(expect)])
 
 
 def brute_force_b(nu, cfg):
@@ -210,5 +245,4 @@ class TestBCoefficient:
             [(j, rnd.randint(0, v)) for j, v in nu.entries]
         )
         cfg = BNuConfig(c=c, beta=beta, r_cap=2)
-        assert mu.preceq(nu)
         assert b_coefficient(mu, cfg) <= b_coefficient(nu, cfg) * (1 + 1e-12)

@@ -72,16 +72,18 @@ class TestHermiteRule:
 class TestDifferenceRule:
     def test_level_zero_is_base_rule(self):
         d = difference_rule(0)
-        g = lambda x: 4.25
-        assert d.apply(g) == pytest.approx(4.25)
+        g = lambda x: np.full_like(x, 4.25)
+        assert np.dot(d.signed_weights, g(d.nodes)) == pytest.approx(4.25)
 
     def test_level_one_on_square(self):
         # Q1(xi^2) = 1 exactly, Q0(xi^2) = 0
-        assert difference_rule(1).apply(lambda x: x * x) == pytest.approx(1.0)
+        d = difference_rule(1)
+        assert np.dot(d.signed_weights, d.nodes**2) == pytest.approx(1.0)
 
     def test_level_two_telescopes_to_zero(self):
         # both Q2 and Q1 integrate xi^2 exactly
-        assert abs(difference_rule(2).apply(lambda x: x * x)) <= 1e-13
+        d = difference_rule(2)
+        assert abs(np.dot(d.signed_weights, d.nodes**2)) <= 1e-13
 
     def test_node_union_size(self):
         # non-nested rules; consecutive levels have opposite parity, so even
@@ -98,8 +100,12 @@ class TestDifferenceRule:
         coeffs = rng.standard_normal(6)
         g = lambda x: sum(c * x**k for k, c in enumerate(coeffs))
         L = 6
-        total = sum(difference_rule(level).apply(g) for level in range(L + 1))
-        direct = hermite_rule(L).apply(g)
+        total = 0.0
+        for level in range(L + 1):
+            d = difference_rule(level)
+            total += np.dot(d.signed_weights, g(d.nodes))
+        rule = hermite_rule(L)
+        direct = np.dot(rule.weights, g(rule.nodes))
         assert abs(total - direct) <= 1e-13
 
 
