@@ -21,7 +21,11 @@ from .sparse_quad import trace_to_csv
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", type=Path, help="JSON config file; flags override it")
+    p.add_argument(
+        "--config", type=Path,
+        help="JSON config file for this subcommand's problem; fields it leaves out "
+        "take that problem's defaults, and flags override it",
+    )
     p.add_argument("--mode", choices=["prior", "hessian"])
     p.add_argument("--construction", choices=["apriori", "aposteriori"])
     p.add_argument("--qoi", choices=["q1", "q2"])
@@ -51,9 +55,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args: argparse.Namespace, problem: str) -> ExperimentConfig:
     if args.config is not None:
-        cfg = ExperimentConfig.from_json(args.config.read_text())
+        cfg = ExperimentConfig.from_json(args.config.read_text(), problem)
         if cfg.problem != problem:
-            cfg = replace(cfg, problem=problem)
+            raise ValueError(
+                f"{args.config} configures the {cfg.problem} problem, not {problem}"
+            )
     elif problem == "darcy":
         cfg = ExperimentConfig.darcy_default()
     else:

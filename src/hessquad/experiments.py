@@ -71,7 +71,6 @@ class ExperimentConfig:
     max_points: int = 20000
     max_indices: int = 20000
     kl_dims: int | None = None
-    work_normalized: bool = False
     self_reference_margin: int = 10
     posterior_cutoff: float = 1e-2
     misfit_rank_cap: int = 64
@@ -91,10 +90,12 @@ class ExperimentConfig:
             raise ValueError("alpha must be 1 or 2")
         if not 3 <= self.mesh_exp <= 12:
             raise ValueError("mesh_exp must be in 3..12")
-        for name, budget in (("max_points", self.max_points),
-                             ("max_indices", self.max_indices)):
-            if budget < 1:
-                raise ValueError(f"{name} must be >= 1, got {budget}")
+        for name in ("max_points", "max_indices", "self_reference_margin"):
+            count = getattr(self, name)
+            if count < 1:
+                raise ValueError(f"{name} must be >= 1, got {count}")
+        if self.kl_dims is not None and self.kl_dims < 1:
+            raise ValueError(f"kl_dims must be >= 1 (or null for all), got {self.kl_dims}")
 
     @classmethod
     def linear_default(cls, **overrides) -> "ExperimentConfig":
@@ -112,8 +113,14 @@ class ExperimentConfig:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        return cls(**json.loads(text))
+    def from_json(cls, text: str, problem: str = "linear") -> "ExperimentConfig":
+        """Config from a JSON object.  ``problem`` applies when the object has
+        no "problem" key; the fields it leaves out take the defaults of its
+        problem (``darcy_default`` for "darcy")."""
+        fields = {"problem": problem, **json.loads(text)}
+        if fields["problem"] == "darcy":
+            return cls.darcy_default(**fields)
+        return cls(**fields)
 
     def bnu(self) -> BNuConfig:
         return BNuConfig.from_smoothness(
@@ -133,7 +140,6 @@ class ExperimentConfig:
             max_indices=self.max_indices,
             max_points=max_points if max_points is not None else self.max_points,
             bnu=self.bnu(),
-            work_normalized=self.work_normalized,
         )
 
 

@@ -23,7 +23,7 @@ class MultiIndex:
     hashable, so they can key dictionaries and sets in the adaptive loop.
     """
 
-    __slots__ = ("_entries", "_hash", "_skey")
+    __slots__ = ("_entries", "_hash")
 
     def __init__(self, entries: Iterable[tuple[int, int]] = ()):
         cleaned = []
@@ -42,7 +42,6 @@ class MultiIndex:
                 raise ValueError(f"duplicate dimension {j1}")
         object.__setattr__(self, "_entries", tuple(cleaned))
         object.__setattr__(self, "_hash", hash(self._entries))
-        object.__setattr__(self, "_skey", None)
 
     @classmethod
     def unit(cls, j: int, level: int = 1) -> "MultiIndex":
@@ -81,7 +80,6 @@ class MultiIndex:
         out = object.__new__(cls)
         object.__setattr__(out, "_entries", entries)
         object.__setattr__(out, "_hash", hash(entries))
-        object.__setattr__(out, "_skey", None)
         return out
 
     def plus(self, j: int) -> "MultiIndex":
@@ -108,17 +106,17 @@ class MultiIndex:
         for j, _ in self._entries:
             yield self.minus(j)
 
-    def sort_key(self) -> tuple[int, ...]:
-        """Dense tuple (nu_1, ..., nu_maxdim); lexicographic comparison of
-        these keys is the deterministic tie-break order."""
-        key = self._skey
-        if key is None:
-            dense = [0] * self.max_dim
-            for j, v in self._entries:
-                dense[j - 1] = v
-            key = tuple(dense)
-            object.__setattr__(self, "_skey", key)
-        return key
+    def sort_key(self) -> tuple[tuple[int, int], ...]:
+        """Key of the deterministic tie-break order: the lexicographic order
+        of the dense level tuples (nu_1, ..., nu_maxdim), held sparsely.
+
+        At the first dimension j where two indices differ, the smaller level
+        sorts first; in the pairs (-j, nu_j) a missing level (0) shows as a
+        later dimension, hence a smaller first component.  The key has one
+        pair per active dimension, not one entry per dimension up to the
+        largest active one.
+        """
+        return tuple((-j, v) for j, v in self._entries)
 
     def render(self) -> str:
         """Canonical text form, sorted ``j:level`` pairs, e.g. ``1:2,3:1``.

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import csv
 import enum
+import heapq
 import io
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -61,38 +61,31 @@ class PointCache:
 
     def __init__(self, integrand: Integrand):
         self._integrand = integrand
-        self._data: dict[tuple, np.ndarray] = {}
+        self._data: dict[tuple, tuple[float, ...]] = {}
 
     @property
     def n_points(self) -> int:
         return len(self._data)
 
-    def value(self, key: tuple, point: Mapping[int, float]) -> np.ndarray:
+    def value(self, key: tuple, point: Mapping[int, float]) -> tuple[float, ...]:
         out = self._data.get(key)
         if out is None:
             try:
                 raw = self._integrand.fn(point)
             except Exception as exc:  # surface the failing quadrature point
                 raise IntegrandError(f"integrand evaluation failed ({exc})", point) from exc
-            out = np.atleast_1d(np.asarray(raw, dtype=float))
-            if out.shape != (self._integrand.n_outputs,):
+            arr = np.atleast_1d(np.asarray(raw, dtype=float))
+            if arr.shape != (self._integrand.n_outputs,):
                 raise IntegrandError(
-                    f"integrand returned shape {out.shape}, "
+                    f"integrand returned shape {arr.shape}, "
                     f"expected ({self._integrand.n_outputs},)",
                     point,
                 )
-            if not np.all(np.isfinite(out)):
-                raise IntegrandError(f"integrand returned non-finite value {out}", point)
+            out = tuple(arr.tolist())
+            if not all(map(math.isfinite, out)):
+                raise IntegrandError(f"integrand returned non-finite value {arr}", point)
             self._data[key] = out
         return out
-
-
-def grid_size(nu: MultiIndex) -> int:
-    """Number of nodes of the tensor difference grid of ``nu``."""
-    n = 1
-    for _, level in nu.entries:
-        n *= len(difference_rule(level).nodes)
-    return n
 
 
 def tensor_delta(nu: MultiIndex, g: Integrand, cache: PointCache) -> np.ndarray:
@@ -100,24 +93,31 @@ def tensor_delta(nu: MultiIndex, g: Integrand, cache: PointCache) -> np.ndarray:
 
     Iterates the Cartesian product of the per-dimension difference-rule nodes
     over the support of ``nu`` (absent dimensions sit at the single level-0
-    node 0 with weight 1), multiplying signed weights.  Values come from the
-    cache, keyed by the nonzero coordinates rounded to 15 significant digits.
+    node 0 with weight 1), multiplying signed weights in dimension order.
+    Values come from the cache, keyed by the nonzero coordinates rounded to
+    15 significant digits.
     """
-    dims = nu.support
-    rules = [difference_rule(level) for _, level in nu.entries]
-    total = np.zeros(g.n_outputs)
-    for combo in itertools.product(*(range(len(r.nodes)) for r in rules)):
-        w = 1.0
-        key_parts = []
-        point = {}
-        for dim, rule, k in zip(dims, rules, combo):
-            w *= rule.signed_weights[k]
-            x = rule.nodes[k]
-            if x != 0.0:
-                point[dim] = x
-                key_parts.append((dim, rule.node_keys[k]))
-        total += w * cache.value(tuple(key_parts), point)
-    return total
+    # grid entries: (weight, cache-key parts, point items); a zero node adds
+    # neither a key part nor a coordinate
+    grid = [(1.0, (), ())]
+    for dim, level in nu.entries:
+        rule = difference_rule(level)
+        terms = [
+            (w, ((dim, k),), ((dim, x),)) if x != 0.0 else (w, (), ())
+            for w, x, k in zip(
+                rule.signed_weights.tolist(), rule.nodes.tolist(), rule.node_keys
+            )
+        ]
+        grid = [
+            (w0 * w, key + kp, items + xp)
+            for w0, key, items in grid
+            for w, kp, xp in terms
+        ]
+    totals = [0.0] * g.n_outputs
+    for w, key, items in grid:
+        out = cache.value(key, dict(items))
+        totals = [t + w * v for t, v in zip(totals, out)]
+    return np.array(totals)
 
 
 @dataclass(frozen=True)
@@ -163,15 +163,12 @@ class AdaptConfig:
 
     ``tolerance = None`` means pure budget stopping; with the a priori
     construction that also skips all neighbor evaluations until adoption.
-    ``work_normalized`` divides the a posteriori indicator by the candidate's
-    grid size before selection; scores at or below ``TIE_FLOOR`` tie.
     """
 
     tolerance: float | None = None
     max_indices: int = 20000
     max_points: int = 100_000
     bnu: BNuConfig = BNuConfig()
-    work_normalized: bool = False
 
     def __post_init__(self):
         if self.tolerance is not None and self.tolerance <= 0:
@@ -279,6 +276,93 @@ class _Frontier:
         return fresh
 
 
+class _Candidates:
+    """The pending candidates of the adaptive loop, held in heaps.
+
+    Deletion is lazy: an entry whose index has left ``pending`` (the
+    frontier's own set; an index never returns to it) is dropped when it
+    surfaces, so a step costs O(log n) in the number n of candidates instead
+    of a rescan.  There is one heap per output keyed by |delta_i|, one in
+    tie-break order for the a posteriori tie floor, and one keyed by
+    (b_nu, tie-break order) for the a priori construction; the tie-break
+    order is ``MultiIndex.sort_key``.
+    """
+
+    def __init__(self, pending: set[MultiIndex], n_outputs: int):
+        self.pending = pending
+        self.deltas: dict[MultiIndex, tuple[float, ...]] = {}
+        self._by_output: list[list] = [[] for _ in range(n_outputs)]
+        self._by_order: list = []
+        self._by_priority: list = []
+
+    def add(
+        self,
+        nu: MultiIndex,
+        delta: tuple[float, ...] | None,
+        priority: float | None,
+    ) -> None:
+        """Enter a candidate with its difference quadrature (``None`` when it
+        is computed only on adoption) and, for the a priori construction,
+        its coefficient b_nu."""
+        order = nu.sort_key()
+        if priority is None:
+            heapq.heappush(self._by_order, (order, nu))
+        else:
+            heapq.heappush(self._by_priority, (priority, order, nu))
+        if delta is not None:
+            self.deltas[nu] = delta
+            for heap, x in zip(self._by_output, delta):
+                heapq.heappush(heap, (-abs(x), order, nu))
+
+    def _top(self, heap: list) -> tuple:
+        while heap[0][-1] not in self.pending:
+            heapq.heappop(heap)
+        return heap[0]
+
+    def max_indicator(self, value: Sequence[float]) -> float:
+        """The largest ``_indicator`` over the candidates: fl(a / s) is
+        nondecreasing in a, so it is the largest over outputs of each
+        heap's top."""
+        return max(
+            -self._top(heap)[0] / max(1.0, abs(v))
+            for heap, v in zip(self._by_output, value)
+        )
+
+    def lowest_priority(self) -> MultiIndex:
+        """The a priori choice: least b_nu, then tie-break order."""
+        return self._top(self._by_priority)[-1]
+
+    def best(self, value: Sequence[float]) -> tuple[MultiIndex, float]:
+        """The a posteriori choice and the largest indicator.
+
+        A candidate scores max_i fl(|delta_i| * inv_i) with
+        inv_i = 1 / max(1, |value_i|), and scores at or below ``TIE_FLOOR``
+        tie.  fl(a * inv_i) is nondecreasing in a, so the largest score is
+        the largest over outputs of each heap's top times inv_i, and the
+        candidates reaching it are the equal-product run at the top of each
+        heap that does; the first of them in tie-break order is chosen.
+        """
+        inv = [1.0 / max(1.0, abs(v)) for v in value]
+        tops = [-self._top(heap)[0] * iv for heap, iv in zip(self._by_output, inv)]
+        best = max(tops)
+        if best <= TIE_FLOOR:
+            return self._top(self._by_order)[-1], best
+        pending = self.pending
+        ties = []
+        for heap, iv, top in zip(self._by_output, inv, tops):
+            if top != best:
+                continue
+            run = []
+            while heap and (heap[0][-1] not in pending or -heap[0][0] * iv == best):
+                entry = heapq.heappop(heap)
+                if entry[-1] in pending:
+                    run.append(entry)
+            for entry in run:
+                heapq.heappush(heap, entry)
+            ties += run
+        return min(ties, key=lambda entry: entry[1])[-1], best
+
+
 def adapt(
     g: Integrand,
     mode: Construction = Construction.APOSTERIORI,
@@ -298,11 +382,12 @@ def adapt(
     budget is hit; a budget stop is reported with ``converged=False`` when a
     tolerance was requested.  A run whose only remaining candidates lie above
     ``MAX_LEVEL`` stops with ``stopped_on="max_level"`` and
-    ``converged=False``.
+    ``converged=False``.  Selection keeps the candidates in heaps
+    (``_Candidates``), the priority-queue form of Gerstner & Griebel (2003).
     """
     lam = IndexSet()
     cache = PointCache(g)
-    value = tuple(tensor_delta(ZERO_INDEX, g, cache))
+    value = tuple(tensor_delta(ZERO_INDEX, g, cache).tolist())
     trace = [
         TraceRecord(
             step=0,
@@ -314,19 +399,15 @@ def adapt(
         )
     ]
     frontier = _Frontier(lam, g.dim_hint)
+    candidates = _Candidates(frontier.pending, g.n_outputs)
 
     lazy_apriori = mode is Construction.APRIORI and cfg.tolerance is None
-    # pending index -> (delta, |delta|) tuples; keys mirror frontier.pending
-    deltas: dict[MultiIndex, tuple[tuple[float, ...], tuple[float, ...]]] = {}
-    priorities: dict[MultiIndex, float] = {}
 
-    def admit(candidates: Sequence[MultiIndex]) -> None:
-        for nu in candidates:
-            if mode is Construction.APRIORI:
-                priorities[nu] = b_coefficient(nu, cfg.bnu)
-            if not lazy_apriori:
-                d = tuple(tensor_delta(nu, g, cache))
-                deltas[nu] = (d, tuple(abs(x) for x in d))
+    def admit(fresh: Sequence[MultiIndex]) -> None:
+        for nu in fresh:
+            delta = None if lazy_apriori else tuple(tensor_delta(nu, g, cache).tolist())
+            priority = b_coefficient(nu, cfg.bnu) if mode is Construction.APRIORI else None
+            candidates.add(nu, delta, priority)
 
     admit(sorted(frontier.pending, key=MultiIndex.sort_key))
 
@@ -341,50 +422,15 @@ def adapt(
                 converged, stopped_on = cfg.tolerance is None, "exhausted"
             break
 
-        chosen = None
-        if mode is Construction.APRIORI:
-            if not lazy_apriori:
-                max_ind = max(
-                    _indicator(d, value) for d, _ in deltas.values()
-                )
-                if cfg.tolerance is not None and max_ind <= cfg.tolerance:
-                    converged = True
-                    stopped_on = "tolerance"
-                    break
-            chosen = min(
-                frontier.pending, key=lambda nu: (priorities[nu], nu.sort_key())
-            )
+        if mode is Construction.APOSTERIORI:
+            chosen, max_ind = candidates.best(value)
         else:
-            best = -1.0
-            best_key: tuple[int, ...] | None = None
-            max_ind = 0.0
-            inv = tuple(1.0 / max(1.0, abs(v)) for v in value)
-            inv0 = inv[0]
-            single = len(inv) == 1
-            for nu, (_, absd) in deltas.items():
-                if single:
-                    ind = absd[0] * inv0
-                else:
-                    ind = 0.0
-                    for a, iv in zip(absd, inv):
-                        x = a * iv
-                        if x > ind:
-                            ind = x
-                if ind > max_ind:
-                    max_ind = ind
-                score = ind / grid_size(nu) if cfg.work_normalized else ind
-                if score <= TIE_FLOOR:
-                    score = 0.0
-                if score > best:
-                    best, best_key, chosen = score, nu.sort_key(), nu
-                elif score == best:
-                    key = nu.sort_key()
-                    if key < best_key:
-                        best_key, chosen = key, nu
-            if cfg.tolerance is not None and max_ind <= cfg.tolerance:
-                converged = True
-                stopped_on = "tolerance"
-                break
+            chosen = candidates.lowest_priority()
+            max_ind = None if lazy_apriori else candidates.max_indicator(value)
+        if cfg.tolerance is not None and max_ind <= cfg.tolerance:
+            converged = True
+            stopped_on = "tolerance"
+            break
 
         if cfg.max_indices is not None and len(lam) >= cfg.max_indices:
             converged = cfg.tolerance is None
@@ -396,15 +442,13 @@ def adapt(
             break
 
         if lazy_apriori:
-            delta = tuple(tensor_delta(chosen, g, cache))
+            delta = tuple(tensor_delta(chosen, g, cache).tolist())
         else:
-            delta = deltas.pop(chosen)[0]
+            delta = candidates.deltas.pop(chosen)
         indicator = _indicator(delta, value)
-        priorities.pop(chosen, None)
 
         value = tuple(v + d for v, d in zip(value, delta))
-        fresh = frontier.adopt(chosen)
-        admit(fresh)
+        admit(frontier.adopt(chosen))
         step += 1
         trace.append(
             TraceRecord(

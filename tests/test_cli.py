@@ -78,6 +78,23 @@ def test_darcy_run_outputs(tmp_path):
     assert int(convergence[-1]["n_points"]) <= 150  # tenth of the budget
 
 
+@pytest.mark.filterwarnings("ignore:rank deficiency")
+def test_darcy_config_file_takes_darcy_defaults(tmp_path, capsys):
+    # only the fields a file gives override the Darcy defaults
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"problem": "darcy", "mesh_exp": 4, "kl_dims": 5}')
+    out_dir = tmp_path / "out"
+    code = main(["darcy", "--config", str(cfg_path), "--max-points", "200",
+                 "--out", str(out_dir)])
+    assert code == 0
+    summary = json.loads((out_dir / "summary.json").read_text())
+    expect = ExperimentConfig.darcy_default(mesh_exp=4, kl_dims=5, max_points=200)
+    assert summary["config"] == json.loads(expect.to_json())
+    # a file for the other problem is refused instead of half applied
+    assert main(["linear", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    assert "darcy" in capsys.readouterr().err
+
+
 def test_budget_without_convergence_exit_code(tmp_path):
     cfg = ExperimentConfig.linear_default(
         mesh_exp=6, seed=0, max_points=60, tolerance=1e-14

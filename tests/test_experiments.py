@@ -100,6 +100,18 @@ class TestConfig:
                 ExperimentConfig(max_indices=budget)
         with pytest.raises(ValueError, match="max_indices"):
             ExperimentConfig.from_json('{"problem": "linear", "max_indices": 0}')
+        for dims in (0, -3):
+            with pytest.raises(ValueError, match="kl_dims"):
+                ExperimentConfig(kl_dims=dims)
+        with pytest.raises(ValueError, match="self_reference_margin"):
+            ExperimentConfig.darcy_default(self_reference_margin=0)
+
+    def test_darcy_json_takes_darcy_defaults(self):
+        cfg = ExperimentConfig.from_json('{"problem": "darcy", "mesh_exp": 4, "kl_dims": 5}')
+        assert cfg == ExperimentConfig.darcy_default(mesh_exp=4, kl_dims=5)
+        darcy = ExperimentConfig.from_json('{"kl_dims": 5}', "darcy")
+        assert darcy == ExperimentConfig.darcy_default(kl_dims=5)
+        assert ExperimentConfig.from_json('{"kl_dims": 5}') == ExperimentConfig(kl_dims=5)
 
 
 def test_convergence_record_csv_roundtrip():

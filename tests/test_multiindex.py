@@ -49,6 +49,20 @@ def forward_neighbors(index_set, limit):
     return sorted(found, key=MultiIndex.sort_key)
 
 
+def dense_key(nu):
+    """Oracle: the dense level tuple (nu_1, ..., nu_maxdim), whose
+    lexicographic order is the canonical (tie-break) order."""
+    levels = [0] * nu.max_dim
+    for j, v in nu.entries:
+        levels[j - 1] = v
+    return tuple(levels)
+
+
+indices = st.dictionaries(st.integers(1, 8), st.integers(1, 3), max_size=4).map(
+    lambda levels: MultiIndex(levels.items())
+)
+
+
 def frontier_after(adopted, dim_cap=None):
     frontier = _Frontier(IndexSet(), dim_cap)
     for nu in adopted:
@@ -87,6 +101,12 @@ class TestMultiIndex:
         # e2 = (0, 1) precedes 2*e1 = (2,): frontier indices sort first
         assert e2.sort_key() < idx((1, 2)).sort_key()
         assert ZERO_INDEX.sort_key() == ()
+
+    @settings(max_examples=200, deadline=None)
+    @given(indices, indices)
+    def test_sort_key_orders_like_dense_levels(self, a, b):
+        assert (a.sort_key() < b.sort_key()) == (dense_key(a) < dense_key(b))
+        assert (a.sort_key() == b.sort_key()) == (a == b)
 
 
 class TestAdmissibility:
