@@ -21,6 +21,7 @@ import io
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -94,8 +95,12 @@ class ExperimentConfig:
             count = getattr(self, name)
             if count < 1:
                 raise ValueError(f"{name} must be >= 1, got {count}")
-        if self.kl_dims is not None and self.kl_dims < 1:
-            raise ValueError(f"kl_dims must be >= 1 (or null for all), got {self.kl_dims}")
+        if self.kl_dims is not None:
+            # parameter dimension: interior nodes (linear) or all nodes (Darcy)
+            n_params = 2**self.mesh_exp + (1 if self.problem == "darcy" else -1)
+            if not 1 <= self.kl_dims <= n_params:
+                raise ValueError(f"kl_dims must be in 1..{n_params} at mesh_exp "
+                                 f"{self.mesh_exp} (or null for all), got {self.kl_dims}")
 
     @classmethod
     def linear_default(cls, **overrides) -> "ExperimentConfig":
@@ -248,10 +253,6 @@ class LinearSetup:
     prior_field: GaussianField
     posterior_field: GaussianField
 
-    @property
-    def posterior_pairs(self) -> EigenPairs:
-        return self.posterior_field.pairs
-
 
 def linear_setup(cfg: ExperimentConfig) -> LinearSetup:
     problem = make_linear_problem(
@@ -278,7 +279,7 @@ def functional_coefficients(
 ) -> tuple[float, np.ndarray]:
     """Affine coefficients of l^T m(xi): base + sum_j coef_j xi_j."""
     base = float(np.dot(functional, field.mean))
-    coefs = np.sqrt(field.pairs.values[: field.truncation]) * (
+    coefs = field.sqrt_values[: field.truncation] * (
         functional @ field.pairs.vectors[:, : field.truncation]
     )
     return base, coefs
@@ -373,10 +374,10 @@ def reference_q2_linear(map_point: np.ndarray, pairs: EigenPairs, problem) -> fl
 def linear_reference(setup: LinearSetup, qoi: str) -> float:
     if qoi == "q1":
         return reference_q1_linear(
-            setup.map_result.map_point, setup.posterior_pairs, setup.problem
+            setup.map_result.map_point, setup.posterior_field.pairs, setup.problem
         )
     return reference_q2_linear(
-        setup.map_result.map_point, setup.posterior_pairs, setup.problem
+        setup.map_result.map_point, setup.posterior_field.pairs, setup.problem
     )
 
 
@@ -445,7 +446,7 @@ def run_linear(cfg: ExperimentConfig, setup: LinearSetup | None = None) -> RunOu
     if cfg.mode == "hessian":
         integrand = linear_gaussian_integrand(setup, cfg.qoi)
         post = lambda v: (v[0],)
-        spectrum = setup.posterior_pairs.values
+        spectrum = setup.posterior_field.pairs.values
     else:
         integrand = linear_prior_integrand(setup, cfg.qoi)
         post = lambda v: (v[1] / v[0] if v[0] != 0.0 else math.inf,)
@@ -473,13 +474,41 @@ def run_linear(cfg: ExperimentConfig, setup: LinearSetup | None = None) -> RunOu
 
 @dataclass
 class DarcySetup:
+    """The Darcy problem, its MAP point and the settings of its two Gaussian
+    fields.  Each field is computed on first read from its own rng stream
+    (10 prior, 12 posterior), so the order of the reads changes neither."""
+
     problem: DarcyProblem
     map_result: MapResult
-    prior_field: GaussianField
-    posterior_field: GaussianField
+    kl_dims: int
+    seed: int
+    oversampling: int
+    misfit_rank_cap: int
+    posterior_cutoff: float
+
+    @cached_property
+    def prior_field(self) -> GaussianField:
+        pairs = self.problem.prior_pairs(
+            self.kl_dims, rng=rng_stream(self.seed, 10),
+            oversampling=self.oversampling, power_iters=3,
+        )
+        return GaussianField.from_pairs(self.problem.prior_mean, pairs)
+
+    @cached_property
+    def posterior_field(self) -> GaussianField:
+        pairs = self.problem.posterior_eigen(
+            self.map_result, self.kl_dims, j1=self.misfit_rank_cap,
+            cutoff=self.posterior_cutoff, oversampling=self.oversampling,
+            power_iters=3, rng=rng_stream(self.seed, 12),
+        )
+        return GaussianField.from_pairs(self.map_result.map_point, pairs)
 
 
 def darcy_setup(cfg: ExperimentConfig) -> DarcySetup:
+    """Build the problem, solve for the MAP point and compute the field that
+    ``cfg.mode`` integrates over: the prior spectrum in prior mode, the
+    posterior spectrum in Hessian mode.  The other field is computed on
+    first read."""
     problem = make_darcy_problem(
         alpha=cfg.alpha, beta=cfg.beta, gamma=cfg.gamma, kappa=cfg.kappa,
         sigma=cfg.sigma, mesh_exp=cfg.mesh_exp, obs_count=cfg.obs_count,
@@ -489,18 +518,14 @@ def darcy_setup(cfg: ExperimentConfig) -> DarcySetup:
     if not map_result.converged:
         raise RuntimeError("MAP solve did not converge")
     J = cfg.kl_dims if cfg.kl_dims is not None else problem.mesh.n_nodes
-    prior_pairs = problem.prior_pairs(
-        J, rng=rng_stream(cfg.seed, 10),
-        oversampling=cfg.posterior_oversampling(J), power_iters=3,
+    setup = DarcySetup(
+        problem, map_result, kl_dims=J, seed=cfg.seed,
+        oversampling=cfg.posterior_oversampling(J),
+        misfit_rank_cap=cfg.misfit_rank_cap, posterior_cutoff=cfg.posterior_cutoff,
     )
-    prior_field = GaussianField.from_pairs(problem.prior_mean, prior_pairs)
-    post_pairs = problem.posterior_eigen(
-        map_result, J, j1=cfg.misfit_rank_cap, cutoff=cfg.posterior_cutoff,
-        oversampling=cfg.posterior_oversampling(J), power_iters=3,
-        rng=rng_stream(cfg.seed, 12),
-    )
-    posterior_field = GaussianField.from_pairs(map_result.map_point, post_pairs)
-    return DarcySetup(problem, map_result, prior_field, posterior_field)
+    # read the field this mode integrates over, so that its cost is setup's
+    getattr(setup, "prior_field" if cfg.mode == "prior" else "posterior_field")
+    return setup
 
 
 def run_darcy(cfg: ExperimentConfig, setup: DarcySetup | None = None) -> RunOutput:

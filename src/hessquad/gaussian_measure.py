@@ -16,6 +16,7 @@ from __future__ import annotations
 import io
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
@@ -47,9 +48,6 @@ class EigenPairs:
     def __len__(self) -> int:
         return len(self.values)
 
-    def truncated(self, J: int) -> "EigenPairs":
-        return EigenPairs(self.values[:J], self.vectors[:, :J], complete=self.complete)
-
 
 @dataclass(frozen=True)
 class GaussianField:
@@ -67,6 +65,11 @@ class GaussianField:
     def from_pairs(cls, mean: np.ndarray, pairs: EigenPairs) -> "GaussianField":
         return cls(mean=mean, pairs=pairs, truncation=len(pairs))
 
+    @cached_property
+    def sqrt_values(self) -> np.ndarray:
+        """sqrt(lambda_j), the KL scale of each coordinate."""
+        return np.sqrt(self.pairs.values)
+
 
 def kl_map(field: GaussianField, xi: Mapping[int, float]) -> np.ndarray:
     """mean + sum_j sqrt(lambda_j) * psi_j * xi_j over the support of xi.
@@ -75,14 +78,14 @@ def kl_map(field: GaussianField, xi: Mapping[int, float]) -> np.ndarray:
     and raise.
     """
     out = field.mean.copy()
-    vals = field.pairs.values
+    scales = field.sqrt_values
     vecs = field.pairs.vectors
     for j, x in xi.items():
         if not 1 <= j <= field.truncation:
             raise ValueError(
                 f"coordinate dimension {j} outside truncation {field.truncation}"
             )
-        out += np.sqrt(vals[j - 1]) * x * vecs[:, j - 1]
+        out += scales[j - 1] * x * vecs[:, j - 1]
     return out
 
 

@@ -292,7 +292,6 @@ class BayesProblem:
         oversampling: int = 10,
         power_iters: int = 1,
         rng: np.random.Generator | None = None,
-        gauss_newton: bool = False,
     ) -> EigenPairs:
         """Prior-preconditioned misfit-Hessian spectrum at the MAP point:
         H_misfit psi = lambda A_alpha psi, A_alpha-orthonormal psi."""
@@ -302,7 +301,7 @@ class BayesProblem:
             out = np.empty_like(X)
             for k in range(X.shape[1]):
                 out[:, k] = self.apply_prior_precision_inv(
-                    self.misfit_hessian_action(state, X[:, k], gauss_newton=gauss_newton)
+                    self.misfit_hessian_action(state, X[:, k])
                 )
             return out
 
@@ -322,7 +321,6 @@ class BayesProblem:
         oversampling: int = 10,
         power_iters: int = 1,
         rng: np.random.Generator | None = None,
-        gauss_newton: bool = False,
         include_negative: bool = False,
     ) -> EigenPairs:
         """Two-step eigendecomposition of the Gaussian posterior covariance.
@@ -346,7 +344,7 @@ class BayesProblem:
         rng = rng if rng is not None else rng_stream(0, 7)
         mis = self.misfit_eigen(
             map_result, j1=j1, oversampling=oversampling,
-            power_iters=power_iters, rng=rng, gauss_newton=gauss_newton,
+            power_iters=power_iters, rng=rng,
         )
         keep = mis.values > cutoff
         if include_negative:
@@ -447,21 +445,6 @@ class LinearPoissonProblem(BayesProblem):
         order = np.argsort(-lam1, kind="stable")
         return EigenPairs(values=lam1[order], vectors=prior.vectors[:, order])
 
-    def map_point_closed_form(self) -> np.ndarray:
-        """Dense solve of the discrete normal equations
-        (H_misfit + A_alpha) m1 = sigma^{-2} M K^{-1} M y + A_alpha m0."""
-        n = self.mesh.n_interior
-        I = np.eye(n)
-        Md = self.M.matvec(I)
-        Kinv_M = self.K.solve(Md)
-        H_mis = Md @ Kinv_M @ Kinv_M / self.sigma**2
-        A_alpha = np.column_stack(
-            [self.apply_prior_precision(I[:, k]) for k in range(n)]
-        )
-        rhs = Md @ self.K.solve(self.M.matvec(self.y)) / self.sigma**2
-        rhs += A_alpha @ self.prior_mean
-        return np.linalg.solve(H_mis + A_alpha, rhs)
-
     # -- QoI functionals ---------------------------------------------------
 
     @property
@@ -486,13 +469,14 @@ class LinearPoissonProblem(BayesProblem):
         """w = M K^{-1} d, so that Q2(m) = (w^T m)^2."""
         return self.M.matvec(self.K.solve(self.derivative_vector()))
 
-    def qoi(self, kind: str) -> Callable[[np.ndarray], float]:
+    def qoi(self, kind: str) -> Callable[..., float]:
+        """``qoi(m, state=None)``; both QoIs read ``m`` alone."""
         if kind == "q1":
             idx = self.center_index
-            return lambda m: float(np.exp(m[idx]))
+            return lambda m, state=None: float(np.exp(m[idx]))
         if kind == "q2":
             w = self.q2_weight_vector()
-            return lambda m: float(np.dot(w, m) ** 2)
+            return lambda m, state=None: float(np.dot(w, m) ** 2)
         raise ValueError(f"unknown QoI {kind!r}")
 
     def linear_functional(self, kind: str) -> np.ndarray:
@@ -541,28 +525,18 @@ class DarcyProblem(BayesProblem):
         self.A_prior = self.A_bare.add(self.Mw, kappa)
         self.B = assemble_observation_matrix(mesh, obs.centers, obs.radius)
         self.prior_mean = np.asarray(prior_mean, dtype=float)
-        self._last_state: DarcyProblem._State | None = None
 
     class _State:
-        __slots__ = ("m", "k", "op", "u", "du", "Bu", "_p", "_dp")
+        __slots__ = ("k", "op", "u", "du", "Bu", "_p", "_dp")
 
-        def __init__(self, m, k, op, u, du, Bu):
-            self.m, self.k, self.op, self.u, self.du, self.Bu = m, k, op, u, du, Bu
+        def __init__(self, k, op, u, du, Bu):
+            self.k, self.op, self.u, self.du, self.Bu = k, op, u, du, Bu
             self._p = None
             self._dp = None
 
     def _forward_state(self, m: np.ndarray) -> "DarcyProblem._State":
-        """Forward state at ``m``: one tridiagonal factor-and-solve.
-
-        The last state is memoized on the values of ``m`` (the state keeps a
-        private copy), so the potential and the QoI of one quadrature point
-        share a single solve, and a caller that mutates ``m`` in place still
-        gets a fresh one.
-        """
+        """Forward state at ``m``: one tridiagonal factor-and-solve."""
         m = np.asarray(m, dtype=float)
-        last = self._last_state
-        if last is not None and np.array_equal(m, last.m):
-            return last
         if not np.all(np.isfinite(m)):
             raise ValueError("parameter field must be finite")
         k = darcy_cell_coeffs(m, self.mesh)
@@ -573,9 +547,7 @@ class DarcyProblem(BayesProblem):
         u[0], u[-1] = 1.0, 0.0
         u[1:-1] = op.solve(rhs)
         du = cell_slopes(u, self.mesh)
-        state = self._State(m.copy(), k, op, u, du, self.B @ u)
-        self._last_state = state
-        return state
+        return self._State(k, op, u, du, self.B @ u)
 
     def forward(self, m: np.ndarray) -> np.ndarray:
         """Parameter-to-observable map G(m) = B u(m)."""
@@ -620,15 +592,18 @@ class DarcyProblem(BayesProblem):
             q += state.k * du_hat * dp + mhat_c * state.k * state.du * dp
         return scatter_mass(q, self.mesh)
 
-    @property
-    def center_node(self) -> int:
-        return self.mesh.n_cells // 2
-
-    def qoi(self, kind: str = "u_center") -> Callable[[np.ndarray], float]:
+    def qoi(self, kind: str = "u_center") -> Callable[..., float]:
+        """``qoi(m, state=None)``: u(0.5) read off the forward state at ``m``,
+        solved for when not given."""
         if kind != "u_center":
             raise ValueError(f"unknown QoI {kind!r}")
-        idx = self.center_node
-        return lambda m: float(self._forward_state(m).u[idx])
+        idx = self.mesh.n_cells // 2
+
+        def q(m: np.ndarray, state=None) -> float:
+            state = state if state is not None else self._forward_state(m)
+            return float(state.u[idx])
+
+        return q
 
     def prior_pairs(
         self, J: int | None = None, rng: np.random.Generator | None = None,
@@ -735,30 +710,20 @@ def make_darcy_problem(
 # ---------------------------------------------------------------------------
 
 
-def gaussian_qoi_integrand(
-    field: GaussianField, qoi: Callable[[np.ndarray], float]
-) -> Integrand:
-    """Plain xi -> Q(m(xi)) for integration against an exact Gaussian
-    parametrization (the linear problem's pure-Gaussian path)."""
-
-    def fn(xi: Mapping[int, float]):
-        return qoi(kl_map(field, xi))
-
-    return Integrand(fn=fn, n_outputs=1, dim_hint=field.truncation)
-
-
 def prior_weighted_integrand(
     problem: BayesProblem,
     prior_field: GaussianField,
-    qoi: Callable[[np.ndarray], float],
+    qoi: Callable[..., float],
 ) -> Integrand:
     """Prior-based path: xi -> (exp(-Phi), Q * exp(-Phi)) at m0(xi); the
-    posterior expectation is the ratio of the two integrals."""
+    posterior expectation is the ratio of the two integrals.  Each point
+    builds one forward state, which ``qoi(m, state)`` reads."""
 
     def fn(xi: Mapping[int, float]):
         m = kl_map(prior_field, xi)
-        w = math.exp(-problem.potential(m))
-        return (w, qoi(m) * w)
+        state = problem._forward_state(m)
+        w = math.exp(-problem.potential_of_state(state))
+        return (w, qoi(m, state) * w)
 
     return Integrand(fn=fn, n_outputs=2, dim_hint=prior_field.truncation)
 
@@ -767,21 +732,24 @@ def hessian_reweighted_integrand(
     problem: BayesProblem,
     posterior_field: GaussianField,
     cost_at_map: float,
-    qoi: Callable[[np.ndarray], float],
+    qoi: Callable[..., float],
 ) -> Integrand:
     """Hessian-based path: xi -> (exp(-J1), Q * exp(-J1)) at m1(xi), with
     J1(m) = J(m) - J(m1) - 0.5 * ||m - m1||^2_{C1}.
 
     The C1-norm is evaluated spectrally: in KL coordinates it is exactly
-    sum_j xi_j^2.
+    sum_j xi_j^2.  Each point builds one forward state, which
+    ``qoi(m, state)`` reads.
     """
 
     def fn(xi: Mapping[int, float]):
         m = kl_map(posterior_field, xi)
+        state = problem._forward_state(m)
         half_sq = 0.5 * sum(x * x for x in xi.values())
-        j1 = problem.cost(m) - cost_at_map - half_sq
+        cost = problem.potential_of_state(state) + problem.prior_cost(m)
+        j1 = cost - cost_at_map - half_sq
         w = math.exp(-j1)
-        return (w, qoi(m) * w)
+        return (w, qoi(m, state) * w)
 
     return Integrand(fn=fn, n_outputs=2, dim_hint=posterior_field.truncation)
 

@@ -131,3 +131,13 @@ def test_budget_below_one_is_an_error(tmp_path, capsys, budget):
     code = main(["linear", "--max-points", budget, "--out", str(tmp_path / "o")])
     assert code == 1
     assert "max_points" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("problem, n_params", [("linear", 7), ("darcy", 9)])
+def test_kl_dims_above_the_parameter_dimension_is_an_error(tmp_path, capsys, problem, n_params):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"problem": problem, "mesh_exp": 3, "kl_dims": 10}))
+    code = main([problem, "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert f"kl_dims must be in 1..{n_params}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

@@ -12,6 +12,7 @@ from hessquad.experiments import (
     ConvergenceRecord,
     ExperimentConfig,
     _fit_all_rates,
+    darcy_setup,
     estimate_rate,
     functional_coefficients,
     linear_gaussian_integrand,
@@ -26,7 +27,8 @@ from hessquad.experiments import (
     run_linear,
     trailing_window,
 )
-from hessquad.gaussian_measure import EigenPairs, rng_stream
+from hessquad.gaussian_measure import EigenPairs, kl_map, rng_stream
+from hessquad.inverse_problem import BayesProblem, DarcyProblem
 from hessquad.quad1d import hermite_rule
 
 
@@ -103,6 +105,16 @@ class TestConfig:
         for dims in (0, -3):
             with pytest.raises(ValueError, match="kl_dims"):
                 ExperimentConfig(kl_dims=dims)
+        # kl_dims up to the parameter dimension: the 7 interior nodes of a
+        # linear mesh_exp 3 mesh, all 9 of its nodes for Darcy
+        assert ExperimentConfig(mesh_exp=3, kl_dims=7).kl_dims == 7
+        assert ExperimentConfig.darcy_default(mesh_exp=3, kl_dims=9).kl_dims == 9
+        with pytest.raises(ValueError, match="kl_dims must be in 1..7"):
+            ExperimentConfig(mesh_exp=3, kl_dims=8)
+        with pytest.raises(ValueError, match="kl_dims must be in 1..9"):
+            ExperimentConfig.darcy_default(mesh_exp=3, kl_dims=10)
+        with pytest.raises(ValueError, match="kl_dims"):
+            ExperimentConfig.from_json('{"problem": "darcy", "mesh_exp": 3, "kl_dims": 10}')
         with pytest.raises(ValueError, match="self_reference_margin"):
             ExperimentConfig.darcy_default(self_reference_margin=0)
 
@@ -192,24 +204,19 @@ def small_linear_setup():
 
 class TestLinearIntegrands:
     def test_fast_paths_match_generic(self, small_linear_setup):
-        from hessquad.inverse_problem import (
-            gaussian_qoi_integrand,
-            prior_weighted_integrand,
-        )
+        from hessquad.inverse_problem import prior_weighted_integrand
 
         s = small_linear_setup
         rng = rng_stream(4, 4)
         for qoi in ("q1", "q2"):
             fast_g = linear_gaussian_integrand(s, qoi)
-            gen_g = gaussian_qoi_integrand(s.posterior_field, s.problem.qoi(qoi))
+            q = s.problem.qoi(qoi)
             fast_p = linear_prior_integrand(s, qoi)
-            gen_p = prior_weighted_integrand(
-                s.problem, s.prior_field, s.problem.qoi(qoi)
-            )
+            gen_p = prior_weighted_integrand(s.problem, s.prior_field, q)
             for _ in range(15):
                 xi = {int(j): float(rng.standard_normal())
                       for j in rng.integers(1, 30, 3)}
-                a, b = fast_g.fn(xi), gen_g.fn(xi)
+                a, b = fast_g.fn(xi), q(kl_map(s.posterior_field, xi))
                 assert a == pytest.approx(b, rel=1e-9, abs=1e-12)
                 va = np.asarray(fast_p.fn(xi))
                 vb = np.asarray(gen_p.fn(xi))
@@ -220,8 +227,6 @@ class TestLinearIntegrands:
         s = small_linear_setup
         w = s.problem.linear_functional("q2")
         base, coefs = functional_coefficients(s.posterior_field, w)
-        from hessquad.gaussian_measure import kl_map
-
         xi = {2: 0.7, 5: -1.1}
         direct = float(w @ kl_map(s.posterior_field, xi))
         affine = base + coefs[1] * 0.7 + coefs[4] * (-1.1)
@@ -333,6 +338,40 @@ class TestRunDarcy:
             a, b = run_darcy(cfg), run_darcy(cfg)
         assert a.reference == b.reference
         np.testing.assert_array_equal(a.spectrum, b.spectrum)
+
+
+class TestDarcySetup:
+    def test_setup_computes_only_the_spectrum_its_mode_reads(self, monkeypatch):
+        calls = []
+        for owner, name in ((DarcyProblem, "prior_pairs"),
+                            (BayesProblem, "posterior_eigen")):
+            def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+
+        def setup(mode):
+            cfg = ExperimentConfig.darcy_default(mesh_exp=6, seed=0, kl_dims=12, mode=mode)
+            return darcy_setup(cfg)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            prior = setup("prior")
+            assert calls == ["prior_pairs"]
+            hessian = setup("hessian")
+            assert calls == ["prior_pairs", "posterior_eigen"]
+            # the other field is computed on first read, once, and equals the
+            # one the other mode computes in its setup
+            lazy_posterior = prior.posterior_field
+            lazy_prior = hessian.prior_field
+            assert prior.posterior_field is lazy_posterior
+            assert hessian.prior_field is lazy_prior
+        assert calls == ["prior_pairs", "posterior_eigen", "posterior_eigen", "prior_pairs"]
+        for a, b in ((lazy_posterior, hessian.posterior_field),
+                     (lazy_prior, prior.prior_field)):
+            np.testing.assert_array_equal(a.mean, b.mean)
+            np.testing.assert_array_equal(a.pairs.values, b.pairs.values)
+            np.testing.assert_array_equal(a.pairs.vectors, b.pairs.vectors)
 
 
 class TestMcBaseline:

@@ -520,7 +520,9 @@ class TestSelection:
             assert cands.best(value) == (small, a * inv)
 
 
-# Small runs whose traces were written by the rescan selection.  Chosen
+# Small runs whose traces are pinned in tests/data: "linear" and "darcy" were
+# written by the rescan selection, "darcy-prior" by the heap selection while
+# the Darcy problem still memoized its last forward state.  Chosen
 # indices and counts must match exactly; values and indicators to 1e-9
 # relative, because another BLAS build may move the last bits of the setup
 # (the rescan oracle below checks bit-identity on this machine).
@@ -530,6 +532,11 @@ SMALL_RUNS = {
     ),
     "darcy": lambda: run_darcy(
         ExperimentConfig.darcy_default(mesh_exp=6, seed=0, kl_dims=20, max_points=600)
+    ),
+    "darcy-prior": lambda: run_darcy(
+        ExperimentConfig.darcy_default(
+            mesh_exp=6, seed=0, kl_dims=20, max_points=600, mode="prior"
+        )
     ),
     "linear-prior": lambda: run_linear(
         ExperimentConfig.linear_default(mesh_exp=6, seed=0, max_points=600, mode="prior")
@@ -551,10 +558,10 @@ def test_heap_and_rescan_traces_are_identical(name, monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore:rank deficiency")
-@pytest.mark.parametrize("name", ["linear", "darcy"])
+@pytest.mark.parametrize("name", ["linear", "darcy", "darcy-prior"])
 def test_small_run_matches_pinned_trace(name):
     got = list(csv.DictReader(io.StringIO(trace_to_csv(SMALL_RUNS[name]().quadrature.trace))))
-    with open(DATA / f"trace_{name}_small.csv", newline="") as fh:
+    with open(DATA / f"trace_{name.replace('-', '_')}_small.csv", newline="") as fh:
         pinned = list(csv.DictReader(fh))
     assert [r["chosen_index"] for r in got] == [r["chosen_index"] for r in pinned]
     for a, b in zip(got, pinned):
