@@ -28,7 +28,7 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--mode", choices=["prior", "hessian"])
     p.add_argument("--construction", choices=["apriori", "aposteriori"])
-    p.add_argument("--qoi", choices=["q1", "q2"])
+    p.add_argument("--qoi", choices=["q1", "q2", "u_center"])
     p.add_argument("--alpha", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--max-points", type=int, dest="max_points")

@@ -49,6 +49,13 @@ from .sparse_quad import (
 
 POINT_LADDER_ANCHORS = (1.0, 2.0, 5.0)
 
+# A Darcy run's reference is its own value at the full budget, so its
+# checkpointed errors stop at the budget divided by this margin.
+_SELF_REFERENCE_MARGIN = 10
+
+# The QoIs each problem defines.
+_QOIS = {"linear": ("q1", "q2"), "darcy": ("u_center",)}
+
 
 @dataclass
 class ExperimentConfig:
@@ -67,16 +74,11 @@ class ExperimentConfig:
     seed: int = 0
     mode: str = "hessian"  # "hessian" | "prior"
     construction: str = "aposteriori"  # "apriori" | "aposteriori"
-    qoi: str = "q1"
+    qoi: str = "q1"  # "q1" | "q2" (linear), "u_center" (darcy)
     tolerance: float | None = None
     max_points: int = 20000
     max_indices: int = 20000
     kl_dims: int | None = None
-    self_reference_margin: int = 10
-    posterior_cutoff: float = 1e-2
-    misfit_rank_cap: int = 64
-    bnu_c: float = 0.5
-    bnu_r_cap: int = 2
 
     def __post_init__(self):
         if self.problem not in ("linear", "darcy"):
@@ -85,13 +87,16 @@ class ExperimentConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.construction not in ("apriori", "aposteriori"):
             raise ValueError(f"unknown construction {self.construction!r}")
+        if self.qoi not in _QOIS[self.problem]:
+            raise ValueError(f"qoi must be one of {_QOIS[self.problem]} for the "
+                             f"{self.problem} problem, got {self.qoi!r}")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
         if self.alpha not in (1, 2):
             raise ValueError("alpha must be 1 or 2")
         if not 3 <= self.mesh_exp <= 12:
             raise ValueError("mesh_exp must be in 3..12")
-        for name in ("max_points", "max_indices", "self_reference_margin"):
+        for name in ("max_points", "max_indices"):
             count = getattr(self, name)
             if count < 1:
                 raise ValueError(f"{name} must be >= 1, got {count}")
@@ -110,7 +115,7 @@ class ExperimentConfig:
     def darcy_default(cls, **overrides) -> "ExperimentConfig":
         base = cls(
             problem="darcy", alpha=1, beta=2.0, gamma=1.0, kappa=1e3,
-            sigma=5e-2, max_points=100_000, max_indices=20000,
+            sigma=5e-2, qoi="u_center", max_points=100_000, max_indices=20000,
         )
         return replace(base, **overrides)
 
@@ -127,24 +132,12 @@ class ExperimentConfig:
             return cls.darcy_default(**fields)
         return cls(**fields)
 
-    def bnu(self) -> BNuConfig:
-        return BNuConfig.from_smoothness(
-            self.alpha, d=1, c=self.bnu_c, r_cap=self.bnu_r_cap
-        )
-
-    def posterior_oversampling(self, J: int) -> int:
-        """Sketch size margin for the posterior eigensolve.  The trailing
-        computed pairs must be accurate out to the KL truncation (inaccurate
-        pairs inject spurious curvature into the reweighting), so the sketch
-        is as wide as the requested rank itself."""
-        return max(10, J)
-
-    def adapt_config(self, max_points: int | None = None) -> AdaptConfig:
+    def adapt_config(self) -> AdaptConfig:
         return AdaptConfig(
             tolerance=self.tolerance,
             max_indices=self.max_indices,
-            max_points=max_points if max_points is not None else self.max_points,
-            bnu=self.bnu(),
+            max_points=self.max_points,
+            bnu=BNuConfig.from_smoothness(self.alpha),
         )
 
 
@@ -482,9 +475,14 @@ class DarcySetup:
     map_result: MapResult
     kl_dims: int
     seed: int
-    oversampling: int
-    misfit_rank_cap: int
-    posterior_cutoff: float
+
+    @property
+    def oversampling(self) -> int:
+        """Sketch size margin of both eigensolves.  The trailing computed
+        pairs must be accurate out to the KL truncation (inaccurate pairs
+        inject spurious curvature into the reweighting), so the sketch is as
+        wide as the requested rank itself."""
+        return max(10, self.kl_dims)
 
     @cached_property
     def prior_field(self) -> GaussianField:
@@ -497,8 +495,7 @@ class DarcySetup:
     @cached_property
     def posterior_field(self) -> GaussianField:
         pairs = self.problem.posterior_eigen(
-            self.map_result, self.kl_dims, j1=self.misfit_rank_cap,
-            cutoff=self.posterior_cutoff, oversampling=self.oversampling,
+            self.map_result, self.kl_dims, oversampling=self.oversampling,
             power_iters=3, rng=rng_stream(self.seed, 12),
         )
         return GaussianField.from_pairs(self.map_result.map_point, pairs)
@@ -518,11 +515,7 @@ def darcy_setup(cfg: ExperimentConfig) -> DarcySetup:
     if not map_result.converged:
         raise RuntimeError("MAP solve did not converge")
     J = cfg.kl_dims if cfg.kl_dims is not None else problem.mesh.n_nodes
-    setup = DarcySetup(
-        problem, map_result, kl_dims=J, seed=cfg.seed,
-        oversampling=cfg.posterior_oversampling(J),
-        misfit_rank_cap=cfg.misfit_rank_cap, posterior_cutoff=cfg.posterior_cutoff,
-    )
+    setup = DarcySetup(problem, map_result, kl_dims=J, seed=cfg.seed)
     # read the field this mode integrates over, so that its cost is setup's
     getattr(setup, "prior_field" if cfg.mode == "prior" else "posterior_field")
     return setup
@@ -534,7 +527,7 @@ def run_darcy(cfg: ExperimentConfig, setup: DarcySetup | None = None) -> RunOutp
     tenth of the budget."""
     setup = setup if setup is not None else darcy_setup(cfg)
     problem = setup.problem
-    qoi = problem.qoi()
+    qoi = problem.qoi(cfg.qoi)
     if cfg.mode == "hessian":
         integrand = hessian_reweighted_integrand(
             problem, setup.posterior_field, setup.map_result.cost_at_map, qoi
@@ -547,7 +540,7 @@ def run_darcy(cfg: ExperimentConfig, setup: DarcySetup | None = None) -> RunOutp
     result = adapt(integrand, construction, cfg.adapt_config())
     estimates = [rec.value for rec in result.trace]
     reference = estimates[-1]
-    cap = max(10, cfg.max_points // cfg.self_reference_margin)
+    cap = max(10, cfg.max_points // _SELF_REFERENCE_MARGIN)
     cps = _checkpoints_from_trace(result.trace, estimates, reference, cap)
     record = ConvergenceRecord(
         checkpoints=cps,

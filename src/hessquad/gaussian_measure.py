@@ -8,7 +8,8 @@ coordinates lazily, so a full-dimensional truncation costs nothing up front.
 
 Eigenpairs come either from closed forms (sine modes of the Dirichlet
 Laplacian on a uniform mesh) or from a randomized matrix-free solver for
-generalized problems ``A v = lambda B v`` given the actions of B^{-1}A and B.
+generalized problems ``A v = lambda B v`` given the action of B^{-1}A and B
+itself.
 """
 
 from __future__ import annotations
@@ -103,30 +104,22 @@ def dirichlet_sine_vector(mesh: Mesh1D, j: int) -> np.ndarray:
     return np.where(prod % n == 0, 0.0, vals)
 
 
-def dirichlet_laplacian_eigenvalue(mesh: Mesh1D, j: int, discrete: bool = True) -> float:
-    """j-th eigenvalue of the (discrete P1) Dirichlet Laplacian on (0, 1).
+def dirichlet_laplacian_eigenvalue(mesh: Mesh1D, j: int) -> float:
+    """j-th eigenvalue of the discrete P1 Dirichlet Laplacian on (0, 1).
 
     The discrete generalized stiffness/mass pencil has the closed form
     3*(2 - 2*cos(j*pi*h)) / (h**2 * (2 + cos(j*pi*h))); the continuum value is
     (j*pi)**2.  The discrete form keeps prior, posterior, MAP, and reference
     formulas exactly consistent on the mesh.
     """
-    if discrete:
-        theta = j * np.pi * mesh.h
-        return float(3.0 * (2.0 - 2.0 * np.cos(theta)) / (mesh.h**2 * (2.0 + np.cos(theta))))
-    return float((j * np.pi) ** 2)
+    theta = j * np.pi * mesh.h
+    return float(3.0 * (2.0 - 2.0 * np.cos(theta)) / (mesh.h**2 * (2.0 + np.cos(theta))))
 
 
-def prior_eigen_analytic(
-    beta: float,
-    alpha: int,
-    J: int,
-    mesh: Mesh1D,
-    discrete: bool = True,
-) -> EigenPairs:
+def prior_eigen_analytic(beta: float, alpha: int, J: int, mesh: Mesh1D) -> EigenPairs:
     """Closed-form eigenpairs of the prior covariance (-beta * Lap)^(-alpha).
 
-    lambda_j = (beta * lap_j)**(-alpha) with lap_j the (discrete) Dirichlet
+    lambda_j = (beta * lap_j)**(-alpha) with lap_j the discrete Dirichlet
     Laplacian eigenvalue; eigenvectors are the sine modes, normalized to unit
     discrete mass norm, so mass-orthonormality holds to machine precision.
     """
@@ -140,7 +133,7 @@ def prior_eigen_analytic(
     values = np.empty(J)
     vectors = np.empty((mesh.n_interior, J))
     for j in range(1, J + 1):
-        lam = dirichlet_laplacian_eigenvalue(mesh, j, discrete=discrete)
+        lam = dirichlet_laplacian_eigenvalue(mesh, j)
         values[j - 1] = (beta * lam) ** (-alpha)
         v = dirichlet_sine_vector(mesh, j)
         vectors[:, j - 1] = v / np.sqrt(M.quadratic(v))
@@ -154,7 +147,7 @@ def _b_orthonormalize_gram(
 
     The Gram matrix squares the singular spectrum, so directions below about
     sqrt(eps) of the dominant one are dropped; the Cholesky-QR path below
-    avoids that when B is available in banded form.
+    avoids that when B is a banded operator.
     """
     for _ in range(2):
         G = Y.T @ apply_B(Y)
@@ -183,37 +176,34 @@ def _b_orthonormalize_cholqr(Y: np.ndarray, B: TriDiagOperator) -> np.ndarray:
 
 
 def _b_orthonormalize(
-    Y: np.ndarray,
-    apply_B: Callable[[np.ndarray], np.ndarray],
-    b_operator: TriDiagOperator | None = None,
+    Y: np.ndarray, B: TriDiagOperator | Callable[[np.ndarray], np.ndarray]
 ) -> np.ndarray:
-    if b_operator is not None:
-        return _b_orthonormalize_cholqr(Y, b_operator)
-    return _b_orthonormalize_gram(Y, apply_B)
+    if isinstance(B, TriDiagOperator):
+        return _b_orthonormalize_cholqr(Y, B)
+    return _b_orthonormalize_gram(Y, B)
 
 
 def randomized_eigen(
     apply_op: Callable[[np.ndarray], np.ndarray],
-    apply_B: Callable[[np.ndarray], np.ndarray],
+    B: TriDiagOperator | Callable[[np.ndarray], np.ndarray],
     n: int,
     J: int,
     oversampling: int = 10,
     power_iters: int = 1,
     rng: np.random.Generator | None = None,
-    b_operator: TriDiagOperator | None = None,
 ) -> EigenPairs:
     """Randomized solver for the generalized problem A v = lambda B v.
 
     ``apply_op`` must realize the action of B^{-1}A (a B-self-adjoint map)
-    on blocks of column vectors; ``apply_B`` the action of the SPD B.  Range
-    finding with the given oversampling and power iterations, then a
-    Rayleigh-Ritz projection in the B-inner product.  Returns J dominant
-    pairs, descending, B-orthonormal; fewer (with a warning) if the operator
-    rank falls below J.  When the sketch width reaches the space dimension
-    the projection spans everything and the result is a dense-exact solve.
-
-    ``b_operator`` optionally supplies B in banded form, switching the
-    orthonormalization to Cholesky-QR (better small-eigenvalue retention).
+    on blocks of column vectors.  ``B`` is the SPD B, either a banded
+    ``TriDiagOperator``, which orthonormalizes by Cholesky-QR (better
+    small-eigenvalue retention), or a callable applying B to blocks, which
+    orthonormalizes by Gram whitening.  Range finding with the given
+    oversampling and power iterations, then a Rayleigh-Ritz projection in
+    the B-inner product.  Returns J dominant pairs, descending,
+    B-orthonormal; fewer (with a warning) if the operator rank falls below
+    J.  When the sketch width reaches the space dimension the projection
+    spans everything and the result is a dense-exact solve.
     """
     if J < 1:
         raise ValueError("J must be >= 1")
@@ -222,10 +212,11 @@ def randomized_eigen(
     if k >= n:
         power_iters = 0  # the sketch already spans the space; powering only
         # repeatedly damps small-eigenvalue directions below numerical rank
+    apply_B = B.matvec if isinstance(B, TriDiagOperator) else B
     Y = apply_op(rng.standard_normal((n, k)))
     for _ in range(power_iters):
-        Y = apply_op(_b_orthonormalize(Y, apply_B, b_operator))
-    Q = _b_orthonormalize(Y, apply_B, b_operator)
+        Y = apply_op(_b_orthonormalize(Y, B))
+    Q = _b_orthonormalize(Y, B)
     if Q.shape[1] == 0:
         warnings.warn("operator range collapsed; no eigenpairs computed")
         return EigenPairs(np.empty(0), np.empty((n, 0)), complete=False)
@@ -266,8 +257,8 @@ def prior_eigen_numeric(
         return apply_A_alpha_inv(M.matvec(X), alpha, A, M)
 
     return randomized_eigen(
-        op, M.matvec, A.n_dof, J, oversampling=oversampling,
-        power_iters=power_iters, rng=rng, b_operator=M,
+        op, M, A.n_dof, J, oversampling=oversampling,
+        power_iters=power_iters, rng=rng,
     )
 
 

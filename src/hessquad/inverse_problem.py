@@ -107,16 +107,20 @@ class MapResult:
 # The last useful decrement of the 2^-7 Darcy problem is 1.3e3 eps * |J|.
 _DECREMENT_FLOOR = 100.0 * np.finfo(float).eps
 
+# Newton iterations that use the Gauss-Newton Hessian before the full one.
+_GAUSS_NEWTON_ITERS = 5
+# CG iterations per Newton step.
+_CG_MAX = 200
+# Armijo sufficient-decrease constant and the halvings allowed per step.
+_ARMIJO_C = 1e-4
+_MAX_BACKTRACKS = 30
+
 
 @dataclass
 class NewtonConfig:
     tol: float = 1e-8
     abs_tol: float = 1e-9
     max_newton: int = 50
-    gn_iters: int = 5
-    cg_max: int = 200
-    armijo_c: float = 1e-4
-    max_backtracks: int = 30
 
 
 class BayesProblem:
@@ -211,9 +215,9 @@ class BayesProblem:
         converged = g_norm <= cfg.abs_tol
         it = 0
         while not converged and it < cfg.max_newton:
-            gauss_newton = it < cfg.gn_iters
+            gauss_newton = it < _GAUSS_NEWTON_ITERS
             rtol = min(0.5, math.sqrt(g_norm / g0_norm)) if g0_norm > 0 else 0.5
-            step = self._solve_newton_system(m, state, g, rtol, cfg, gauss_newton)
+            step = self._solve_newton_system(state, g, rtol, gauss_newton)
             g_dot_step = float(np.dot(g, step))
             if g_dot_step >= 0:  # not a descent direction; fall back to -precond grad
                 step = -self.apply_prior_precision_inv(g)
@@ -224,11 +228,11 @@ class BayesProblem:
                 converged = True
                 break
             t = 1.0
-            for _ in range(cfg.max_backtracks):
+            for _ in range(_MAX_BACKTRACKS):
                 m_trial = m + t * step
                 trial_state = self._forward_state(m_trial)
                 trial_cost = self.potential_of_state(trial_state) + self.prior_cost(m_trial)
-                if trial_cost <= cost_m + cfg.armijo_c * t * g_dot_step:
+                if trial_cost <= cost_m + _ARMIJO_C * t * g_dot_step:
                     break
                 t *= 0.5
             m, state, cost_m = m_trial, trial_state, trial_cost
@@ -247,13 +251,7 @@ class BayesProblem:
         )
 
     def _solve_newton_system(
-        self,
-        m: np.ndarray,
-        state,
-        g: np.ndarray,
-        rtol: float,
-        cfg: NewtonConfig,
-        gauss_newton: bool,
+        self, state, g: np.ndarray, rtol: float, gauss_newton: bool
     ) -> np.ndarray:
         """Preconditioned CG on H step = -g with Steihaug negative-curvature
         termination; preconditioner is the prior covariance."""
@@ -263,7 +261,7 @@ class BayesProblem:
         rz = float(np.dot(r, z))
         rz0 = rz
         p = z.copy()
-        for i in range(cfg.cg_max):
+        for i in range(_CG_MAX):
             Hp = self.misfit_hessian_action(
                 state, p, gauss_newton=gauss_newton
             ) + self.apply_prior_precision(p)
@@ -305,11 +303,11 @@ class BayesProblem:
                 )
             return out
 
-        b_op = self.A_prior if self.alpha == 1 else None
+        # A_alpha is the banded A_prior itself when alpha = 1
+        B = self.A_prior if self.alpha == 1 else self.apply_prior_precision
         return randomized_eigen(
-            op, self.apply_prior_precision, len(map_result.map_point), j1,
+            op, B, len(map_result.map_point), j1,
             oversampling=oversampling, power_iters=power_iters, rng=rng,
-            b_operator=b_op,
         )
 
     def posterior_eigen(
@@ -364,9 +362,8 @@ class BayesProblem:
             return cov_action(self.M.matvec(X))
 
         return randomized_eigen(
-            op, self.M.matvec, len(map_result.map_point), J,
+            op, self.M, len(map_result.map_point), J,
             oversampling=oversampling, power_iters=power_iters, rng=rng,
-            b_operator=self.M,
         )
 
 
@@ -656,6 +653,10 @@ def make_linear_problem(
     return LinearPoissonProblem(mesh, alpha, beta, sigma, y=u_sample + noise)
 
 
+_MEASUREMENTS = 5
+_TRUE_FIELD_MODES = 200
+
+
 def make_darcy_problem(
     alpha: int = 1,
     beta: float = 2.0,
@@ -664,26 +665,25 @@ def make_darcy_problem(
     sigma: float = 5e-2,
     mesh_exp: int = 10,
     obs_count: int = 65,
-    n_measurements: int = 5,
     seed: int = 0,
-    j_true: int = 200,
 ) -> DarcyProblem:
     """Darcy benchmark with seeded data generation.
 
-    The true field is a truncated KL draw from N(0, A^{-1}); the prior mean
-    solves the quadratic measurement-penalty problem
-    (A + kappa*Mw) m0 = kappa * Mw m_true; observations are B u(m_true) plus
-    iid noise.  Measurement and observation mollifiers both use radius h.
+    The true field is a KL draw from N(0, A^{-1}) truncated at
+    ``_TRUE_FIELD_MODES`` modes; the prior mean solves the quadratic
+    measurement-penalty problem (A + kappa*Mw) m0 = kappa * Mw m_true with
+    ``_MEASUREMENTS`` equispaced measurements; observations are B u(m_true)
+    plus iid noise.  Measurement and observation mollifiers both use radius h.
     """
     mesh = Mesh1D.from_exponent(mesh_exp)
     radius = mesh.h
-    meas_centers = np.linspace(0.0, 1.0, n_measurements)
+    meas_centers = np.linspace(0.0, 1.0, _MEASUREMENTS)
     obs_centers = np.linspace(0.0, 1.0, obs_count)
     obs = ObservationSetup(centers=obs_centers, radius=radius, noise_sigma=sigma)
 
     M = mass_operator(mesh, dirichlet=False)
     A_bare = assemble(mesh, beta=beta, gamma=gamma, dirichlet=False)
-    j_true = min(j_true, mesh.n_nodes - 1)
+    j_true = min(_TRUE_FIELD_MODES, mesh.n_nodes - 1)
     true_pairs = prior_eigen_numeric(
         mesh, A_bare, M, 1, j_true, oversampling=10, power_iters=2,
         rng=rng_stream(seed, 1),

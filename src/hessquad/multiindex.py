@@ -188,6 +188,9 @@ class IndexSet:
         return iter(self._members)
 
 
+_BETA_MARGIN = 0.05
+
+
 @dataclass(frozen=True)
 class BNuConfig:
     """Parameters of the a priori priority coefficient.
@@ -210,15 +213,14 @@ class BNuConfig:
             raise ValueError("r_cap must be >= 1")
 
     @classmethod
-    def from_smoothness(
-        cls, alpha: float, d: int = 1, c: float = 0.5, margin: float = 0.05, r_cap: int = 2
-    ) -> "BNuConfig":
-        """Weights tuned to an eigenvalue decay exponent alpha/d: beta sits
-        just inside the admissible range beta < alpha/d - 1/2."""
-        beta = alpha / d - 0.5 - margin
+    def from_smoothness(cls, alpha: float) -> "BNuConfig":
+        """Weights tuned to the eigenvalue decay exponent alpha of a
+        one-dimensional domain: beta sits ``_BETA_MARGIN`` inside the
+        admissible range beta < alpha - 1/2."""
+        beta = alpha - 0.5 - _BETA_MARGIN
         if beta < 0:
-            raise ValueError(f"alpha/d = {alpha / d} too small for a valid beta")
-        return cls(c=c, beta=beta, r_cap=r_cap)
+            raise ValueError(f"alpha = {alpha} too small for a valid beta")
+        return cls(beta=beta)
 
     def tau(self, j: int) -> float:
         return self.c * j**self.beta

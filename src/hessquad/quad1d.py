@@ -39,17 +39,6 @@ class DifferenceRule:
     level: int
     nodes: np.ndarray
     signed_weights: np.ndarray
-    # Node coordinates pre-rendered as cache-key strings (15 significant
-    # digits), aligned with ``nodes``; exact zeros render as "0".
-    node_keys: tuple[str, ...]
-
-
-def coordinate_key(x: float) -> str:
-    """Canonical cache-key rendering of a node coordinate (15 significant
-    digits); collapses signed zeros."""
-    if x == 0.0:
-        return "0"
-    return f"{x:.14e}"
 
 
 @lru_cache(maxsize=None)
@@ -113,5 +102,4 @@ def difference_rule(level: int) -> DifferenceRule:
         signed = np.array(merged_weights)
     nodes.setflags(write=False)
     signed.setflags(write=False)
-    keys = tuple(coordinate_key(x) for x in nodes)
-    return DifferenceRule(level=level, nodes=nodes, signed_weights=signed, node_keys=keys)
+    return DifferenceRule(level=level, nodes=nodes, signed_weights=signed)

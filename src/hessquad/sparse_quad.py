@@ -18,6 +18,7 @@ import heapq
 import io
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -57,7 +58,13 @@ class Integrand:
 
 
 class PointCache:
-    """Evaluation cache keyed by canonical point coordinates."""
+    """Evaluation cache keyed by a point's nonzero coordinates,
+    ``((dim, x), ...)`` in ascending dimension order.
+
+    The coordinates are the difference-rule nodes themselves, and a node two
+    difference rules share is the same float in both (tested), so a point
+    that recurs across tensor grids hits its cache entry.
+    """
 
     def __init__(self, integrand: Integrand):
         self._integrand = integrand
@@ -67,9 +74,10 @@ class PointCache:
     def n_points(self) -> int:
         return len(self._data)
 
-    def value(self, key: tuple, point: Mapping[int, float]) -> tuple[float, ...]:
-        out = self._data.get(key)
+    def value(self, items: tuple[tuple[int, float], ...]) -> tuple[float, ...]:
+        out = self._data.get(items)
         if out is None:
+            point = dict(items)
             try:
                 raw = self._integrand.fn(point)
             except Exception as exc:  # surface the failing quadrature point
@@ -84,8 +92,20 @@ class PointCache:
             out = tuple(arr.tolist())
             if not all(map(math.isfinite, out)):
                 raise IntegrandError(f"integrand returned non-finite value {arr}", point)
-            self._data[key] = out
+            self._data[items] = out
         return out
+
+
+@lru_cache(maxsize=None)
+def _grid_terms(dim: int, level: int) -> tuple:
+    """(signed weight, point items) per node of the level's difference rule
+    in dimension ``dim``; a zero node adds no coordinate.  Cached, so that
+    every cache key holds the same coordinate objects instead of copies."""
+    rule = difference_rule(level)
+    return tuple(
+        (w, ((dim, x),)) if x != 0.0 else (w, ())
+        for w, x in zip(rule.signed_weights.tolist(), rule.nodes.tolist())
+    )
 
 
 def tensor_delta(nu: MultiIndex, g: Integrand, cache: PointCache) -> np.ndarray:
@@ -94,28 +114,15 @@ def tensor_delta(nu: MultiIndex, g: Integrand, cache: PointCache) -> np.ndarray:
     Iterates the Cartesian product of the per-dimension difference-rule nodes
     over the support of ``nu`` (absent dimensions sit at the single level-0
     node 0 with weight 1), multiplying signed weights in dimension order.
-    Values come from the cache, keyed by the nonzero coordinates rounded to
-    15 significant digits.
+    Values come from the cache, keyed by the nonzero coordinates.
     """
-    # grid entries: (weight, cache-key parts, point items); a zero node adds
-    # neither a key part nor a coordinate
-    grid = [(1.0, (), ())]
+    grid = [(1.0, ())]  # (weight, point items)
     for dim, level in nu.entries:
-        rule = difference_rule(level)
-        terms = [
-            (w, ((dim, k),), ((dim, x),)) if x != 0.0 else (w, (), ())
-            for w, x, k in zip(
-                rule.signed_weights.tolist(), rule.nodes.tolist(), rule.node_keys
-            )
-        ]
-        grid = [
-            (w0 * w, key + kp, items + xp)
-            for w0, key, items in grid
-            for w, kp, xp in terms
-        ]
+        grid = [(w0 * w, items + xp) for w0, items in grid
+                for w, xp in _grid_terms(dim, level)]
     totals = [0.0] * g.n_outputs
-    for w, key, items in grid:
-        out = cache.value(key, dict(items))
+    for w, items in grid:
+        out = cache.value(items)
         totals = [t + w * v for t, v in zip(totals, out)]
     return np.array(totals)
 

@@ -133,11 +133,24 @@ def test_budget_below_one_is_an_error(tmp_path, capsys, budget):
     assert "max_points" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("problem, n_params", [("linear", 7), ("darcy", 9)])
-def test_kl_dims_above_the_parameter_dimension_is_an_error(tmp_path, capsys, problem, n_params):
+@pytest.mark.parametrize("problem, fields, flags, message", [
+    # kl_dims above the parameter dimension: 7 interior nodes, 9 Darcy nodes
+    pytest.param("linear", {"mesh_exp": 3, "kl_dims": 10}, [], "kl_dims must be in 1..7",
+                 id="linear-kl_dims"),
+    pytest.param("darcy", {"mesh_exp": 3, "kl_dims": 10}, [], "kl_dims must be in 1..9",
+                 id="darcy-kl_dims"),
+    # a QoI the problem does not define
+    pytest.param("darcy", {}, ["--qoi", "q2"], "qoi", id="darcy-qoi"),
+    # fields that are no longer settable are refused, not ignored
+    pytest.param("darcy", {"misfit_rank_cap": 64}, [], "misfit_rank_cap",
+                 id="darcy-removed-field"),
+    pytest.param("linear", {"bnu_c": 0.5}, [], "bnu_c", id="linear-removed-field"),
+])
+def test_bad_config_is_an_error_naming_the_field(tmp_path, capsys, problem, fields, flags,
+                                                 message):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"problem": problem, "mesh_exp": 3, "kl_dims": 10}))
-    code = main([problem, "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    cfg_path.write_text(json.dumps({"problem": problem, **fields}))
+    code = main([problem, "--config", str(cfg_path), *flags, "--out", str(tmp_path / "o")])
     assert code == 1
-    assert f"kl_dims must be in 1..{n_params}" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()

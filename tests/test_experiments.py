@@ -115,8 +115,11 @@ class TestConfig:
             ExperimentConfig.darcy_default(mesh_exp=3, kl_dims=10)
         with pytest.raises(ValueError, match="kl_dims"):
             ExperimentConfig.from_json('{"problem": "darcy", "mesh_exp": 3, "kl_dims": 10}')
-        with pytest.raises(ValueError, match="self_reference_margin"):
-            ExperimentConfig.darcy_default(self_reference_margin=0)
+        # each problem takes only the QoIs it defines
+        assert ExperimentConfig.darcy_default().qoi == "u_center"
+        for problem, qoi in (("linear", "u_center"), ("darcy", "q1"), ("darcy", "q2")):
+            with pytest.raises(ValueError, match="qoi"):
+                ExperimentConfig.from_json(json.dumps({"problem": problem, "qoi": qoi}))
 
     def test_darcy_json_takes_darcy_defaults(self):
         cfg = ExperimentConfig.from_json('{"problem": "darcy", "mesh_exp": 4, "kl_dims": 5}')

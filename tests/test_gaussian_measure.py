@@ -27,9 +27,9 @@ class TestAnalyticPrior:
 
     def test_alpha_two_decay(self):
         mesh = Mesh1D.from_exponent(8)
-        pairs = prior_eigen_analytic(1e-1, 2, 30, mesh, discrete=False)
-        j = np.arange(1, 31)
-        np.testing.assert_allclose(pairs.values, (1e-1 * np.pi**2 * j**2) ** -2.0)
+        pairs = prior_eigen_analytic(1e-1, 2, 30, mesh)
+        lap = np.array([dirichlet_laplacian_eigenvalue(mesh, j) for j in range(1, 31)])
+        np.testing.assert_allclose(pairs.values, (1e-1 * lap) ** -2.0)
 
     def test_mass_orthonormality(self):
         mesh = Mesh1D.from_exponent(10)
@@ -64,8 +64,8 @@ class TestAnalyticPrior:
             )
         # continuum values agree to O((j pi h)^2 / 12)
         for j in range(1, 6):
-            disc = dirichlet_laplacian_eigenvalue(mesh, j, discrete=True)
-            cont = dirichlet_laplacian_eigenvalue(mesh, j, discrete=False)
+            disc = dirichlet_laplacian_eigenvalue(mesh, j)
+            cont = (j * np.pi) ** 2
             assert abs(disc - cont) / cont <= (j * np.pi * mesh.h) ** 2 / 11
 
     def test_validation(self):
@@ -190,10 +190,10 @@ class TestRandomizedEigen:
         M = mass_operator(mesh, dirichlet=True)
         num = prior_eigen_numeric(mesh, A, M, 1, 20, oversampling=20,
                                   power_iters=6, rng=rng_stream(2, 5))
-        ana = prior_eigen_analytic(5e-2, 1, 20, mesh, discrete=True)
+        ana = prior_eigen_analytic(5e-2, 1, 20, mesh)
         np.testing.assert_allclose(num.values, ana.values, rtol=1e-8)
-        cont = prior_eigen_analytic(5e-2, 1, 20, mesh, discrete=False)
-        np.testing.assert_allclose(num.values, cont.values, rtol=6e-3)
+        cont = (5e-2 * (np.arange(1, 21) * np.pi) ** 2) ** -1.0
+        np.testing.assert_allclose(num.values, cont, rtol=6e-3)
 
     def test_rank_deficiency_warns_and_truncates(self):
         rng = rng_stream(0, 6)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hessquad.quad1d import coordinate_key, difference_rule, hermite_rule
+from hessquad.quad1d import MAX_LEVEL, difference_rule, hermite_rule
 
 
 def gaussian_moment(k):
@@ -109,11 +109,13 @@ class TestDifferenceRule:
         assert abs(total - direct) <= 1e-13
 
 
-class TestCoordinateKey:
-    def test_zero_collapse(self):
-        assert coordinate_key(0.0) == coordinate_key(-0.0) == "0"
-
-    def test_fifteen_significant_digits(self):
-        assert coordinate_key(1.0) == "1.00000000000000e+00"
-        a = 1.2345678901234567
-        assert coordinate_key(a) == coordinate_key(a * (1 + 1e-16))
+class TestNodeIdentity:
+    def test_difference_nodes_are_the_rule_nodes_bit_for_bit(self):
+        # the point cache keys on node floats: a node that two difference
+        # rules share must be the same float in both, or one quadrature point
+        # would be evaluated twice
+        for level in range(MAX_LEVEL + 1):
+            rule_nodes = set(hermite_rule(level).nodes.tolist())
+            if level > 0:
+                rule_nodes |= set(hermite_rule(level - 1).nodes.tolist())
+            assert set(difference_rule(level).nodes.tolist()) <= rule_nodes, level
