@@ -20,7 +20,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -56,6 +56,10 @@ _SELF_REFERENCE_MARGIN = 10
 # The QoIs each problem defines.
 _QOIS = {"linear": ("q1", "q2"), "darcy": ("u_center",)}
 
+# Fields only the Darcy problem reads: a linear config must leave them at
+# their (unused) defaults, so a value set there is refused, not ignored.
+_DARCY_ONLY = ("gamma", "kappa", "obs_count")
+
 
 @dataclass
 class ExperimentConfig:
@@ -90,6 +94,11 @@ class ExperimentConfig:
         if self.qoi not in _QOIS[self.problem]:
             raise ValueError(f"qoi must be one of {_QOIS[self.problem]} for the "
                              f"{self.problem} problem, got {self.qoi!r}")
+        if self.problem == "linear":
+            for f in fields(self):
+                if f.name in _DARCY_ONLY and getattr(self, f.name) != f.default:
+                    raise ValueError(f"{f.name} applies to the darcy problem only, "
+                                     f"got {getattr(self, f.name)!r} for the linear problem")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
         if self.alpha not in (1, 2):

@@ -71,9 +71,6 @@ class MultiIndex:
     def total_level(self) -> int:
         return sum(v for _, v in self._entries)
 
-    def max_level(self) -> int:
-        return max((v for _, v in self._entries), default=0)
-
     @classmethod
     def _raw(cls, entries: tuple[tuple[int, int], ...]) -> "MultiIndex":
         # fast path: entries already sorted, positive, duplicate-free

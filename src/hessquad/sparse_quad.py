@@ -5,7 +5,7 @@ quadratures, one per index.  The adaptive construction grows the set greedily
 from the zero index, selecting the next forward neighbor either by the
 computed error indicator (a posteriori) or by the closed-form priority
 coefficient (a priori), and reusing every neighbor evaluation when its index
-is adopted.  All point evaluations go through a cache keyed by the full point
+is adopted.  All point evaluations go through a cache keyed by the nonzero
 coordinates, so each distinct quadrature point costs exactly one integrand
 call.
 """
@@ -82,16 +82,23 @@ class PointCache:
                 raw = self._integrand.fn(point)
             except Exception as exc:  # surface the failing quadrature point
                 raise IntegrandError(f"integrand evaluation failed ({exc})", point) from exc
-            arr = np.atleast_1d(np.asarray(raw, dtype=float))
-            if arr.shape != (self._integrand.n_outputs,):
-                raise IntegrandError(
-                    f"integrand returned shape {arr.shape}, "
-                    f"expected ({self._integrand.n_outputs},)",
-                    point,
-                )
-            out = tuple(arr.tolist())
+            n = self._integrand.n_outputs
+            if type(raw) is float and n == 1:
+                out = (raw,)
+            elif type(raw) is tuple and len(raw) == n and all(type(v) is float for v in raw):
+                out = raw
+            else:
+                try:
+                    arr = np.atleast_1d(np.asarray(raw, dtype=float))
+                except (TypeError, ValueError) as exc:
+                    raise IntegrandError(f"integrand returned {raw!r} ({exc})", point) from exc
+                if arr.shape != (n,):
+                    raise IntegrandError(
+                        f"integrand returned shape {arr.shape}, expected ({n},)", point
+                    )
+                out = tuple(arr.tolist())
             if not all(map(math.isfinite, out)):
-                raise IntegrandError(f"integrand returned non-finite value {arr}", point)
+                raise IntegrandError(f"integrand returned non-finite value {out}", point)
             self._data[items] = out
         return out
 
@@ -108,8 +115,8 @@ def _grid_terms(dim: int, level: int) -> tuple:
     )
 
 
-def tensor_delta(nu: MultiIndex, g: Integrand, cache: PointCache) -> np.ndarray:
-    """Tensor-product signed quadrature applied to ``g``.
+def tensor_delta(nu: MultiIndex, g: Integrand, cache: PointCache) -> tuple[float, ...]:
+    """Tensor-product signed quadrature applied to ``g``, one sum per output.
 
     Iterates the Cartesian product of the per-dimension difference-rule nodes
     over the support of ``nu`` (absent dimensions sit at the single level-0
@@ -120,11 +127,17 @@ def tensor_delta(nu: MultiIndex, g: Integrand, cache: PointCache) -> np.ndarray:
     for dim, level in nu.entries:
         grid = [(w0 * w, items + xp) for w0, items in grid
                 for w, xp in _grid_terms(dim, level)]
+    value = cache.value
+    if g.n_outputs == 1:
+        total = 0.0
+        for w, items in grid:
+            total += w * value(items)[0]
+        return (total,)
     totals = [0.0] * g.n_outputs
     for w, items in grid:
-        out = cache.value(items)
-        totals = [t + w * v for t, v in zip(totals, out)]
-    return np.array(totals)
+        for i, v in enumerate(value(items)):
+            totals[i] += w * v
+    return tuple(totals)
 
 
 @dataclass(frozen=True)
@@ -225,13 +238,18 @@ class _Frontier:
     index pends forever with a vanishing indicator) does not block the
     dimensions behind it.  Candidates above the quadrature's ``MAX_LEVEL``
     are never admitted; ``capped`` records that one was refused.
+
+    ``children[mu]`` is the child set of a member mu that has children, the
+    dimensions j with mu + e_j in the index set, held as a bit mask (bit j
+    for dimension j); ``children[ZERO_INDEX]`` marks the dimensions whose
+    unit index was adopted.
     """
 
     def __init__(self, lam: IndexSet, dim_cap: int | None):
         self.lam = lam
         self.dim_cap = dim_cap
         self.touched = 0  # largest dimension whose unit index was seeded
-        self.active_dims: list[int] = []  # dims whose unit index was adopted
+        self.children: dict[MultiIndex, int] = {}
         self.pending: set[MultiIndex] = set()
         self.capped = False
         self._seed_next_dimension()
@@ -249,34 +267,46 @@ class _Frontier:
 
     def adopt(self, nu: MultiIndex) -> list[MultiIndex]:
         """Move ``nu`` from pending into the index set; return the newly
-        admissible candidates (including at most one new unit index).
+        admissible candidates nu + e_j in ascending j, then at most one new
+        unit index.
 
-        A candidate nu + e_j can only be admissible when the unit index of
-        dimension j is already adopted (downward closure), so only those
-        dimensions are scanned.
+        For j outside the support of nu, nu + e_j is admissible exactly when
+        every backward neighbor nu - e_k has the child nu - e_k + e_j, i.e.
+        when j lies in the intersection of their child sets: one AND of bit
+        masks, whose set bits come out in ascending j.  So the work follows
+        the candidates found, not the dimensions explored.  For j in the
+        support, the backward neighbors of nu + e_j are checked one by one.
         """
         self.pending.discard(nu)
         self.lam.add(nu)
-        support = nu.support
-        if len(support) == 1 and nu.max_level() == 1:
-            # a unit index: its dimension becomes available for candidates
-            j = support[0]
-            if j not in self.active_dims:
-                self.active_dims.append(j)
-                self.active_dims.sort()
+        children = self.children
+        outside = -1  # all bits set, narrowed to the common children
+        support = 0
+        for k, mu in zip(nu.support, nu.backward_neighbors()):
+            bit = 1 << k
+            children[mu] = children.get(mu, 0) | bit
+            outside &= children[mu]
+            support |= bit
+        outside &= ~support
         fresh: list[MultiIndex] = []
         lam = self.lam
         pending = self.pending
-        for j in self.active_dims:
-            if nu.level(j) == MAX_LEVEL:
-                self.capped = True
-                continue
+        todo = outside | support
+        while todo:
+            low = todo & -todo  # the lowest remaining dimension
+            todo ^= low
+            j = low.bit_length() - 1
             cand = nu.plus(j)
-            if cand in lam or cand in pending:
-                continue
-            if all(mu in lam for mu in cand.backward_neighbors()):
-                pending.add(cand)
-                fresh.append(cand)
+            if not outside & low:  # j in the support of nu
+                if nu.level(j) == MAX_LEVEL:
+                    self.capped = True
+                    continue
+                if cand in lam or cand in pending or not all(
+                    mu in lam for mu in cand.backward_neighbors()
+                ):
+                    continue
+            pending.add(cand)
+            fresh.append(cand)
         seeded = self._seed_next_dimension()
         if seeded is not None:
             fresh.append(seeded)
@@ -394,7 +424,7 @@ def adapt(
     """
     lam = IndexSet()
     cache = PointCache(g)
-    value = tuple(tensor_delta(ZERO_INDEX, g, cache).tolist())
+    value = tensor_delta(ZERO_INDEX, g, cache)
     trace = [
         TraceRecord(
             step=0,
@@ -412,7 +442,7 @@ def adapt(
 
     def admit(fresh: Sequence[MultiIndex]) -> None:
         for nu in fresh:
-            delta = None if lazy_apriori else tuple(tensor_delta(nu, g, cache).tolist())
+            delta = None if lazy_apriori else tensor_delta(nu, g, cache)
             priority = b_coefficient(nu, cfg.bnu) if mode is Construction.APRIORI else None
             candidates.add(nu, delta, priority)
 
@@ -449,7 +479,7 @@ def adapt(
             break
 
         if lazy_apriori:
-            delta = tuple(tensor_delta(chosen, g, cache).tolist())
+            delta = tensor_delta(chosen, g, cache)
         else:
             delta = candidates.deltas.pop(chosen)
         indicator = _indicator(delta, value)

@@ -145,6 +145,10 @@ def test_budget_below_one_is_an_error(tmp_path, capsys, budget):
     pytest.param("darcy", {"misfit_rank_cap": 64}, [], "misfit_rank_cap",
                  id="darcy-removed-field"),
     pytest.param("linear", {"bnu_c": 0.5}, [], "bnu_c", id="linear-removed-field"),
+    # fields only the Darcy problem reads
+    pytest.param("linear", {"gamma": 7.0, "kappa": 3.0, "obs_count": 2}, [], "gamma",
+                 id="linear-darcy-fields"),
+    pytest.param("linear", {"obs_count": 2}, [], "obs_count", id="linear-obs_count"),
 ])
 def test_bad_config_is_an_error_naming_the_field(tmp_path, capsys, problem, fields, flags,
                                                  message):

@@ -115,6 +115,16 @@ class TestConfig:
             ExperimentConfig.darcy_default(mesh_exp=3, kl_dims=10)
         with pytest.raises(ValueError, match="kl_dims"):
             ExperimentConfig.from_json('{"problem": "darcy", "mesh_exp": 3, "kl_dims": 10}')
+        # a linear config refuses the fields only the Darcy problem reads, and
+        # the defaults to_json writes still load
+        for name, val in (("gamma", 7.0), ("kappa", 3.0), ("obs_count", 2)):
+            with pytest.raises(ValueError, match=f"{name} applies to the darcy problem only"):
+                ExperimentConfig(**{name: val})
+            with pytest.raises(ValueError, match=name):
+                ExperimentConfig.from_json(json.dumps({"problem": "linear", name: val}))
+        linear = ExperimentConfig.linear_default(seed=4)
+        assert ExperimentConfig.from_json(linear.to_json()) == linear
+        assert ExperimentConfig.darcy_default(obs_count=2).obs_count == 2
         # each problem takes only the QoIs it defines
         assert ExperimentConfig.darcy_default().qoi == "u_center"
         for problem, qoi in (("linear", "u_center"), ("darcy", "q1"), ("darcy", "q2")):

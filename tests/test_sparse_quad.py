@@ -3,6 +3,7 @@ import io
 import itertools
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from hessquad.sparse_quad import (
     IntegrandError,
     PointCache,
     _Candidates,
+    _Frontier,
     _indicator,
     adapt,
     evaluate,
@@ -340,15 +342,72 @@ class TestIntegrandErrors:
                   AdaptConfig(max_indices=4))
         assert 1 in err.value.point
 
-    def test_non_finite_rejected(self):
-        g = scalar(lambda xi: math.inf if xi else 1.0, dim_hint=1)
-        with pytest.raises(IntegrandError):
+    @staticmethod
+    def _rejected_naming_the_point(n_outputs, raw):
+        """``raw`` at every nonzero point (a valid value at the zero point)
+        raises IntegrandError naming the first nonzero point evaluated."""
+        good = 1.0 if n_outputs == 1 else (1.0, 1.0)
+        g = Integrand(fn=lambda xi: raw if xi else good, n_outputs=n_outputs, dim_hint=1)
+        with pytest.raises(IntegrandError) as err:
             adapt(g, Construction.APOSTERIORI, AdaptConfig(max_indices=4))
+        assert list(err.value.point) == [1]
+        assert str(err.value).endswith(f"at point {err.value.point}")
 
-    def test_bad_shape_rejected(self):
-        g = Integrand(fn=lambda xi: (1.0, 2.0), n_outputs=1, dim_hint=1)
-        with pytest.raises(IntegrandError):
-            adapt(g, Construction.APOSTERIORI, AdaptConfig(max_indices=4))
+    @pytest.mark.parametrize("n_outputs, raw", [
+        pytest.param(1, math.inf, id="n1-inf"),
+        pytest.param(1, math.nan, id="n1-nan"),
+        pytest.param(1, (-math.inf,), id="n1-tuple"),
+        pytest.param(1, np.float64(math.nan), id="n1-numpy"),
+        pytest.param(2, (1.0, math.nan), id="n2-tuple"),
+        pytest.param(2, [math.inf, 0.0], id="n2-list"),
+    ])
+    def test_non_finite_rejected(self, n_outputs, raw):
+        self._rejected_naming_the_point(n_outputs, raw)
+
+    @pytest.mark.parametrize("n_outputs, raw", [
+        pytest.param(1, (1.0, 2.0), id="n1-pair"),
+        pytest.param(1, [], id="n1-empty"),
+        pytest.param(2, 1.0, id="n2-float"),
+        pytest.param(2, (1.0,), id="n2-single"),
+        pytest.param(2, [1.0, 2.0, 3.0], id="n2-list"),
+        pytest.param(2, np.zeros(3), id="n2-array"),
+    ])
+    def test_bad_shape_rejected(self, n_outputs, raw):
+        self._rejected_naming_the_point(n_outputs, raw)
+
+    @pytest.mark.parametrize("n_outputs, raw", [
+        pytest.param(1, "abc", id="n1-str"),
+        pytest.param(1, None, id="n1-none"),
+        pytest.param(1, {"a": 1.0}, id="n1-dict"),
+        pytest.param(1, object(), id="n1-object"),
+        pytest.param(2, ("a", 1.0), id="n2-str"),
+        pytest.param(2, [[1.0], [2.0, 3.0]], id="n2-ragged"),
+    ])
+    def test_non_numeric_rejected(self, n_outputs, raw):
+        self._rejected_naming_the_point(n_outputs, raw)
+
+    @pytest.mark.parametrize("n_outputs, raw", [
+        pytest.param(1, 0.25, id="n1-float"),
+        pytest.param(1, 3, id="n1-int"),
+        pytest.param(1, np.float64(0.25), id="n1-numpy"),
+        pytest.param(1, np.array(0.25), id="n1-0d"),
+        pytest.param(1, np.array([0.25]), id="n1-1d"),
+        pytest.param(1, [0.25], id="n1-list"),
+        pytest.param(1, (0.25,), id="n1-tuple"),
+        pytest.param(1, (3,), id="n1-int-tuple"),
+        pytest.param(2, np.array([0.25, -3.5]), id="n2-1d"),
+        pytest.param(2, [0.25, -3.5], id="n2-list"),
+        pytest.param(2, (0.25, -3.5), id="n2-tuple"),
+        pytest.param(2, (np.float64(0.25), -3.5), id="n2-mixed-tuple"),
+        pytest.param(2, (3, -4), id="n2-int-tuple"),
+    ])
+    def test_miss_caches_the_floats_of_the_numpy_path(self, n_outputs, raw):
+        cache = PointCache(Integrand(fn=lambda xi: raw, n_outputs=n_outputs))
+        point = ((1, 0.5), (3, -1.25))
+        got = cache.value(point)
+        assert got == tuple(np.atleast_1d(np.asarray(raw, dtype=float)).tolist())
+        assert all(type(v) is float for v in got)
+        assert cache.value(point) is got and cache.n_points == 1
 
 
 class TestTraceCsv:
@@ -426,6 +485,79 @@ class RescanCandidates:
                 if key < best_key:
                     best_key, chosen = key, nu
         return chosen, max_ind
+
+
+class RescanFrontier(_Frontier):
+    """Oracle for ``sparse_quad._Frontier.adopt``: the scan of every active
+    dimension that the child sets replaced."""
+
+    def __init__(self, lam, dim_cap):
+        self.active_dims = []  # dims whose unit index was adopted
+        super().__init__(lam, dim_cap)
+
+    def adopt(self, nu):
+        self.pending.discard(nu)
+        self.lam.add(nu)
+        if len(nu.entries) == 1 and nu.entries[0][1] == 1:  # a unit index
+            j = nu.entries[0][0]
+            if j not in self.active_dims:
+                self.active_dims.append(j)
+                self.active_dims.sort()
+        fresh = []
+        for j in self.active_dims:
+            if nu.level(j) == sparse_quad.MAX_LEVEL:
+                self.capped = True
+                continue
+            cand = nu.plus(j)
+            if cand in self.lam or cand in self.pending:
+                continue
+            if all(mu in self.lam for mu in cand.backward_neighbors()):
+                self.pending.add(cand)
+                fresh.append(cand)
+        seeded = self._seed_next_dimension()
+        if seeded is not None:
+            fresh.append(seeded)
+        return fresh
+
+
+def _adopt_both(frontiers, nu):
+    fast, slow = frontiers
+    assert fast.adopt(nu) == slow.adopt(nu)
+    assert fast.capped == slow.capped
+    assert fast.pending == slow.pending
+
+
+class TestFrontier:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from((1, 2, 3, MAX_LEVEL)),
+        st.none() | st.integers(1, 6),
+        st.lists(st.integers(0, 10**6), max_size=40),
+    )
+    def test_child_sets_match_rescan(self, max_level, dim_cap, picks):
+        with mock.patch.object(sparse_quad, "MAX_LEVEL", max_level):
+            frontiers = (_Frontier(IndexSet(), dim_cap), RescanFrontier(IndexSet(), dim_cap))
+            for pick in picks:
+                pending = sorted(frontiers[0].pending, key=MultiIndex.sort_key)
+                if not pending:
+                    break
+                _adopt_both(frontiers, pending[pick % len(pending)])
+
+    def test_child_sets_match_rescan_at_max_level(self):
+        # climb dimension 1 to MAX_LEVEL, twice (the second time beside e_2),
+        # then adopt in a scrambled order: an index at the cap refuses its
+        # neighbor in dimension 1
+        frontiers = (_Frontier(IndexSet(), 8), RescanFrontier(IndexSet(), 8))
+        for level in range(1, MAX_LEVEL + 1):
+            _adopt_both(frontiers, MultiIndex.unit(1, level))
+        assert frontiers[0].capped
+        _adopt_both(frontiers, idx((2, 1)))
+        for level in range(1, MAX_LEVEL + 1):
+            _adopt_both(frontiers, idx((1, level), (2, 1)))
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            pending = sorted(frontiers[0].pending, key=MultiIndex.sort_key)
+            _adopt_both(frontiers, pending[rng.integers(len(pending))])
 
 
 def _ulps_above(x, k):
@@ -555,6 +687,14 @@ def test_heap_and_rescan_traces_are_identical(name, monkeypatch):
     heap = trace_to_csv(SMALL_RUNS[name]().quadrature.trace)
     monkeypatch.setattr(sparse_quad, "_Candidates", RescanCandidates)
     assert trace_to_csv(SMALL_RUNS[name]().quadrature.trace) == heap
+
+
+@pytest.mark.filterwarnings("ignore:rank deficiency")
+@pytest.mark.parametrize("name", sorted(SMALL_RUNS))
+def test_child_set_and_rescan_frontier_traces_are_identical(name, monkeypatch):
+    fast = trace_to_csv(SMALL_RUNS[name]().quadrature.trace)
+    monkeypatch.setattr(sparse_quad, "_Frontier", RescanFrontier)
+    assert trace_to_csv(SMALL_RUNS[name]().quadrature.trace) == fast
 
 
 @pytest.mark.filterwarnings("ignore:rank deficiency")
