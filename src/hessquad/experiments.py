@@ -8,10 +8,12 @@ extracts checkpointed errors against a reference: closed-form for the linear
 problem, the same estimator at a 10x budget for Darcy.  Asymptotic rates are
 least-squares slopes over the trailing half of the checkpoints in log space.
 
-The linear problem is handled entirely through closed-form spectral data, so
-each integrand evaluation reduces to a few dot products; the evaluations are
-numerically identical to running the assembled forward solver (tested), which
-keeps full-budget runs at laptop scale.
+The linear problem uses closed forms only on its Hessian path and in its
+references.  There the posterior is exactly Gaussian and each QoI is a
+function of the scalar l^T m1(xi), so an integrand evaluation is a few dot
+products (numerically identical to the KL map, tested).  Its prior path runs
+the prior-weighted integrand that the Darcy problem runs, one forward solve
+per point.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .gaussian_measure import EigenPairs, GaussianField, kl_map, rng_stream
+from .gaussian_measure import GaussianField, kl_map, rng_stream
 from .inverse_problem import (
     DarcyProblem,
     LinearPoissonProblem,
@@ -242,7 +244,8 @@ def trailing_window(n_points: Sequence[float]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# linear problem: spectral setup, fast integrands, closed-form references
+# linear problem: spectral setup, the Hessian-path integrand, closed-form
+# references
 # ---------------------------------------------------------------------------
 
 
@@ -265,13 +268,9 @@ def linear_setup(cfg: ExperimentConfig) -> LinearSetup:
     if not map_result.converged:
         raise RuntimeError("MAP solve did not converge")
     J = cfg.kl_dims if cfg.kl_dims is not None else problem.mesh.n_interior
-    prior_field = GaussianField(
-        mean=problem.prior_mean, pairs=problem.prior_pairs(J), truncation=J
-    )
+    prior_field = GaussianField(problem.prior_mean, problem.prior_pairs(J))
     posterior_field = GaussianField(
-        mean=map_result.map_point,
-        pairs=problem.posterior_pairs_analytic(J),
-        truncation=J,
+        map_result.map_point, problem.posterior_pairs_analytic(J)
     )
     return LinearSetup(problem, map_result, prior_field, posterior_field)
 
@@ -281,10 +280,7 @@ def functional_coefficients(
 ) -> tuple[float, np.ndarray]:
     """Affine coefficients of l^T m(xi): base + sum_j coef_j xi_j."""
     base = float(np.dot(functional, field.mean))
-    coefs = field.sqrt_values[: field.truncation] * (
-        functional @ field.pairs.vectors[:, : field.truncation]
-    )
-    return base, coefs
+    return base, field.sqrt_values * (functional @ field.pairs.vectors)
 
 
 def _affine(base: float, coefs: np.ndarray, xi: Mapping[int, float]) -> float:
@@ -304,83 +300,22 @@ def linear_gaussian_integrand(setup: LinearSetup, qoi: str) -> Integrand:
     if qoi == "q1":
         fn = lambda xi: math.exp(_affine(base, coefs, xi))
     else:
-        fn = lambda xi: _affine(base, coefs, xi) ** 2
+        fn = lambda xi: float(_affine(base, coefs, xi) ** 2)
     return Integrand(fn=fn, n_outputs=1, dim_hint=fld.truncation)
 
 
-def linear_prior_integrand(setup: LinearSetup, qoi: str) -> Integrand:
-    """Fast xi -> (exp(-Phi), Q * exp(-Phi)) under the prior parametrization.
-
-    The misfit is quadratic in xi with diagonal curvature because the prior
-    eigenvectors diagonalize the forward map on the mesh:
-    u(m0(xi)) - y = r0 + sum_j c_j psi_j xi_j with c_j = sqrt(lambda0_j)/lap_j.
-    """
-    problem = setup.problem
-    fld = setup.prior_field
-    J = fld.truncation
-    pairs = fld.pairs
-    r0 = problem.forward(fld.mean) - problem.y
-    a0 = float(np.dot(r0, problem.M.matvec(r0)))
-    Mr0 = problem.M.matvec(r0)
-    lap = np.array(
-        [
-            problem.K.quadratic(pairs.vectors[:, j])
-            / problem.M.quadratic(pairs.vectors[:, j])
-            for j in range(J)
-        ]
-    )
-    c = np.sqrt(pairs.values[:J]) / lap
-    b = pairs.vectors[:, :J].T @ Mr0
-    inv_two_sigma2 = 0.5 / problem.sigma**2
-
-    qbase, qcoefs = functional_coefficients(fld, problem.linear_functional(qoi))
-    is_q1 = qoi == "q1"
-
-    def fn(xi: Mapping[int, float]):
-        quad = a0
-        for j, x in xi.items():
-            cj = c[j - 1] * x
-            quad += 2.0 * cj * b[j - 1] + cj * cj
-        log_w = -inv_two_sigma2 * quad
-        w = math.exp(log_w)
-        s = _affine(qbase, qcoefs, xi)
-        # single exponent for Q1: exp(s) alone could overflow at deep nodes
-        # even though the weighted product is tiny
-        qw = math.exp(s + log_w) if is_q1 else s * s * w
-        return (w, qw)
-
-    return Integrand(fn=fn, n_outputs=2, dim_hint=J)
-
-
-def reference_q1_linear(map_point: np.ndarray, pairs: EigenPairs, problem) -> float:
-    """Closed-form posterior mean of exp(m(0.5)) from the spectral data.
-
-    The lognormal identity E[exp(X)] = exp(mean + var/2) fixes the half
-    factor on the variance term.
-    """
-    e = problem.center_vector()
-    mean = float(np.dot(map_point, e))
-    var = float(np.sum(pairs.values * (e @ pairs.vectors) ** 2))
-    return math.exp(mean + 0.5 * var)
-
-
-def reference_q2_linear(map_point: np.ndarray, pairs: EigenPairs, problem) -> float:
-    """Exact discrete second moment of 10 u'(0.5): (w^T m1)^2 + w^T C1 w,
-    evaluated spectrally."""
-    w = problem.q2_weight_vector()
-    mean = float(np.dot(w, map_point))
-    var = float(np.sum(pairs.values * (w @ pairs.vectors) ** 2))
-    return mean**2 + var
-
-
 def linear_reference(setup: LinearSetup, qoi: str) -> float:
-    if qoi == "q1":
-        return reference_q1_linear(
-            setup.map_result.map_point, setup.posterior_field.pairs, setup.problem
-        )
-    return reference_q2_linear(
-        setup.map_result.map_point, setup.posterior_field.pairs, setup.problem
-    )
+    """Closed-form posterior mean of the QoI from the spectral data.
+
+    Under the posterior, l^T m is Gaussian with mean l^T m1 and variance
+    sum_j lambda_j (l^T psi_j)^2, so E[Q1] = exp(mean + var/2) (the lognormal
+    identity) and E[Q2] = mean^2 + var.
+    """
+    l = setup.problem.linear_functional(qoi)
+    pairs = setup.posterior_field.pairs
+    mean = float(np.dot(setup.map_result.map_point, l))
+    var = float(np.sum(pairs.values * (l @ pairs.vectors) ** 2))
+    return math.exp(mean + 0.5 * var) if qoi == "q1" else mean**2 + var
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +385,9 @@ def run_linear(cfg: ExperimentConfig, setup: LinearSetup | None = None) -> RunOu
         post = lambda v: (v[0],)
         spectrum = setup.posterior_field.pairs.values
     else:
-        integrand = linear_prior_integrand(setup, cfg.qoi)
+        integrand = prior_weighted_integrand(
+            setup.problem, setup.prior_field, setup.problem.qoi(cfg.qoi)
+        )
         post = lambda v: (v[1] / v[0] if v[0] != 0.0 else math.inf,)
         spectrum = setup.prior_field.pairs.values
     construction = Construction(cfg.construction)
@@ -499,7 +436,7 @@ class DarcySetup:
             self.kl_dims, rng=rng_stream(self.seed, 10),
             oversampling=self.oversampling, power_iters=3,
         )
-        return GaussianField.from_pairs(self.problem.prior_mean, pairs)
+        return GaussianField(self.problem.prior_mean, pairs)
 
     @cached_property
     def posterior_field(self) -> GaussianField:
@@ -507,7 +444,7 @@ class DarcySetup:
             self.map_result, self.kl_dims, oversampling=self.oversampling,
             power_iters=3, rng=rng_stream(self.seed, 12),
         )
-        return GaussianField.from_pairs(self.map_result.map_point, pairs)
+        return GaussianField(self.map_result.map_point, pairs)
 
 
 def darcy_setup(cfg: ExperimentConfig) -> DarcySetup:

@@ -191,10 +191,9 @@ def cell_gauss_rule(mesh: Mesh1D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return t, xq, wq
 
 
-def weighted_mass_operator(
-    mesh: Mesh1D, weight, dirichlet: bool = False
-) -> TriDiagOperator:
-    """Mass matrix weighted by a pointwise coefficient, <w * phi_j, phi_i>.
+def weighted_mass_operator(mesh: Mesh1D, weight) -> TriDiagOperator:
+    """Mass matrix weighted by a pointwise coefficient, <w * phi_j, phi_i>, on
+    all nodes.
 
     Entries are integrated with a 4-point Gauss rule per cell, which resolves
     the mollifier bumps used by the measurement operator.
@@ -209,11 +208,7 @@ def weighted_mass_operator(
     diag = np.zeros(mesh.n_nodes)
     diag[:-1] += a_ll
     diag[1:] += a_rr
-    off = a_lr.copy()
-    if dirichlet:
-        diag = diag[1:-1]
-        off = off[1:-1]
-    return TriDiagOperator(mesh, diag, off, dirichlet)
+    return TriDiagOperator(mesh, diag, a_lr, dirichlet=False)
 
 
 def apply_A_alpha(

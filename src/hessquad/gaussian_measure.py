@@ -56,15 +56,11 @@ class GaussianField:
 
     mean: np.ndarray
     pairs: EigenPairs
-    truncation: int
 
-    def __post_init__(self):
-        if self.truncation > len(self.pairs):
-            raise ValueError("truncation exceeds available eigenpairs")
-
-    @classmethod
-    def from_pairs(cls, mean: np.ndarray, pairs: EigenPairs) -> "GaussianField":
-        return cls(mean=mean, pairs=pairs, truncation=len(pairs))
+    @cached_property
+    def truncation(self) -> int:
+        """Number of KL coordinates: one per eigenpair."""
+        return len(self.pairs)
 
     @cached_property
     def sqrt_values(self) -> np.ndarray:

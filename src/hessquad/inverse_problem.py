@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
@@ -422,9 +423,22 @@ class LinearPoissonProblem(BayesProblem):
 
     # -- closed forms ----------------------------------------------------
 
+    @cached_property
+    def _prior_pairs_all(self) -> EigenPairs:
+        """Every closed-form prior pair, computed once, read-only."""
+        pairs = prior_eigen_analytic(self.beta, self.alpha, self.mesh.n_interior, self.mesh)
+        pairs.values.flags.writeable = pairs.vectors.flags.writeable = False
+        return pairs
+
     def prior_pairs(self, J: int | None = None) -> EigenPairs:
+        """The first J prior pairs (all by default): the read-only arrays
+        computed once when J is all of them, contiguous copies otherwise."""
         J = J if J is not None else self.mesh.n_interior
-        return prior_eigen_analytic(self.beta, self.alpha, J, self.mesh)
+        if J > self.mesh.n_interior:
+            raise ValueError("J exceeds the interior node count")
+        pairs = self._prior_pairs_all
+        return EigenPairs(values=np.ascontiguousarray(pairs.values[:J]),
+                          vectors=np.ascontiguousarray(pairs.vectors[:, :J]))
 
     def misfit_eigenvalue_analytic(self, j: int) -> float:
         """Prior-preconditioned misfit eigenvalue
@@ -436,54 +450,37 @@ class LinearPoissonProblem(BayesProblem):
         """Posterior spectrum (beta*lap_j)^{-alpha} / (1 + misfit_j),
         rearranged in descending order (the raw sequence is not monotone)."""
         J = J if J is not None else self.mesh.n_interior
-        prior = self.prior_pairs(J)
+        prior = self._prior_pairs_all
         tilde = np.array([self.misfit_eigenvalue_analytic(j) for j in range(1, J + 1)])
-        lam1 = prior.values / (1.0 + tilde)
+        lam1 = prior.values[:J] / (1.0 + tilde)
         order = np.argsort(-lam1, kind="stable")
         return EigenPairs(values=lam1[order], vectors=prior.vectors[:, order])
 
-    # -- QoI functionals ---------------------------------------------------
-
-    @property
-    def center_index(self) -> int:
-        """Interior index of the node at x = 0.5."""
-        return self.mesh.n_cells // 2 - 1
-
-    def center_vector(self) -> np.ndarray:
-        e = np.zeros(self.mesh.n_interior)
-        e[self.center_index] = 1.0
-        return e
-
-    def derivative_vector(self) -> np.ndarray:
-        """d with d^T u = 10 * (u(0.5+h) - u(0.5-h)) / (2h)."""
-        d = np.zeros(self.mesh.n_interior)
-        scale = 10.0 / (2.0 * self.mesh.h)
-        d[self.center_index + 1] = scale
-        d[self.center_index - 1] = -scale
-        return d
-
-    def q2_weight_vector(self) -> np.ndarray:
-        """w = M K^{-1} d, so that Q2(m) = (w^T m)^2."""
-        return self.M.matvec(self.K.solve(self.derivative_vector()))
-
-    def qoi(self, kind: str) -> Callable[..., float]:
-        """``qoi(m, state=None)``; both QoIs read ``m`` alone."""
-        if kind == "q1":
-            idx = self.center_index
-            return lambda m, state=None: float(np.exp(m[idx]))
-        if kind == "q2":
-            w = self.q2_weight_vector()
-            return lambda m, state=None: float(np.dot(w, m) ** 2)
-        raise ValueError(f"unknown QoI {kind!r}")
+    # -- QoIs ------------------------------------------------------------
 
     def linear_functional(self, kind: str) -> np.ndarray:
-        """The linear functional underlying each QoI: Q1 = exp(l^T m),
-        Q2 = (l^T m)^2."""
+        """The l of each QoI: Q1 = exp(l^T m) with l the indicator of the node
+        x = 0.5, so Q1 = exp(m(0.5)); Q2 = (l^T m)^2 with l = M K^{-1} d, where
+        d^T u = 10 * (u(0.5+h) - u(0.5-h)) / (2h), so Q2 = (10 u'(0.5))^2."""
+        center = self.mesh.n_cells // 2 - 1  # interior index of x = 0.5
+        l = np.zeros(self.mesh.n_interior)
         if kind == "q1":
-            return self.center_vector()
+            l[center] = 1.0
+            return l
         if kind == "q2":
-            return self.q2_weight_vector()
+            scale = 10.0 / (2.0 * self.mesh.h)
+            l[center + 1] = scale
+            l[center - 1] = -scale
+            return self.M.matvec(self.K.solve(l))
         raise ValueError(f"unknown QoI {kind!r}")
+
+    def qoi(self, kind: str) -> Callable[..., float]:
+        """``qoi(m, state=None)`` from ``linear_functional(kind)``; both QoIs
+        read ``m`` alone."""
+        l = self.linear_functional(kind)
+        if kind == "q1":
+            return lambda m, state=None: math.exp(float(np.dot(l, m)))
+        return lambda m, state=None: float(np.dot(l, m)) ** 2
 
 
 class DarcyProblem(BayesProblem):
@@ -625,7 +622,7 @@ def measurement_operator(
             np.exp(-((x[..., None] - centers) ** 2) / (2.0 * radius**2)), axis=-1
         )
 
-    return weighted_mass_operator(mesh, weight, dirichlet=False)
+    return weighted_mass_operator(mesh, weight)
 
 
 # ---------------------------------------------------------------------------
@@ -644,13 +641,13 @@ def make_linear_problem(
     through the forward map, add iid nodal noise of size sigma."""
     mesh = Mesh1D.from_exponent(mesh_exp)
     n = mesh.n_interior
-    stub = LinearPoissonProblem(mesh, alpha, beta, sigma, y=np.zeros(n))
-    pairs = stub.prior_pairs()
+    problem = LinearPoissonProblem(mesh, alpha, beta, sigma, y=np.zeros(n))
+    pairs = problem.prior_pairs()
     xi = rng_stream(seed, 1).standard_normal(n)
     m_sample = pairs.vectors @ (np.sqrt(pairs.values) * xi)
-    u_sample = stub.forward(m_sample)
     noise = sigma * rng_stream(seed, 2).standard_normal(n)
-    return LinearPoissonProblem(mesh, alpha, beta, sigma, y=u_sample + noise)
+    problem.y = problem.forward(m_sample) + noise
+    return problem
 
 
 _MEASUREMENTS = 5
@@ -680,28 +677,23 @@ def make_darcy_problem(
     meas_centers = np.linspace(0.0, 1.0, _MEASUREMENTS)
     obs_centers = np.linspace(0.0, 1.0, obs_count)
     obs = ObservationSetup(centers=obs_centers, radius=radius, noise_sigma=sigma)
+    problem = DarcyProblem(
+        mesh, alpha, beta, gamma, kappa, obs, np.zeros(obs_count),
+        np.zeros(mesh.n_nodes), meas_centers, radius,
+    )
 
-    M = mass_operator(mesh, dirichlet=False)
-    A_bare = assemble(mesh, beta=beta, gamma=gamma, dirichlet=False)
     j_true = min(_TRUE_FIELD_MODES, mesh.n_nodes - 1)
     true_pairs = prior_eigen_numeric(
-        mesh, A_bare, M, 1, j_true, oversampling=10, power_iters=2,
+        mesh, problem.A_bare, problem.M, 1, j_true, oversampling=10, power_iters=2,
         rng=rng_stream(seed, 1),
     )
     xi = rng_stream(seed, 2).standard_normal(len(true_pairs))
     m_true = true_pairs.vectors @ (np.sqrt(np.maximum(true_pairs.values, 0.0)) * xi)
 
-    Mw = measurement_operator(mesh, meas_centers, radius)
-    A_post = A_bare.add(Mw, kappa)
-    m0 = A_post.solve(kappa * Mw.matvec(m_true))
-
-    problem = DarcyProblem(
-        mesh, alpha, beta, gamma, kappa, obs, np.zeros(obs_count), m0,
-        meas_centers, radius,
-    )
+    # A_prior = A + kappa * Mw
+    problem.prior_mean = problem.A_prior.solve(kappa * problem.Mw.matvec(m_true))
     noise = sigma * rng_stream(seed, 3).standard_normal(obs_count)
     problem.y = problem.forward(m_true) + noise
-    problem.m_true = m_true
     return problem
 
 

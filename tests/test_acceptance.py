@@ -380,7 +380,7 @@ def test_criterion_8e_j1_flatness():
             mp, 40, j1=n, cutoff=1e-9, oversampling=n, power_iters=1,
             rng=rng_stream(0, 9), include_negative=True,
         )
-    fld = GaussianField.from_pairs(mp.map_point, pairs)
+    fld = GaussianField(mp.map_point, pairs)
     ts = np.logspace(-1, -3, 5)
     details = []
     ok = True

@@ -82,8 +82,7 @@ class TestKlMap:
     def make_field(self, J=8):
         mesh = Mesh1D.from_exponent(6)
         pairs = prior_eigen_analytic(5e-2, 1, J, mesh)
-        return GaussianField(mean=np.zeros(mesh.n_interior), pairs=pairs,
-                             truncation=J)
+        return GaussianField(mean=np.zeros(mesh.n_interior), pairs=pairs)
 
     def test_zero_coordinates_give_mean(self):
         fld = self.make_field()
@@ -119,21 +118,13 @@ class TestKlMap:
         mesh = Mesh1D.from_exponent(8)
         J = 50
         pairs = prior_eigen_analytic(5e-2, 1, J, mesh)
-        fld = GaussianField(mean=np.zeros(mesh.n_interior), pairs=pairs,
-                            truncation=J)
+        fld = GaussianField(mean=np.zeros(mesh.n_interior), pairs=pairs)
         star = mesh.n_cells // 2 - 1
         rng = rng_stream(7, 2)
         xs = pairs.vectors[star, :] * np.sqrt(pairs.values)
         draws = rng.standard_normal((10_000, J)) @ xs
         expect = float(np.sum(pairs.values * pairs.vectors[star, :] ** 2))
         assert np.var(draws) == pytest.approx(expect, rel=0.05)
-
-    def test_truncation_validation(self):
-        mesh = Mesh1D.from_exponent(4)
-        pairs = prior_eigen_analytic(1.0, 1, 4, mesh)
-        with pytest.raises(ValueError):
-            GaussianField(mean=np.zeros(mesh.n_interior), pairs=pairs,
-                          truncation=10)
 
 
 class TestRandomizedEigen:

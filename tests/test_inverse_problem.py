@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from hessquad import fem1d
-from hessquad.experiments import ExperimentConfig, darcy_setup
+from hessquad.experiments import ExperimentConfig, darcy_setup, linear_setup, run_linear
 from hessquad.fem1d import Mesh1D, solve_poisson
-from hessquad.gaussian_measure import GaussianField, kl_map, rng_stream
+from hessquad.gaussian_measure import GaussianField, kl_map, prior_eigen_analytic, rng_stream
 from hessquad.inverse_problem import (
     LinearPoissonProblem,
     NewtonConfig,
@@ -250,6 +250,33 @@ def test_one_factorization_per_quadrature_point(darcy6_setup, path, monkeypatch)
     assert len(calls) == res.n_points
 
 
+def test_linear_prior_run_solves_once_per_quadrature_point(monkeypatch):
+    # the cost unit of the paper: the linear prior path solves the forward
+    # problem at each point (Q1's functional and reference solve nothing)
+    cfg = ExperimentConfig.linear_default(mesh_exp=6, seed=0, mode="prior", max_points=300)
+    setup = linear_setup(cfg)
+    calls = []
+    solve = fem1d.dpttrs
+    monkeypatch.setattr(fem1d, "dpttrs", lambda *a: calls.append(1) or solve(*a))
+    res = run_linear(cfg, setup).quadrature
+    assert res.n_points >= 300
+    assert len(calls) == res.n_points
+
+
+def test_linear_prior_pairs_are_read_off_one_spectrum(linear6):
+    # the spectrum is computed once per problem; any leading J pairs equal a
+    # direct J-pair computation bit for bit, as contiguous arrays
+    p = linear6
+    for J in (5, p.mesh.n_interior):
+        pairs = p.prior_pairs(J)
+        direct = prior_eigen_analytic(p.beta, p.alpha, J, p.mesh)
+        np.testing.assert_array_equal(pairs.values, direct.values)
+        np.testing.assert_array_equal(pairs.vectors, direct.vectors)
+        assert pairs.vectors.flags.c_contiguous
+    with pytest.raises(ValueError, match="J exceeds"):
+        p.prior_pairs(p.mesh.n_interior + 1)
+
+
 class TestPosteriorEigen:
     def test_zero_misfit_returns_prior(self, linear6):
         p = linear6
@@ -322,7 +349,7 @@ class TestReweightedIntegrands:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             pairs = p.posterior_eigen(res, 10, rng=rng_stream(0, 5))
-        fld = GaussianField.from_pairs(res.map_point, pairs)
+        fld = GaussianField(res.map_point, pairs)
         g = hessian_reweighted_integrand(p, fld, res.cost_at_map, p.qoi())
         w, qw = g.fn({})
         assert w == pytest.approx(1.0, abs=1e-12)
@@ -331,7 +358,7 @@ class TestReweightedIntegrands:
     def test_linear_reweighting_identically_one(self, linear6):
         p = linear6
         res = p.find_map(cfg=NewtonConfig(tol=1e-12))
-        fld = GaussianField.from_pairs(
+        fld = GaussianField(
             res.map_point, p.posterior_pairs_analytic(p.mesh.n_interior)
         )
         g = hessian_reweighted_integrand(
@@ -388,8 +415,8 @@ class TestPriorHessianAgreement:
         y = stub.forward(m_s) + sigma * 0.3 * rng_stream(21, 2).standard_normal(3)
         p = LinearPoissonProblem(mesh, 1, 5e-2, sigma, y=y)
         res = p.find_map(cfg=NewtonConfig(tol=1e-13))
-        prior_fld = GaussianField.from_pairs(p.prior_mean, p.prior_pairs(3))
-        post_fld = GaussianField.from_pairs(
+        prior_fld = GaussianField(p.prior_mean, p.prior_pairs(3))
+        post_fld = GaussianField(
             res.map_point, p.posterior_pairs_analytic(3)
         )
         qoi = p.qoi("q1")
@@ -400,7 +427,7 @@ class TestPriorHessianAgreement:
         gauss_est = dense_tensor_expectation(g_gauss, 3, 18)[0]
         assert prior_est == pytest.approx(gauss_est, rel=1e-7)
         # and both match the closed-form lognormal reference
-        e = p.center_vector()
+        e = p.linear_functional("q1")
         ref = math.exp(
             float(res.map_point @ e)
             + 0.5 * float(np.sum(post_fld.pairs.values * (e @ post_fld.pairs.vectors) ** 2))
