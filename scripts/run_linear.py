@@ -7,13 +7,19 @@ trace.csv, summary.json) and an mc_<qoi>_alpha<k>.csv per MC curve.
 Use --budget to scale the point budgets down for a quick look.
 """
 
-import argparse
-from pathlib import Path
+import os
 
-import numpy as np
+# one BLAS thread, as in the benchmark and scripts/trace_digests.py: the last
+# bits of the results depend on the thread count; set before numpy loads
+os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
 
-from hessquad.cli import write_outputs
-from hessquad.experiments import (
+import argparse  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from hessquad.cli import write_outputs  # noqa: E402
+from hessquad.experiments import (  # noqa: E402
     ExperimentConfig,
     anchored_marginal_csv,
     linear_setup,

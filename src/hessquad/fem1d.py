@@ -67,14 +67,13 @@ class TriDiagOperator:
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """Apply to a vector or to a block of column vectors."""
         v = np.asarray(v, dtype=float)
-        if v.ndim == 1:
-            out = self.diag * v
-            out[:-1] += self.off * v[1:]
-            out[1:] += self.off * v[:-1]
-        else:
-            out = self.diag[:, None] * v
-            out[:-1] += self.off[:, None] * v[1:]
-            out[1:] += self.off[:, None] * v[:-1]
+        diag, off = self.diag, self.off
+        if v.ndim > 1:
+            diag, off = diag[:, None], off[:, None]
+        out = diag * v
+        coupling = off * v[1:]
+        out[:-1] += coupling
+        out[1:] += np.multiply(off, v[:-1], out=coupling)
         return out
 
     def quadratic(self, v: np.ndarray, w: np.ndarray | None = None) -> float:
@@ -250,8 +249,8 @@ def solve_poisson(m: np.ndarray, mesh: Mesh1D) -> np.ndarray:
 
 
 def darcy_cell_coeffs(m: np.ndarray, mesh: Mesh1D) -> np.ndarray:
-    """Coefficient exp(m) at cell midpoints (midpoint quadrature per cell)."""
-    m = np.asarray(m, dtype=float)
+    """Coefficient exp(m) at cell midpoints (midpoint quadrature per cell);
+    ``m`` is a float array of nodal values."""
     return np.exp(0.5 * (m[:-1] + m[1:]))
 
 

@@ -521,27 +521,28 @@ class DarcyProblem(BayesProblem):
         self.prior_mean = np.asarray(prior_mean, dtype=float)
 
     class _State:
-        __slots__ = ("k", "op", "u", "du", "Bu", "_p", "_dp")
+        __slots__ = ("k", "op", "u", "Bu", "du", "dp")
 
-        def __init__(self, k, op, u, du, Bu):
-            self.k, self.op, self.u, self.du, self.Bu = k, op, u, du, Bu
-            self._p = None
-            self._dp = None
+        def __init__(self, k, op, u, Bu):
+            self.k, self.op, self.u, self.Bu = k, op, u, Bu
+            self.du = self.dp = None  # set by _slopes
 
     def _forward_state(self, m: np.ndarray) -> "DarcyProblem._State":
-        """Forward state at ``m``: one tridiagonal factor-and-solve."""
+        """Forward state at ``m``: the cell coefficients, the operator and its
+        factor, u and B u, from one tridiagonal factor-and-solve.  This is all
+        a quadrature point reads; the slopes of u and the adjoint are left to
+        ``_slopes``, which only gradient and Hessian actions call."""
         m = np.asarray(m, dtype=float)
-        if not np.all(np.isfinite(m)):
+        if not np.isfinite(m).all():
             raise ValueError("parameter field must be finite")
         k = darcy_cell_coeffs(m, self.mesh)
         op = darcy_stiffness(k, self.mesh)
         rhs = np.zeros(self.mesh.n_interior)
-        rhs[0] += k[0] / self.mesh.h  # u(0) = 1 lifting; u(1) = 0
+        rhs[0] = k[0] / self.mesh.h  # u(0) = 1 lifting; u(1) = 0
         u = np.empty(self.mesh.n_nodes)
         u[0], u[-1] = 1.0, 0.0
         u[1:-1] = op.solve(rhs)
-        du = cell_slopes(u, self.mesh)
-        return self._State(k, op, u, du, self.B @ u)
+        return self._State(k, op, u, self.B @ u)
 
     def forward(self, m: np.ndarray) -> np.ndarray:
         """Parameter-to-observable map G(m) = B u(m)."""
@@ -551,26 +552,29 @@ class DarcyProblem(BayesProblem):
         r = self.y - state.Bu
         return 0.5 / self.sigma**2 * float(np.dot(r, r))
 
-    def _adjoint(self, state) -> tuple[np.ndarray, np.ndarray]:
-        if state._p is None:
+    def _slopes(self, state) -> tuple[np.ndarray, np.ndarray]:
+        """Cell slopes of the state and of its adjoint (one adjoint solve),
+        computed once per state when a gradient or Hessian action first
+        needs them."""
+        if state.dp is None:
             rhs = (self.B.T @ (self.y - state.Bu)) / self.sigma**2
             p = np.zeros(self.mesh.n_nodes)
             p[1:-1] = state.op.solve(rhs[1:-1])
-            state._p = p
-            state._dp = cell_slopes(p, self.mesh)
-        return state._p, state._dp
+            state.du = cell_slopes(state.u, self.mesh)
+            state.dp = cell_slopes(p, self.mesh)
+        return state.du, state.dp
 
     def misfit_gradient_of_state(self, state) -> np.ndarray:
-        _, dp = self._adjoint(state)
-        return scatter_mass(state.k * state.du * dp, self.mesh)
+        du, dp = self._slopes(state)
+        return scatter_mass(state.k * du * dp, self.mesh)
 
     def misfit_hessian_action(
         self, state, mhat: np.ndarray, gauss_newton: bool = False
     ) -> np.ndarray:
-        _, dp = self._adjoint(state)
+        du, dp = self._slopes(state)
         mhat_c = 0.5 * (mhat[:-1] + mhat[1:])
         # incremental state
-        rhs_u = -scatter_grad(mhat_c * state.k * state.du, self.mesh)
+        rhs_u = -scatter_grad(mhat_c * state.k * du, self.mesh)
         u_hat = np.zeros(self.mesh.n_nodes)
         u_hat[1:-1] = state.op.solve(rhs_u[1:-1])
         du_hat = cell_slopes(u_hat, self.mesh)
@@ -581,9 +585,9 @@ class DarcyProblem(BayesProblem):
         p_hat = np.zeros(self.mesh.n_nodes)
         p_hat[1:-1] = state.op.solve(rhs_p[1:-1])
         dp_hat = cell_slopes(p_hat, self.mesh)
-        q = state.k * state.du * dp_hat
+        q = state.k * du * dp_hat
         if not gauss_newton:
-            q += state.k * du_hat * dp + mhat_c * state.k * state.du * dp
+            q += state.k * du_hat * dp + mhat_c * state.k * du * dp
         return scatter_mass(q, self.mesh)
 
     def qoi(self, kind: str = "u_center") -> Callable[..., float]:
@@ -709,7 +713,9 @@ def prior_weighted_integrand(
 ) -> Integrand:
     """Prior-based path: xi -> (exp(-Phi), Q * exp(-Phi)) at m0(xi); the
     posterior expectation is the ratio of the two integrals.  Each point
-    builds one forward state, which ``qoi(m, state)`` reads."""
+    computes the KL map and one forward state (one factor-and-solve and
+    ``B @ u`` on the Darcy problem), which the potential and
+    ``qoi(m, state)`` read; no slopes or adjoints."""
 
     def fn(xi: Mapping[int, float]):
         m = kl_map(prior_field, xi)
@@ -730,8 +736,9 @@ def hessian_reweighted_integrand(
     J1(m) = J(m) - J(m1) - 0.5 * ||m - m1||^2_{C1}.
 
     The C1-norm is evaluated spectrally: in KL coordinates it is exactly
-    sum_j xi_j^2.  Each point builds one forward state, which
-    ``qoi(m, state)`` reads.
+    sum_j xi_j^2.  Each point computes the KL map, one forward state (one
+    factor-and-solve and ``B @ u`` on the Darcy problem), the potential, the
+    prior cost and ``qoi(m, state)``; no slopes or adjoints.
     """
 
     def fn(xi: Mapping[int, float]):

@@ -1,11 +1,12 @@
 import itertools
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from hessquad import fem1d
+from hessquad import fem1d, inverse_problem
 from hessquad.experiments import ExperimentConfig, darcy_setup, linear_setup, run_linear
 from hessquad.fem1d import Mesh1D, solve_poisson
 from hessquad.gaussian_measure import GaussianField, kl_map, prior_eigen_analytic, rng_stream
@@ -242,12 +243,126 @@ def test_one_factorization_per_quadrature_point(darcy6_setup, path, monkeypatch)
         )
     else:
         g = prior_weighted_integrand(problem, setup.prior_field, problem.qoi())
-    calls = []
-    factor = fem1d.dpttrf
-    monkeypatch.setattr(fem1d, "dpttrf", lambda *a: calls.append(1) or factor(*a))
+    counts = {}
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+        counts[name] = 0
+
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    # one factorization, one solve and one KL map per point, and no slopes:
+    # only gradient and Hessian actions read them
+    counted(fem1d, "dpttrf")
+    counted(fem1d.TriDiagOperator, "solve")
+    counted(inverse_problem, "kl_map")
+    counted(inverse_problem, "cell_slopes")
     res = adapt(g, Construction.APOSTERIORI, AdaptConfig(max_points=300))
     assert res.n_points >= 300
-    assert len(calls) == res.n_points
+    assert counts == {"dpttrf": res.n_points, "solve": res.n_points,
+                      "kl_map": res.n_points, "cell_slopes": 0}
+
+
+def _parent_forward_state(problem, m):
+    """Oracle for ``DarcyProblem._forward_state``: the forward state as it
+    was built for every point before the slopes became lazy, returning u, B u
+    and the slopes of u."""
+    m = np.asarray(m, dtype=float)
+    if not np.all(np.isfinite(m)):
+        raise ValueError("parameter field must be finite")
+    mesh = problem.mesh
+    k = fem1d.darcy_cell_coeffs(m, mesh)
+    op = fem1d.darcy_stiffness(k, mesh)
+    rhs = np.zeros(mesh.n_interior)
+    rhs[0] += k[0] / mesh.h
+    u = np.empty(mesh.n_nodes)
+    u[0], u[-1] = 1.0, 0.0
+    u[1:-1] = op.solve(rhs)
+    return u, problem.B @ u, fem1d.cell_slopes(u, mesh)
+
+
+def _parent_darcy_point(problem, field, xi, cost_at_map=None):
+    """Oracle for one point of the Darcy integrands: the parent evaluation,
+    with the KL sum over ``field``'s eigenvectors in C order and the prior
+    cost through a matvec that allocates both couplings.  Prior path without
+    ``cost_at_map``, Hessian path with it."""
+    assert problem.alpha == 1
+    scales = np.sqrt(field.pairs.values)
+    vectors = np.ascontiguousarray(field.pairs.vectors)
+    m = field.mean.copy()
+    for j, x in xi.items():
+        m += scales[j - 1] * x * vectors[:, j - 1]
+    u, Bu, _ = _parent_forward_state(problem, m)
+    r = problem.y - Bu
+    cost = 0.5 / problem.sigma**2 * float(np.dot(r, r))
+    if cost_at_map is not None:
+        A, d = problem.A_prior, m - problem.prior_mean
+        Ad = A.diag * d
+        Ad[:-1] += A.off * d[1:]
+        Ad[1:] += A.off * d[:-1]
+        cost += 0.5 * float(np.dot(d, Ad))
+        cost = cost - cost_at_map - 0.5 * sum(x * x for x in xi.values())
+    w = math.exp(-cost)
+    return (w, float(u[problem.mesh.n_cells // 2]) * w)
+
+
+def _sparse_points(rng, dims, count):
+    """``count`` KL coordinate dicts with 1-4 nonzero coordinates each."""
+    points = []
+    for _ in range(count):
+        support = rng.choice(np.arange(1, dims + 1), rng.integers(1, 5), replace=False)
+        points.append({int(j): float(2.0 * rng.standard_normal()) for j in support})
+    return points
+
+
+@pytest.mark.parametrize("path", ["hessian", "prior"])
+def test_lean_darcy_point_matches_parent_evaluation(darcy6_setup, path):
+    # every point returns the tuple the parent evaluation returns, over the
+    # Fortran-order field DarcySetup builds and over the C-order field the
+    # eigensolvers return
+    setup, problem = darcy6_setup, darcy6_setup.problem
+    built = setup.posterior_field if path == "hessian" else setup.prior_field
+    assert built.pairs.vectors.flags.f_contiguous
+    c_order = GaussianField(built.mean, replace(
+        built.pairs, vectors=np.ascontiguousarray(built.pairs.vectors)))
+    cost_at_map = setup.map_result.cost_at_map if path == "hessian" else None
+    points = [{}] + _sparse_points(rng_stream(10, 1), setup.kl_dims, 500)
+    expected = [_parent_darcy_point(problem, built, xi, cost_at_map) for xi in points]
+    for field in (built, c_order):
+        if path == "hessian":
+            g = hessian_reweighted_integrand(problem, field, cost_at_map, problem.qoi())
+        else:
+            g = prior_weighted_integrand(problem, field, problem.qoi())
+        assert [g.fn(xi) for xi in points] == expected
+
+
+def test_darcy_derivatives_do_not_depend_on_what_read_the_state_first(darcy6_setup):
+    # the slopes are computed when a gradient or Hessian action first needs
+    # them; both actions are the same whether the state is fresh or was first
+    # read by the potential alone, and the slopes of u are the parent's
+    problem = darcy6_setup.problem
+    rng = rng_stream(10, 2)
+    n = problem.mesh.n_nodes
+    for _ in range(5):
+        m = darcy6_setup.map_result.map_point + 0.3 * rng.standard_normal(n)
+        mhat = rng.standard_normal(n)
+        fresh = problem._forward_state(m)
+        grad = problem.misfit_gradient_of_state(fresh)
+        hess = [problem.misfit_hessian_action(fresh, mhat, gauss_newton=gn)
+                for gn in (False, True)]
+        read = problem._forward_state(m)
+        problem.potential_of_state(read)
+        assert read.du is None and read.dp is None
+        hess_read = [problem.misfit_hessian_action(read, mhat, gauss_newton=gn)
+                     for gn in (False, True)]
+        np.testing.assert_array_equal(problem.misfit_gradient_of_state(read), grad)
+        for a, b in zip(hess_read, hess):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(read.du, _parent_forward_state(problem, m)[2])
 
 
 def test_linear_prior_run_solves_once_per_quadrature_point(monkeypatch):
