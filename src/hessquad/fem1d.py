@@ -76,9 +76,8 @@ class TriDiagOperator:
         out[1:] += np.multiply(off, v[:-1], out=coupling)
         return out
 
-    def quadratic(self, v: np.ndarray, w: np.ndarray | None = None) -> float:
-        w = v if w is None else w
-        return float(np.dot(v, self.matvec(w)))
+    def quadratic(self, v: np.ndarray) -> float:
+        return float(np.dot(v, self.matvec(v)))
 
     def _banded(self) -> np.ndarray:
         ab = np.zeros((2, self.n_dof))
@@ -213,9 +212,8 @@ def weighted_mass_operator(mesh: Mesh1D, weight) -> TriDiagOperator:
 def apply_A_alpha(
     v: np.ndarray, alpha: int, A: TriDiagOperator, M: TriDiagOperator
 ) -> np.ndarray:
-    """Apply A_alpha = (A M^{-1})^{alpha-1} A; alpha a positive integer."""
-    if not (isinstance(alpha, (int, np.integer)) and alpha >= 1):
-        raise ValueError("alpha must be a positive integer")
+    """Apply A_alpha = (A M^{-1})^{alpha-1} A; alpha a positive integer
+    (the problem constructors check it once)."""
     out = A.matvec(v)
     for _ in range(alpha - 1):
         out = A.matvec(M.solve(out))
@@ -226,26 +224,10 @@ def apply_A_alpha_inv(
     v: np.ndarray, alpha: int, A: TriDiagOperator, M: TriDiagOperator
 ) -> np.ndarray:
     """Apply A_alpha^{-1} = A^{-1} (M A^{-1})^{alpha-1}."""
-    if not (isinstance(alpha, (int, np.integer)) and alpha >= 1):
-        raise ValueError("alpha must be a positive integer")
     out = A.solve(v)
     for _ in range(alpha - 1):
         out = A.solve(M.matvec(out))
     return out
-
-
-def solve_poisson(m: np.ndarray, mesh: Mesh1D) -> np.ndarray:
-    """Solve -u'' = m with homogeneous Dirichlet data; nodal in, nodal out.
-
-    The load is the consistent P1 projection of the nodal source.
-    """
-    m = np.asarray(m, dtype=float)
-    if len(m) != mesh.n_nodes:
-        raise ValueError("source field length does not match the mesh")
-    load = mass_operator(mesh).matvec(m)[1:-1]
-    u = np.zeros(mesh.n_nodes)
-    u[1:-1] = laplace_operator(mesh, dirichlet=True).solve(load)
-    return u
 
 
 def darcy_cell_coeffs(m: np.ndarray, mesh: Mesh1D) -> np.ndarray:

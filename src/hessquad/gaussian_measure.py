@@ -38,7 +38,6 @@ class EigenPairs:
 
     values: np.ndarray
     vectors: np.ndarray
-    complete: bool = True
 
     def __post_init__(self):
         if len(self.values) != self.vectors.shape[1]:
@@ -215,7 +214,7 @@ def randomized_eigen(
     Q = _b_orthonormalize(Y, B)
     if Q.shape[1] == 0:
         warnings.warn("operator range collapsed; no eigenpairs computed")
-        return EigenPairs(np.empty(0), np.empty((n, 0)), complete=False)
+        return EigenPairs(np.empty(0), np.empty((n, 0)))
     T = Q.T @ apply_B(apply_op(Q))
     T = 0.5 * (T + T.T)
     theta, S = np.linalg.eigh(T)
@@ -226,10 +225,9 @@ def randomized_eigen(
         i = np.argmax(np.abs(vectors[:, col]))
         if vectors[i, col] < 0:
             vectors[:, col] = -vectors[:, col]
-    complete = len(values) >= J
-    if not complete:
+    if len(values) < J:
         warnings.warn(f"rank deficiency: {len(values)} < {J} eigenpairs returned")
-    return EigenPairs(values=values, vectors=vectors, complete=complete)
+    return EigenPairs(values=values, vectors=vectors)
 
 
 def prior_eigen_numeric(

@@ -93,12 +93,19 @@ def assemble_observation_matrix(
     return B
 
 
+def _smoothness(alpha) -> int:
+    """The prior's exponent alpha, refused unless it is a whole number >= 1
+    (1.0 from a JSON config is 1)."""
+    if not (alpha >= 1 and float(alpha).is_integer()):
+        raise ValueError(f"alpha must be an integer >= 1, got {alpha!r}")
+    return int(alpha)
+
+
 @dataclass
 class MapResult:
     map_point: np.ndarray
     cost_at_map: float
     newton_iters: int
-    final_gradient_norm: float
     converged: bool
     cost_history: list[float] = field(default_factory=list)
 
@@ -193,10 +200,8 @@ class BayesProblem:
 
     # -- MAP ------------------------------------------------------------
 
-    def find_map(
-        self, m_init: np.ndarray | None = None, cfg: NewtonConfig | None = None
-    ) -> MapResult:
-        """Inexact Newton-CG for the MAP point.
+    def find_map(self, cfg: NewtonConfig | None = None) -> MapResult:
+        """Inexact Newton-CG for the MAP point, started at the prior mean.
 
         Gauss-Newton Hessian for the first few iterations, then the full
         Hessian; CG inner solves preconditioned by the prior covariance with
@@ -206,7 +211,7 @@ class BayesProblem:
         -g.step falls to the roundoff floor of the cost.
         """
         cfg = cfg if cfg is not None else NewtonConfig()
-        m = (m_init if m_init is not None else self.prior_mean).astype(float).copy()
+        m = self.prior_mean.copy()
         state = self._forward_state(m)
         cost_m = self.potential_of_state(state) + self.prior_cost(m)
         history = [cost_m]
@@ -246,7 +251,6 @@ class BayesProblem:
             map_point=m,
             cost_at_map=cost_m,
             newton_iters=it,
-            final_gradient_norm=g_norm,
             converged=converged,
             cost_history=history,
         )
@@ -383,10 +387,9 @@ class LinearPoissonProblem(BayesProblem):
         beta: float,
         sigma: float,
         y: np.ndarray,
-        prior_mean: np.ndarray | None = None,
     ):
         self.mesh = mesh
-        self.alpha = int(alpha)
+        self.alpha = _smoothness(alpha)
         self.beta = float(beta)
         self.sigma = float(sigma)
         self.K = laplace_operator(mesh, dirichlet=True)
@@ -396,9 +399,7 @@ class LinearPoissonProblem(BayesProblem):
         if len(y) != n:
             raise ValueError("y must be an interior nodal field")
         self.y = np.asarray(y, dtype=float)
-        self.prior_mean = (
-            np.zeros(n) if prior_mean is None else np.asarray(prior_mean, dtype=float)
-        )
+        self.prior_mean = np.zeros(n)
 
     # forward map on interior fields: u = K^{-1} M m
     def forward(self, m: np.ndarray) -> np.ndarray:
@@ -506,7 +507,7 @@ class DarcyProblem(BayesProblem):
         measurement_radius: float,
     ):
         self.mesh = mesh
-        self.alpha = int(alpha)
+        self.alpha = _smoothness(alpha)
         self.beta = float(beta)
         self.gamma = float(gamma)
         self.kappa = float(kappa)

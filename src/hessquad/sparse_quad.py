@@ -193,8 +193,6 @@ class AdaptConfig:
     def __post_init__(self):
         if self.tolerance is not None and self.tolerance <= 0:
             raise ValueError("tolerance must be positive (or None for budget mode)")
-        if self.tolerance is None and self.max_indices is None and self.max_points is None:
-            raise ValueError("need a tolerance or a budget")
 
 
 def _indicator(delta, running) -> float:
@@ -205,15 +203,13 @@ def _indicator(delta, running) -> float:
     )
 
 
-def evaluate(
-    index_set: IndexSet, g: Integrand, cache: PointCache | None = None
-) -> QuadratureResult:
+def evaluate(index_set: IndexSet, g: Integrand) -> QuadratureResult:
     """Sparse quadrature over a fixed admissible index set.
 
     Members are summed in canonical order, so the result is independent of
     the set's enumeration order.
     """
-    cache = cache if cache is not None else PointCache(g)
+    cache = PointCache(g)
     value = np.zeros(g.n_outputs)
     for nu in index_set.sorted_members():
         value += tensor_delta(nu, g, cache)
@@ -469,11 +465,11 @@ def adapt(
             stopped_on = "tolerance"
             break
 
-        if cfg.max_indices is not None and len(lam) >= cfg.max_indices:
+        if len(lam) >= cfg.max_indices:
             converged = cfg.tolerance is None
             stopped_on = "max_indices"
             break
-        if cfg.max_points is not None and cache.n_points >= cfg.max_points:
+        if cache.n_points >= cfg.max_points:
             converged = cfg.tolerance is None
             stopped_on = "max_points"
             break

@@ -1,9 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hessquad
 from hessquad.cli import main
 from hessquad.experiments import ExperimentConfig
 from hessquad.multiindex import MultiIndex
@@ -13,6 +18,19 @@ from hessquad.quad1d import MAX_LEVEL
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def test_package_import_loads_no_numpy():
+    # the console entry imports the package before cli.py runs, so anything
+    # cli.py must do before numpy loads needs an import-free package entry
+    src = str(Path(hessquad.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-c", "import hessquad, sys; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_rules_stdout(capsys):

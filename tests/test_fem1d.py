@@ -15,10 +15,14 @@ from hessquad.fem1d import (
     mass_operator,
     scatter_grad,
     scatter_mass,
-    solve_poisson,
     weighted_mass_operator,
 )
-from hessquad.inverse_problem import DarcyProblem, ObservationSetup
+from hessquad.inverse_problem import (
+    DarcyProblem,
+    ObservationSetup,
+    make_darcy_problem,
+    make_linear_problem,
+)
 
 
 def darcy_problem(mesh: Mesh1D) -> DarcyProblem:
@@ -30,6 +34,15 @@ def darcy_problem(mesh: Mesh1D) -> DarcyProblem:
         prior_mean=np.zeros(mesh.n_nodes), measurement_centers=center,
         measurement_radius=mesh.h,
     )
+
+
+def solve_poisson(m: np.ndarray, mesh: Mesh1D) -> np.ndarray:
+    """Oracle: -u'' = m with homogeneous Dirichlet data, nodal in and out,
+    from the P1 mass and Laplace assembly (consistent load)."""
+    load = mass_operator(mesh).matvec(m)[1:-1]
+    u = np.zeros(mesh.n_nodes)
+    u[1:-1] = laplace_operator(mesh, dirichlet=True).solve(load)
+    return u
 
 
 def darcy_pressure(m: np.ndarray, mesh: Mesh1D) -> np.ndarray:
@@ -186,12 +199,12 @@ class TestAAlpha:
             w = apply_A_alpha_inv(v, 2, self.A, self.M)
             assert np.dot(v, w) >= 0
 
-    def test_alpha_validation(self):
-        v = np.zeros(self.A.n_dof)
-        with pytest.raises(ValueError):
-            apply_A_alpha(v, 0, self.A, self.M)
-        with pytest.raises(ValueError):
-            apply_A_alpha_inv(v, 1.5, self.A, self.M)
+    def test_problems_refuse_bad_alpha(self):
+        # checked once by the constructors, not by apply_A_alpha(_inv)
+        for make in (make_linear_problem, make_darcy_problem):
+            for alpha in (0, 1.5):
+                with pytest.raises(ValueError, match="alpha"):
+                    make(alpha=alpha, mesh_exp=3)
 
 
 class TestPoisson:
