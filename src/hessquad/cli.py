@@ -4,20 +4,28 @@ Runs write ``convergence.csv``, ``spectrum.csv``, ``trace.csv`` and
 ``summary.json`` into the output directory.  Exit codes: 0 on success, 2 when
 a requested tolerance was not reached within the budgets or the quadrature
 ran out of levels (``stopped_on`` in the summary says which), 1 on error.
+
+BLAS runs on one thread, whatever the environment says: the last bits of the
+results depend on the thread count.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-from dataclasses import replace
-from pathlib import Path
+import os
 
-from .experiments import ExperimentConfig, RunOutput, run_convergence
-from .gaussian_measure import spectrum_to_csv
-from .quad1d import hermite_rule
-from .sparse_quad import trace_to_csv
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+os.environ.update(dict.fromkeys(_BLAS_THREADS, "1"))  # before numpy loads
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+from dataclasses import replace  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+from .experiments import ExperimentConfig, RunOutput, run_convergence  # noqa: E402
+from .gaussian_measure import spectrum_to_csv  # noqa: E402
+from .quad1d import hermite_rule  # noqa: E402
+from .sparse_quad import trace_to_csv  # noqa: E402
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
@@ -77,7 +85,8 @@ def write_outputs(out_dir: Path, run: RunOutput) -> None:
     (out_dir / "convergence.csv").write_text(run.record.to_csv())
     (out_dir / "spectrum.csv").write_text(spectrum_to_csv(run.spectrum))
     (out_dir / "trace.csv").write_text(trace_to_csv(run.quadrature.trace))
-    (out_dir / "summary.json").write_text(json.dumps(run.summary, indent=2) + "\n")
+    summary = {**run.summary, "blas_threads": {k: os.environ[k] for k in _BLAS_THREADS}}
+    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
 
 
 def _run_command(args: argparse.Namespace, problem: str) -> int:

@@ -54,10 +54,8 @@ class Mesh1D:
 class TriDiagOperator:
     """Symmetric tridiagonal SPD operator with a cached LDL^T factor."""
 
-    mesh: Mesh1D
     diag: np.ndarray
     off: np.ndarray
-    dirichlet: bool
     _factor: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     @property
@@ -119,13 +117,11 @@ class TriDiagOperator:
 
     def add(self, other: "TriDiagOperator", coeff: float = 1.0) -> "TriDiagOperator":
         """New operator self + coeff * other (same dof layout)."""
-        if other.n_dof != self.n_dof or other.dirichlet != self.dirichlet:
+        if other.n_dof != self.n_dof:
             raise ValueError("operator layouts differ")
         return TriDiagOperator(
-            mesh=self.mesh,
             diag=self.diag + coeff * other.diag,
             off=self.off + coeff * other.off,
-            dirichlet=self.dirichlet,
         )
 
 
@@ -137,7 +133,7 @@ def mass_operator(mesh: Mesh1D, dirichlet: bool = False) -> TriDiagOperator:
     if not dirichlet:
         diag[0] = diag[-1] = h / 3.0
     off = np.full(n - 1, h / 6.0)
-    return TriDiagOperator(mesh, diag, off, dirichlet)
+    return TriDiagOperator(diag, off)
 
 
 def laplace_operator(mesh: Mesh1D, dirichlet: bool = True) -> TriDiagOperator:
@@ -148,7 +144,7 @@ def laplace_operator(mesh: Mesh1D, dirichlet: bool = True) -> TriDiagOperator:
     if not dirichlet:
         diag[0] = diag[-1] = 1.0 / h
     off = np.full(n - 1, -1.0 / h)
-    return TriDiagOperator(mesh, diag, off, dirichlet)
+    return TriDiagOperator(diag, off)
 
 
 def assemble(
@@ -168,7 +164,7 @@ def assemble(
     if gamma < 0 or (gamma == 0 and not dirichlet):
         raise ValueError("gamma must be positive for a natural-boundary operator")
     lap = laplace_operator(mesh, dirichlet=dirichlet)
-    scaled = TriDiagOperator(mesh, beta * lap.diag, beta * lap.off, dirichlet)
+    scaled = TriDiagOperator(beta * lap.diag, beta * lap.off)
     return scaled.add(mass_operator(mesh, dirichlet=dirichlet), gamma)
 
 
@@ -206,7 +202,7 @@ def weighted_mass_operator(mesh: Mesh1D, weight) -> TriDiagOperator:
     diag = np.zeros(mesh.n_nodes)
     diag[:-1] += a_ll
     diag[1:] += a_rr
-    return TriDiagOperator(mesh, diag, a_lr, dirichlet=False)
+    return TriDiagOperator(diag, a_lr)
 
 
 def apply_A_alpha(
@@ -230,7 +226,7 @@ def apply_A_alpha_inv(
     return out
 
 
-def darcy_cell_coeffs(m: np.ndarray, mesh: Mesh1D) -> np.ndarray:
+def darcy_cell_coeffs(m: np.ndarray) -> np.ndarray:
     """Coefficient exp(m) at cell midpoints (midpoint quadrature per cell);
     ``m`` is a float array of nodal values."""
     return np.exp(0.5 * (m[:-1] + m[1:]))
@@ -241,7 +237,7 @@ def darcy_stiffness(k_cells: np.ndarray, mesh: Mesh1D) -> TriDiagOperator:
     a = k_cells / mesh.h
     diag = a[:-1] + a[1:]
     off = -a[1:-1]
-    return TriDiagOperator(mesh, diag, off, dirichlet=True)
+    return TriDiagOperator(diag, off)
 
 
 def cell_slopes(u: np.ndarray, mesh: Mesh1D) -> np.ndarray:

@@ -8,8 +8,8 @@ coordinates lazily, so a full-dimensional truncation costs nothing up front.
 
 Eigenpairs come either from closed forms (sine modes of the Dirichlet
 Laplacian on a uniform mesh) or from a randomized matrix-free solver for
-generalized problems ``A v = lambda B v`` given the action of B^{-1}A and B
-itself.
+generalized problems ``A v = lambda B v`` given the action of B^{-1}A and a
+banded (tridiagonal) B.
 """
 
 from __future__ import annotations
@@ -135,27 +135,7 @@ def prior_eigen_analytic(beta: float, alpha: int, J: int, mesh: Mesh1D) -> Eigen
     return EigenPairs(values=values, vectors=vectors)
 
 
-def _b_orthonormalize_gram(
-    Y: np.ndarray, apply_B: Callable[[np.ndarray], np.ndarray]
-) -> np.ndarray:
-    """B-orthonormal basis of the range of Y via Gram whitening.
-
-    The Gram matrix squares the singular spectrum, so directions below about
-    sqrt(eps) of the dominant one are dropped; the Cholesky-QR path below
-    avoids that when B is a banded operator.
-    """
-    for _ in range(2):
-        G = Y.T @ apply_B(Y)
-        G = 0.5 * (G + G.T)
-        s, U = np.linalg.eigh(G)
-        keep = s > max(s.max(), 0.0) * 1e-13
-        if not np.any(keep):
-            return Y[:, :0]
-        Y = Y @ (U[:, keep] / np.sqrt(s[keep]))
-    return Y
-
-
-def _b_orthonormalize_cholqr(Y: np.ndarray, B: TriDiagOperator) -> np.ndarray:
+def _b_orthonormalize(Y: np.ndarray, B: TriDiagOperator) -> np.ndarray:
     """B-orthonormal basis via the banded Cholesky factor B = U^T U:
     pivoted QR of U Y, then back-substitution.  Rank decisions happen on the
     linear (not squared) spectrum, preserving small-eigenvalue directions."""
@@ -170,17 +150,9 @@ def _b_orthonormalize_cholqr(Y: np.ndarray, B: TriDiagOperator) -> np.ndarray:
     return scipy.linalg.solve_banded((0, 1), U, Q[:, :rank])
 
 
-def _b_orthonormalize(
-    Y: np.ndarray, B: TriDiagOperator | Callable[[np.ndarray], np.ndarray]
-) -> np.ndarray:
-    if isinstance(B, TriDiagOperator):
-        return _b_orthonormalize_cholqr(Y, B)
-    return _b_orthonormalize_gram(Y, B)
-
-
 def randomized_eigen(
     apply_op: Callable[[np.ndarray], np.ndarray],
-    B: TriDiagOperator | Callable[[np.ndarray], np.ndarray],
+    B: TriDiagOperator,
     n: int,
     J: int,
     oversampling: int = 10,
@@ -190,15 +162,14 @@ def randomized_eigen(
     """Randomized solver for the generalized problem A v = lambda B v.
 
     ``apply_op`` must realize the action of B^{-1}A (a B-self-adjoint map)
-    on blocks of column vectors.  ``B`` is the SPD B, either a banded
-    ``TriDiagOperator``, which orthonormalizes by Cholesky-QR (better
-    small-eigenvalue retention), or a callable applying B to blocks, which
-    orthonormalizes by Gram whitening.  Range finding with the given
-    oversampling and power iterations, then a Rayleigh-Ritz projection in
-    the B-inner product.  Returns J dominant pairs, descending,
-    B-orthonormal; fewer (with a warning) if the operator rank falls below
-    J.  When the sketch width reaches the space dimension the projection
-    spans everything and the result is a dense-exact solve.
+    on blocks of column vectors.  ``B`` is the SPD B as a banded
+    ``TriDiagOperator``; bases are B-orthonormalized through its Cholesky
+    factor.  Range finding with the given oversampling and power iterations,
+    then a Rayleigh-Ritz projection in the B-inner product.  Returns J
+    dominant pairs, descending, B-orthonormal; fewer (with a warning) if the
+    operator rank falls below J.  When the sketch width reaches the space
+    dimension the projection spans everything and the result is a
+    dense-exact solve.
     """
     if J < 1:
         raise ValueError("J must be >= 1")
@@ -207,7 +178,6 @@ def randomized_eigen(
     if k >= n:
         power_iters = 0  # the sketch already spans the space; powering only
         # repeatedly damps small-eigenvalue directions below numerical rank
-    apply_B = B.matvec if isinstance(B, TriDiagOperator) else B
     Y = apply_op(rng.standard_normal((n, k)))
     for _ in range(power_iters):
         Y = apply_op(_b_orthonormalize(Y, B))
@@ -215,7 +185,7 @@ def randomized_eigen(
     if Q.shape[1] == 0:
         warnings.warn("operator range collapsed; no eigenpairs computed")
         return EigenPairs(np.empty(0), np.empty((n, 0)))
-    T = Q.T @ apply_B(apply_op(Q))
+    T = Q.T @ B.matvec(apply_op(Q))
     T = 0.5 * (T + T.T)
     theta, S = np.linalg.eigh(T)
     order = np.argsort(-theta, kind="stable")[:J]
@@ -231,7 +201,6 @@ def randomized_eigen(
 
 
 def prior_eigen_numeric(
-    mesh: Mesh1D,
     A: TriDiagOperator,
     M: TriDiagOperator,
     alpha: int,
@@ -240,7 +209,7 @@ def prior_eigen_numeric(
     power_iters: int = 1,
     rng: np.random.Generator | None = None,
 ) -> EigenPairs:
-    """Dominant eigenpairs of the prior covariance A^{-alpha} on the mesh.
+    """Dominant eigenpairs of the prior covariance A^{-alpha}.
 
     Solves the generalized problem M A_alpha^{-1} M psi = lambda M psi
     matrix-free: the B^{-1}A action is A_alpha^{-1} M, realized by banded

@@ -297,23 +297,38 @@ class BayesProblem:
         rng: np.random.Generator | None = None,
     ) -> EigenPairs:
         """Prior-preconditioned misfit-Hessian spectrum at the MAP point:
-        H_misfit psi = lambda A_alpha psi, A_alpha-orthonormal psi."""
+        H_misfit psi = lambda A_alpha psi, A_alpha-orthonormal psi.
+
+        Solved through psi = R phi with R = (A^{-1} M)^{floor(alpha/2)}:
+        R^T A_alpha R is the banded B = A (odd alpha) or M (even alpha), so
+        R^T H_misfit R phi = lambda B phi has the same eigenvalues and its
+        B-orthonormal phi map to A_alpha-orthonormal psi.  At alpha = 1, R is
+        the identity.
+        """
         state = self._forward_state(map_result.map_point)
+        A, M = self.A_prior, self.M
+        B = A if self.alpha % 2 else M
+
+        def R(X: np.ndarray) -> np.ndarray:
+            for _ in range(self.alpha // 2):
+                X = A.solve(M.matvec(X))
+            return X
 
         def op(X: np.ndarray) -> np.ndarray:
+            X = R(X)
             out = np.empty_like(X)
             for k in range(X.shape[1]):
-                out[:, k] = self.apply_prior_precision_inv(
-                    self.misfit_hessian_action(state, X[:, k])
-                )
+                hx = self.misfit_hessian_action(state, X[:, k])
+                for _ in range(self.alpha // 2):
+                    hx = M.matvec(A.solve(hx))  # R^T
+                out[:, k] = B.solve(hx)
             return out
 
-        # A_alpha is the banded A_prior itself when alpha = 1
-        B = self.A_prior if self.alpha == 1 else self.apply_prior_precision
-        return randomized_eigen(
+        pairs = randomized_eigen(
             op, B, len(map_result.map_point), j1,
             oversampling=oversampling, power_iters=power_iters, rng=rng,
         )
+        return EigenPairs(pairs.values, R(pairs.vectors))
 
     def posterior_eigen(
         self,
@@ -511,7 +526,6 @@ class DarcyProblem(BayesProblem):
         self.beta = float(beta)
         self.gamma = float(gamma)
         self.kappa = float(kappa)
-        self.obs = obs
         self.sigma = obs.noise_sigma
         self.y = np.asarray(y, dtype=float)
         self.M = mass_operator(mesh, dirichlet=False)
@@ -536,7 +550,7 @@ class DarcyProblem(BayesProblem):
         m = np.asarray(m, dtype=float)
         if not np.isfinite(m).all():
             raise ValueError("parameter field must be finite")
-        k = darcy_cell_coeffs(m, self.mesh)
+        k = darcy_cell_coeffs(m)
         op = darcy_stiffness(k, self.mesh)
         rhs = np.zeros(self.mesh.n_interior)
         rhs[0] = k[0] / self.mesh.h  # u(0) = 1 lifting; u(1) = 0
@@ -610,7 +624,7 @@ class DarcyProblem(BayesProblem):
     ) -> EigenPairs:
         J = J if J is not None else self.mesh.n_nodes
         return prior_eigen_numeric(
-            self.mesh, self.A_prior, self.M, self.alpha, J,
+            self.A_prior, self.M, self.alpha, J,
             oversampling=oversampling, power_iters=power_iters, rng=rng,
         )
 
@@ -689,7 +703,7 @@ def make_darcy_problem(
 
     j_true = min(_TRUE_FIELD_MODES, mesh.n_nodes - 1)
     true_pairs = prior_eigen_numeric(
-        mesh, problem.A_bare, problem.M, 1, j_true, oversampling=10, power_iters=2,
+        problem.A_bare, problem.M, 1, j_true, oversampling=10, power_iters=2,
         rng=rng_stream(seed, 1),
     )
     xi = rng_stream(seed, 2).standard_normal(len(true_pairs))

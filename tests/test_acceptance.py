@@ -38,10 +38,10 @@ def check(criterion: str, ok: bool, detail: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _linear_run(alpha, qoi, mode, max_points):
+def _linear_run(alpha, qoi, mode, max_points, mesh_exp=10):
     cfg = ExperimentConfig.linear_default(
         alpha=alpha, qoi=qoi, mode=mode, construction="aposteriori",
-        mesh_exp=10, seed=0, max_points=max_points,
+        mesh_exp=mesh_exp, seed=0, max_points=max_points,
     )
     return run_linear(cfg)
 
@@ -435,3 +435,28 @@ def test_criterion_8g_bit_reproducibility():
     same = same and da.reference == db.reference
     check("criterion 8g (bit reproducibility under fixed seed)", same,
           "linear and darcy runs repeat bitwise")
+
+
+# ---------------------------------------------------------------------------
+# criterion 9: the rate does not depend on the parameter dimension
+# ---------------------------------------------------------------------------
+
+
+def test_criterion_9_dimension_independent_rates(lin_q1_a2, lin_q2_a2):
+    # the alpha=2 Hessian-path runs again on the 2^-12 mesh (4,095 parameter
+    # dimensions against 1,023); a run that explored every dimension would
+    # show a finite-dimensional rate, so the explored dimension must stay
+    # below the parameter dimension
+    mesh_exp = 12
+    n_params = 2**mesh_exp - 1
+    details = []
+    ok = True
+    for qoi, coarse in (("q1", lin_q1_a2), ("q2", lin_q2_a2)):
+        fine = _linear_run(2, qoi, "hessian", 20_000, mesh_exp=mesh_exp)
+        r10, r12 = coarse.record.rates[0], fine.record.rates[0]
+        dim = fine.summary["max_active_dim"]
+        ok = ok and abs(r12 - r10) <= 0.05 and dim < n_params
+        details.append(f"{qoi}: s={r10:.3f} at 2^-10, s={r12:.3f} at 2^-12, "
+                       f"{dim} of {n_params} dims explored")
+    check("criterion 9 (dimension-independent rates, |ds| <= 0.05, alpha=2)",
+          ok, "; ".join(details))

@@ -176,3 +176,25 @@ def test_bad_config_is_an_error_naming_the_field(tmp_path, capsys, problem, fiel
     assert code == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_cli_trace_does_not_depend_on_blas_threads(tmp_path):
+    # the CLI pins one BLAS thread before numpy loads; without the pin the
+    # Darcy setup's last bits, and so the trace, follow OPENBLAS_NUM_THREADS
+    src = str(Path(hessquad.__file__).resolve().parents[1])
+    traces = []
+    for threads in ("2", "1"):
+        out_dir = tmp_path / f"t{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run(
+            [sys.executable, "-m", "hessquad.cli", "darcy", "--mode", "hessian",
+             "--max-points", "2000", "--out", str(out_dir)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert summary["blas_threads"] == dict.fromkeys(
+            ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"
+        )
+        traces.append((out_dir / "trace.csv").read_bytes())
+    assert traces[0] == traces[1]

@@ -271,7 +271,7 @@ class TestDarcy:
         mesh = Mesh1D(4)
         m = np.array([0.0, 1.0, 0.0, 2.0, 0.0])
         np.testing.assert_allclose(
-            darcy_cell_coeffs(m, mesh), np.exp([0.5, 0.5, 1.0, 1.0])
+            darcy_cell_coeffs(m), np.exp([0.5, 0.5, 1.0, 1.0])
         )
 
 

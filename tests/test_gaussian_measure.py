@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from hessquad.fem1d import Mesh1D, assemble, mass_operator
+from hessquad.fem1d import Mesh1D, TriDiagOperator, assemble, mass_operator
 from hessquad.gaussian_measure import (
     EigenPairs,
     GaussianField,
@@ -130,21 +130,20 @@ class TestKlMap:
 class TestRandomizedEigen:
     def test_diagonal_operator(self):
         d = np.diag([3.0, 2.0, 1.0])
+        B = TriDiagOperator(np.ones(3), np.zeros(2))
         pairs = randomized_eigen(
-            lambda X: d @ X, lambda X: X, 3, 2, oversampling=1,
-            rng=rng_stream(0, 1),
+            lambda X: d @ X, B, 3, 2, oversampling=1, rng=rng_stream(0, 1),
         )
         np.testing.assert_allclose(pairs.values, [3.0, 2.0], atol=1e-12)
 
     def test_operator_equal_to_B(self):
         # op = B^{-1} B = identity in the B inner product: all eigenvalues 1
+        # B is a random diagonally dominant (hence SPD) tridiagonal matrix
         rng = rng_stream(0, 2)
         n = 12
-        C = rng.standard_normal((n, n))
-        B = C @ C.T + n * np.eye(n)
-        pairs = randomized_eigen(
-            lambda X: X, lambda X: B @ X, n, 5, rng=rng_stream(0, 3)
-        )
+        off = rng.standard_normal(n - 1)
+        B = TriDiagOperator(2.0 + rng.random(n) + 2.0 * np.abs(off).max(), off)
+        pairs = randomized_eigen(lambda X: X, B, n, 5, rng=rng_stream(0, 3))
         np.testing.assert_allclose(pairs.values, np.ones(5), atol=1e-11)
 
     def test_prior_operator_against_dense_oracle(self):
@@ -161,12 +160,12 @@ class TestRandomizedEigen:
             Md @ np.linalg.solve(Ad, Md), Md, eigvals_only=True
         ))[::-1]
         tight = prior_eigen_numeric(
-            mesh, A, M, alpha, 10, oversampling=10, power_iters=6,
+            A, M, alpha, 10, oversampling=10, power_iters=6,
             rng=rng_stream(1, 4),
         )
         np.testing.assert_allclose(tight.values, dense_vals[:10], rtol=1e-8)
         loose = prior_eigen_numeric(
-            mesh, A, M, alpha, 10, oversampling=10, power_iters=1,
+            A, M, alpha, 10, oversampling=10, power_iters=1,
             rng=rng_stream(1, 4),
         )
         np.testing.assert_allclose(loose.values, dense_vals[:10], rtol=5e-3)
@@ -179,7 +178,7 @@ class TestRandomizedEigen:
         mesh = Mesh1D.from_exponent(8)
         A = assemble(mesh, beta=5e-2, gamma=0.0, dirichlet=True)
         M = mass_operator(mesh, dirichlet=True)
-        num = prior_eigen_numeric(mesh, A, M, 1, 20, oversampling=20,
+        num = prior_eigen_numeric(A, M, 1, 20, oversampling=20,
                                   power_iters=6, rng=rng_stream(2, 5))
         ana = prior_eigen_analytic(5e-2, 1, 20, mesh)
         np.testing.assert_allclose(num.values, ana.values, rtol=1e-8)
@@ -192,7 +191,8 @@ class TestRandomizedEigen:
         low = u @ u.T  # rank 2
         with pytest.warns(UserWarning, match="rank deficiency"):
             pairs = randomized_eigen(
-                lambda X: low @ X, lambda X: X, 8, 5, rng=rng_stream(0, 7)
+                lambda X: low @ X, TriDiagOperator(np.ones(8), np.zeros(7)), 8, 5,
+                rng=rng_stream(0, 7),
             )
         assert len(pairs) == 2
 

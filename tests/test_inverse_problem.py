@@ -275,7 +275,7 @@ def _parent_forward_state(problem, m):
     if not np.all(np.isfinite(m)):
         raise ValueError("parameter field must be finite")
     mesh = problem.mesh
-    k = fem1d.darcy_cell_coeffs(m, mesh)
+    k = fem1d.darcy_cell_coeffs(m)
     op = fem1d.darcy_stiffness(k, mesh)
     rhs = np.zeros(mesh.n_interior)
     rhs[0] += k[0] / mesh.h
@@ -420,6 +420,23 @@ class TestPosteriorEigen:
             )
         ana = p.posterior_pairs_analytic(20)
         np.testing.assert_allclose(num.values, ana.values, rtol=1e-3)
+
+    @pytest.mark.parametrize("alpha", [1, 2])
+    def test_misfit_spectrum_complete(self, alpha):
+        # every requested pair of H psi = lambda A_alpha psi comes back, at
+        # the closed-form values, A_alpha-orthonormal; even alpha included
+        p = make_linear_problem(alpha=alpha, mesh_exp=6, seed=0)
+        res = p.find_map()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            mis = p.misfit_eigen(res, j1=20, oversampling=20, power_iters=3,
+                                 rng=rng_stream(0, 5))
+        assert len(mis) == 20
+        n = p.mesh.n_interior
+        ana = np.sort([p.misfit_eigenvalue_analytic(j) for j in range(1, n + 1)])
+        np.testing.assert_allclose(mis.values, ana[::-1][:20], rtol=1e-8)
+        gram = mis.vectors.T @ p.apply_prior_precision(mis.vectors)
+        np.testing.assert_allclose(gram, np.eye(20), atol=1e-10)
 
     def test_eigenvalue_reduction_linear(self, linear6):
         # Lemma: lambda_j^1 <= lambda_j^0 under matched pre-rearrangement
