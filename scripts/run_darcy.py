@@ -13,7 +13,6 @@ import os
 os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
 
 import argparse  # noqa: E402
-import warnings  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -41,15 +40,13 @@ def main():
     cfg = ExperimentConfig.darcy_default(
         seed=args.seed, kl_dims=args.kl_dims, max_points=args.budget,
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        setup = darcy_setup(cfg)
-        hessian = run_darcy(cfg, setup)
-        prior_cfg = ExperimentConfig.darcy_default(
-            seed=args.seed, kl_dims=args.kl_dims, mode="prior",
-            max_points=max(args.budget // 10, 1000),
-        )
-        prior = run_darcy(prior_cfg, setup)
+    setup = darcy_setup(cfg)
+    hessian = run_darcy(cfg, setup)
+    prior_cfg = ExperimentConfig.darcy_default(
+        seed=args.seed, kl_dims=args.kl_dims, mode="prior",
+        max_points=max(args.budget // 10, 1000),
+    )
+    prior = run_darcy(prior_cfg, setup)
 
     write_outputs(args.out / "hessian_aposteriori", hessian)
     write_outputs(args.out / "prior_aposteriori", prior)

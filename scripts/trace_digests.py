@@ -19,7 +19,6 @@ os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS
 
 import hashlib  # noqa: E402
 import sys  # noqa: E402
-import warnings  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -54,28 +53,26 @@ def _show(name, out):
 
 
 def main():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for name, wl in WORKLOADS.items():
-            cfg = wl.config(0)
-            _show(name, wl.run(cfg, wl.setup(cfg)))
-        for alpha, qoi, mode, budget in LINEAR_RUNS:
-            cfg = ExperimentConfig.linear_default(
-                alpha=alpha, qoi=qoi, mode=mode, construction="aposteriori",
-                mesh_exp=10, seed=0, max_points=budget,
-            )
-            _show(f"acceptance-linear-{mode}-{qoi}-alpha{alpha}-{budget // 1000}k",
-                  run_linear(cfg))
-        # the acceptance suite's darcy_shared runs: one setup, two runs
-        cfg = ExperimentConfig.darcy_default(
-            mesh_exp=10, seed=0, kl_dims=200, max_points=100_000,
+    for name, wl in WORKLOADS.items():
+        cfg = wl.config(0)
+        _show(name, wl.run(cfg, wl.setup(cfg)))
+    for alpha, qoi, mode, budget in LINEAR_RUNS:
+        cfg = ExperimentConfig.linear_default(
+            alpha=alpha, qoi=qoi, mode=mode, construction="aposteriori",
+            mesh_exp=10, seed=0, max_points=budget,
         )
-        setup = darcy_setup(cfg)
-        _show("acceptance-darcy-hessian-100k", run_darcy(cfg, setup))
-        prior_cfg = ExperimentConfig.darcy_default(
-            mesh_exp=10, seed=0, kl_dims=200, max_points=10_000, mode="prior",
-        )
-        _show("acceptance-darcy-prior-10k", run_darcy(prior_cfg, setup))
+        _show(f"acceptance-linear-{mode}-{qoi}-alpha{alpha}-{budget // 1000}k",
+              run_linear(cfg))
+    # the acceptance suite's darcy_shared runs: one setup, two runs
+    cfg = ExperimentConfig.darcy_default(
+        mesh_exp=10, seed=0, kl_dims=200, max_points=100_000,
+    )
+    setup = darcy_setup(cfg)
+    _show("acceptance-darcy-hessian-100k", run_darcy(cfg, setup))
+    prior_cfg = ExperimentConfig.darcy_default(
+        mesh_exp=10, seed=0, kl_dims=200, max_points=10_000, mode="prior",
+    )
+    _show("acceptance-darcy-prior-10k", run_darcy(prior_cfg, setup))
 
 
 if __name__ == "__main__":

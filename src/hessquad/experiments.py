@@ -169,6 +169,7 @@ class ConvergenceRecord:
     rates: tuple[float, ...]
     reference: tuple[float, ...]
     label: str = ""
+    rate_notes: tuple[str | None, ...] = ()
 
     def n_points(self) -> np.ndarray:
         return np.array([c.n_points for c in self.checkpoints])
@@ -214,9 +215,9 @@ def point_ladder(lo: int, hi: int) -> list[int]:
 def estimate_rate(n_points: Sequence[float], errors: Sequence[float]) -> float:
     """Least-squares slope of log(error) vs log(n_points); returns -slope.
 
-    Requires at least 5 checkpoints spanning at least one decade.  Zero
-    errors (exact hits) are floored at the smallest positive error to keep
-    the fit defined.
+    Requires at least 5 checkpoints spanning at least one decade and one
+    nonzero error.  Zero errors (exact hits) are floored at the smallest
+    positive error to keep the fit defined.
     """
     n = np.asarray(n_points, dtype=float)
     e = np.abs(np.asarray(errors, dtype=float))
@@ -226,7 +227,10 @@ def estimate_rate(n_points: Sequence[float], errors: Sequence[float]) -> float:
         raise ValueError("checkpoints must span at least one decade")
     positive = e[e > 0]
     if len(positive) == 0:
-        return math.inf
+        raise ValueError(
+            "every error is 0: the estimate equals its reference at every "
+            "checkpoint given, so no rate can be fitted"
+        )
     e = np.maximum(e, positive.min())
     slope = np.polyfit(np.log(n), np.log(e), 1)[0]
     return float(-slope)
@@ -362,18 +366,24 @@ def _checkpoints_from_trace(
     return cps
 
 
-def _fit_all_rates(cps: Sequence[Checkpoint]) -> tuple[float, ...]:
-    """Trailing-window rates per output; nan when the run is too short."""
+def _convergence_record(
+    cps: Sequence[Checkpoint], reference: tuple[float, ...], label: str
+) -> ConvergenceRecord:
+    """The run's record with a trailing-window rate per output.  A rate that
+    cannot be fitted is nan, and ``rate_notes`` says why (None where the fit
+    is defined)."""
     n = np.array([c.n_points for c in cps], dtype=float)
     mask = trailing_window(n)
-    rates = []
-    for i in range(len(cps[0].value)):
+    rates, notes = [], []
+    for i in range(len(reference)):
         e = np.array([c.abs_error[i] for c in cps])
         try:
             rates.append(estimate_rate(n[mask], e[mask]))
-        except ValueError:
+            notes.append(None)
+        except ValueError as exc:
             rates.append(math.nan)
-    return tuple(rates)
+            notes.append(str(exc))
+    return ConvergenceRecord(cps, tuple(rates), reference, label, tuple(notes))
 
 
 def run_linear(cfg: ExperimentConfig, setup: LinearSetup | None = None) -> RunOutput:
@@ -394,11 +404,8 @@ def run_linear(cfg: ExperimentConfig, setup: LinearSetup | None = None) -> RunOu
     result = adapt(integrand, construction, cfg.adapt_config())
     estimates = [post(rec.value) for rec in result.trace]
     cps = _checkpoints_from_trace(result.trace, estimates, reference, cfg.max_points)
-    record = ConvergenceRecord(
-        checkpoints=cps,
-        rates=_fit_all_rates(cps),
-        reference=reference,
-        label=f"linear-{cfg.mode}-{cfg.qoi}-alpha{cfg.alpha}",
+    record = _convergence_record(
+        cps, reference, f"linear-{cfg.mode}-{cfg.qoi}-alpha{cfg.alpha}"
     )
     return RunOutput(
         config=cfg,
@@ -495,12 +502,7 @@ def run_darcy(cfg: ExperimentConfig, setup: DarcySetup | None = None) -> RunOutp
     reference = estimates[-1]
     cap = max(10, cfg.max_points // _SELF_REFERENCE_MARGIN)
     cps = _checkpoints_from_trace(result.trace, estimates, reference, cap)
-    record = ConvergenceRecord(
-        checkpoints=cps,
-        rates=_fit_all_rates(cps),
-        reference=reference,
-        label=f"darcy-{cfg.mode}",
-    )
+    record = _convergence_record(cps, reference, f"darcy-{cfg.mode}")
     ratio = reference[1] / reference[0] if reference[0] != 0 else math.nan
     out = RunOutput(
         config=cfg,
@@ -532,6 +534,7 @@ def _summary(cfg, record, result, reference, estimate) -> dict:
         "reference": [_finite_or_none(v) for v in reference],
         "estimate": [_finite_or_none(v) for v in estimate],
         "rates": [_finite_or_none(v) for v in record.rates],
+        "rate_notes": list(record.rate_notes),
         "final_abs_error": [
             _finite_or_none(v) for v in record.checkpoints[-1].abs_error
         ]

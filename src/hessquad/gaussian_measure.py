@@ -15,7 +15,6 @@ banded (tridiagonal) B.
 from __future__ import annotations
 
 import io
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Mapping
@@ -144,16 +143,13 @@ def _b_orthonormalize(Y: np.ndarray, B: TriDiagOperator) -> np.ndarray:
     UY[:-1] += U[0, 1:, None] * Y[1:]
     Q, R, _ = scipy.linalg.qr(UY, mode="economic", pivoting=True)
     d = np.abs(np.diag(R))
-    rank = int(np.sum(d > d[0] * 1e-12)) if len(d) and d[0] > 0 else 0
-    if rank == 0:
-        return Y[:, :0]
+    rank = int(np.sum(d > d[0] * 1e-12)) if len(d) else 0
     return scipy.linalg.solve_banded((0, 1), U, Q[:, :rank])
 
 
 def randomized_eigen(
     apply_op: Callable[[np.ndarray], np.ndarray],
     B: TriDiagOperator,
-    n: int,
     J: int,
     oversampling: int = 10,
     power_iters: int = 1,
@@ -165,15 +161,17 @@ def randomized_eigen(
     on blocks of column vectors.  ``B`` is the SPD B as a banded
     ``TriDiagOperator``; bases are B-orthonormalized through its Cholesky
     factor.  Range finding with the given oversampling and power iterations,
-    then a Rayleigh-Ritz projection in the B-inner product.  Returns J
-    dominant pairs, descending, B-orthonormal; fewer (with a warning) if the
-    operator rank falls below J.  When the sketch width reaches the space
-    dimension the projection spans everything and the result is a
-    dense-exact solve.
+    then a Rayleigh-Ritz projection in the B-inner product.  Returns up to J
+    dominant pairs, descending, B-orthonormal: fewer when the operator has
+    fewer than J eigenvalues above about 1e-12 of its largest in magnitude,
+    since the sketch resolves no direction below that (none for a zero
+    operator).  When the sketch width reaches the space dimension the
+    projection spans everything and the result is a dense-exact solve.
     """
     if J < 1:
         raise ValueError("J must be >= 1")
     rng = rng if rng is not None else rng_stream(0, 0)
+    n = B.n_dof
     k = min(J + oversampling, n)
     if k >= n:
         power_iters = 0  # the sketch already spans the space; powering only
@@ -182,9 +180,6 @@ def randomized_eigen(
     for _ in range(power_iters):
         Y = apply_op(_b_orthonormalize(Y, B))
     Q = _b_orthonormalize(Y, B)
-    if Q.shape[1] == 0:
-        warnings.warn("operator range collapsed; no eigenpairs computed")
-        return EigenPairs(np.empty(0), np.empty((n, 0)))
     T = Q.T @ B.matvec(apply_op(Q))
     T = 0.5 * (T + T.T)
     theta, S = np.linalg.eigh(T)
@@ -195,8 +190,6 @@ def randomized_eigen(
         i = np.argmax(np.abs(vectors[:, col]))
         if vectors[i, col] < 0:
             vectors[:, col] = -vectors[:, col]
-    if len(values) < J:
-        warnings.warn(f"rank deficiency: {len(values)} < {J} eigenpairs returned")
     return EigenPairs(values=values, vectors=vectors)
 
 
@@ -220,8 +213,7 @@ def prior_eigen_numeric(
         return apply_A_alpha_inv(M.matvec(X), alpha, A, M)
 
     return randomized_eigen(
-        op, M, A.n_dof, J, oversampling=oversampling,
-        power_iters=power_iters, rng=rng,
+        op, M, J, oversampling=oversampling, power_iters=power_iters, rng=rng,
     )
 
 

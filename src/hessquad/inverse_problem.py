@@ -325,8 +325,7 @@ class BayesProblem:
             return out
 
         pairs = randomized_eigen(
-            op, B, len(map_result.map_point), j1,
-            oversampling=oversampling, power_iters=power_iters, rng=rng,
+            op, B, j1, oversampling=oversampling, power_iters=power_iters, rng=rng,
         )
         return EigenPairs(pairs.values, R(pairs.vectors))
 
@@ -344,8 +343,10 @@ class BayesProblem:
         """Two-step eigendecomposition of the Gaussian posterior covariance.
 
         Step one solves the prior-preconditioned misfit-Hessian generalized
-        problem and retains the pairs with eigenvalue above ``cutoff`` (the
-        directions most informed by the data).  Step two applies the low-rank
+        problem for up to ``j1`` pairs (fewer when the misfit Hessian has
+        fewer resolvable eigenvalues, see ``randomized_eigen``), and
+        ``cutoff`` keeps those with eigenvalue above it (the directions most
+        informed by the data).  Step two applies the low-rank
         posterior covariance  A_alpha^{-1} - Psi_J D_J Psi_J^T  with
         D_J = diag(lambda_j / (1 + lambda_j)) inside a second generalized
         problem against the mass matrix, returning descending,
@@ -382,8 +383,8 @@ class BayesProblem:
             return cov_action(self.M.matvec(X))
 
         return randomized_eigen(
-            op, self.M, len(map_result.map_point), J,
-            oversampling=oversampling, power_iters=power_iters, rng=rng,
+            op, self.M, J, oversampling=oversampling, power_iters=power_iters,
+            rng=rng,
         )
 
 

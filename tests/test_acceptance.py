@@ -8,7 +8,6 @@ few minutes on a laptop.
 
 import itertools
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -71,14 +70,12 @@ def darcy_shared():
     cfg = ExperimentConfig.darcy_default(
         mesh_exp=10, seed=0, kl_dims=200, max_points=100_000,
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        setup = darcy_setup(cfg)
-        hessian = run_darcy(cfg, setup)
-        prior_cfg = ExperimentConfig.darcy_default(
-            mesh_exp=10, seed=0, kl_dims=200, max_points=10_000, mode="prior",
-        )
-        prior = run_darcy(prior_cfg, setup)
+    setup = darcy_setup(cfg)
+    hessian = run_darcy(cfg, setup)
+    prior_cfg = ExperimentConfig.darcy_default(
+        mesh_exp=10, seed=0, kl_dims=200, max_points=10_000, mode="prior",
+    )
+    prior = run_darcy(prior_cfg, setup)
     return setup, hessian, prior
 
 
@@ -216,9 +213,7 @@ def test_criterion_6_eigenvalue_reduction(darcy_shared):
 
     p = setup.problem
     res = setup.map_result
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        mis = p.misfit_eigen(res, j1=64, rng=rng_stream(0, 11))
+    mis = p.misfit_eigen(res, j1=64, rng=rng_stream(0, 11))
     keep = mis.values > 1e-2
     psi = mis.vectors[:, keep]
     d = mis.values[keep] / (1.0 + mis.values[keep])
@@ -251,12 +246,10 @@ def test_criterion_7_posterior_spectrum_oracle():
         p = make_linear_problem(alpha=alpha, beta=5e-2, sigma=1e-2,
                                 mesh_exp=8, seed=0)
         res = p.find_map(cfg=NewtonConfig(tol=1e-12))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            num = p.posterior_eigen(
-                res, 20, j1=48, cutoff=1e-7, oversampling=40, power_iters=3,
-                rng=rng_stream(0, 5),
-            )
+        num = p.posterior_eigen(
+            res, 20, j1=48, cutoff=1e-7, oversampling=40, power_iters=3,
+            rng=rng_stream(0, 5),
+        )
         ana = p.posterior_pairs_analytic(20)
         rel = float(np.max(np.abs(num.values - ana.values) / ana.values))
         ok = ok and rel <= 1e-3
@@ -320,9 +313,7 @@ def test_criterion_8b_hermite_exactness():
 
 @pytest.fixture(scope="module")
 def darcy_small():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return make_darcy_problem(mesh_exp=6, seed=0)
+    return make_darcy_problem(mesh_exp=6, seed=0)
 
 
 def test_criterion_8c_gradient_fd(darcy_small):
@@ -371,15 +362,13 @@ def test_criterion_8e_j1_flatness():
     # the quadratic model uses the full MAP Hessian (negative curvature
     # included), computed exactly via a full-space eigendecomposition on the
     # small mesh; directions with no measurable cubic must be flat outright
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        p = make_darcy_problem(mesh_exp=7, seed=0)
-        mp = p.find_map(cfg=NewtonConfig(tol=1e-12, abs_tol=1e-11, max_newton=60))
-        n = p.mesh.n_nodes
-        pairs = p.posterior_eigen(
-            mp, 40, j1=n, cutoff=1e-9, oversampling=n, power_iters=1,
-            rng=rng_stream(0, 9), include_negative=True,
-        )
+    p = make_darcy_problem(mesh_exp=7, seed=0)
+    mp = p.find_map(cfg=NewtonConfig(tol=1e-12, abs_tol=1e-11, max_newton=60))
+    n = p.mesh.n_nodes
+    pairs = p.posterior_eigen(
+        mp, 40, j1=n, cutoff=1e-9, oversampling=n, power_iters=1,
+        rng=rng_stream(0, 9), include_negative=True,
+    )
     fld = GaussianField(mp.map_point, pairs)
     ts = np.logspace(-1, -3, 5)
     details = []
@@ -429,9 +418,7 @@ def test_criterion_8g_bit_reproducibility():
     )
     dcfg = ExperimentConfig.darcy_default(mesh_exp=6, seed=7, max_points=1000,
                                           kl_dims=30)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        da, db = run_darcy(dcfg), run_darcy(dcfg)
+    da, db = run_darcy(dcfg), run_darcy(dcfg)
     same = same and da.reference == db.reference
     check("criterion 8g (bit reproducibility under fixed seed)", same,
           "linear and darcy runs repeat bitwise")

@@ -66,6 +66,10 @@ def test_linear_run_outputs(tmp_path):
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["config"]["qoi"] == "q2"  # flag overrides the config file
     assert summary["n_points"] >= 500
+    # a reason stands beside each rate that could not be fitted, and only there
+    assert [note is None for note in summary["rate_notes"]] == [
+        rate is not None for rate in summary["rates"]
+    ]
 
     convergence = read_csv(out_dir / "convergence.csv")
     assert convergence
@@ -96,7 +100,6 @@ def test_darcy_run_outputs(tmp_path):
     assert int(convergence[-1]["n_points"]) <= 150  # tenth of the budget
 
 
-@pytest.mark.filterwarnings("ignore:rank deficiency")
 def test_darcy_config_file_takes_darcy_defaults(tmp_path, capsys):
     # only the fields a file gives override the Darcy defaults
     cfg_path = tmp_path / "cfg.json"

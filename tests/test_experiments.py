@@ -2,7 +2,6 @@ import csv
 import io
 import json
 import math
-import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,7 +11,7 @@ from hessquad.experiments import (
     Checkpoint,
     ConvergenceRecord,
     ExperimentConfig,
-    _fit_all_rates,
+    _convergence_record,
     darcy_setup,
     estimate_rate,
     functional_coefficients,
@@ -54,9 +53,10 @@ class TestEstimateRate:
         with pytest.raises(ValueError):
             estimate_rate([10, 12, 14, 16, 18], [1, 1, 1, 1, 1])
 
-    def test_zero_errors_give_inf(self):
+    def test_zero_errors_have_no_rate(self):
         n = np.logspace(1, 3, 6)
-        assert estimate_rate(n, np.zeros(len(n))) == math.inf
+        with pytest.raises(ValueError, match="every error is 0"):
+            estimate_rate(n, np.zeros(len(n)))
 
     def test_trailing_window_log_midpoint(self):
         n = np.logspace(1, 3, 9)
@@ -333,9 +333,7 @@ class TestRunDarcy:
         cfg = ExperimentConfig.darcy_default(
             mesh_exp=6, seed=0, max_points=3000, kl_dims=40
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            out = run_darcy(cfg)
+        out = run_darcy(cfg)
         rec = out.record
         assert len(rec.checkpoints) >= 5
         assert all(math.isfinite(v) for v in out.reference)
@@ -349,9 +347,7 @@ class TestRunDarcy:
         cfg = ExperimentConfig.darcy_default(
             mesh_exp=6, seed=2, max_points=1500, kl_dims=30
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            a, b = run_darcy(cfg), run_darcy(cfg)
+        a, b = run_darcy(cfg), run_darcy(cfg)
         assert a.reference == b.reference
         np.testing.assert_array_equal(a.spectrum, b.spectrum)
 
@@ -370,18 +366,16 @@ class TestDarcySetup:
             cfg = ExperimentConfig.darcy_default(mesh_exp=6, seed=0, kl_dims=12, mode=mode)
             return darcy_setup(cfg)
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            prior = setup("prior")
-            assert calls == ["prior_pairs"]
-            hessian = setup("hessian")
-            assert calls == ["prior_pairs", "posterior_eigen"]
-            # the other field is computed on first read, once, and equals the
-            # one the other mode computes in its setup
-            lazy_posterior = prior.posterior_field
-            lazy_prior = hessian.prior_field
-            assert prior.posterior_field is lazy_posterior
-            assert hessian.prior_field is lazy_prior
+        prior = setup("prior")
+        assert calls == ["prior_pairs"]
+        hessian = setup("hessian")
+        assert calls == ["prior_pairs", "posterior_eigen"]
+        # the other field is computed on first read, once, and equals the
+        # one the other mode computes in its setup
+        lazy_posterior = prior.posterior_field
+        lazy_prior = hessian.prior_field
+        assert prior.posterior_field is lazy_posterior
+        assert hessian.prior_field is lazy_prior
         assert calls == ["prior_pairs", "posterior_eigen", "posterior_eigen", "prior_pairs"]
         for a, b in ((lazy_posterior, hessian.posterior_field),
                      (lazy_prior, prior.prior_field)):
@@ -462,4 +456,20 @@ def test_fitted_rate_uses_trailing_window():
             np.logspace(1, 4, 10), np.r_[np.full(5, 1.0), np.logspace(0, -2, 5)]
         )
     ]
-    assert _fit_all_rates(cps)[0] > 0.5
+    rec = _convergence_record(cps, (0.0,), "")
+    assert rec.rates[0] > 0.5
+    assert rec.rate_notes == (None,)
+
+
+def test_unfitted_rate_is_nan_with_its_reason():
+    # a run whose estimate equals its reference at every checkpoint (the
+    # Darcy prior path's self-reference) and a run too short to fit
+    flat = [Checkpoint(n, 1, (0.0, 0.0), (0.0, 1.0 / n), (0.0, 0.0))
+            for n in (10, 20, 50, 100, 200, 500, 1000)]
+    rec = _convergence_record(flat, (0.0, 0.0), "")
+    assert math.isnan(rec.rates[0])
+    assert rec.rate_notes[0].startswith("every error is 0")
+    assert rec.rates[1] == pytest.approx(1.0) and rec.rate_notes[1] is None
+    short = _convergence_record(flat[:3], (0.0, 0.0), "")
+    assert all(math.isnan(r) for r in short.rates)
+    assert all("at least 5 checkpoints" in note for note in short.rate_notes)

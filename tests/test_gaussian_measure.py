@@ -132,7 +132,7 @@ class TestRandomizedEigen:
         d = np.diag([3.0, 2.0, 1.0])
         B = TriDiagOperator(np.ones(3), np.zeros(2))
         pairs = randomized_eigen(
-            lambda X: d @ X, B, 3, 2, oversampling=1, rng=rng_stream(0, 1),
+            lambda X: d @ X, B, 2, oversampling=1, rng=rng_stream(0, 1),
         )
         np.testing.assert_allclose(pairs.values, [3.0, 2.0], atol=1e-12)
 
@@ -143,7 +143,7 @@ class TestRandomizedEigen:
         n = 12
         off = rng.standard_normal(n - 1)
         B = TriDiagOperator(2.0 + rng.random(n) + 2.0 * np.abs(off).max(), off)
-        pairs = randomized_eigen(lambda X: X, B, n, 5, rng=rng_stream(0, 3))
+        pairs = randomized_eigen(lambda X: X, B, 5, rng=rng_stream(0, 3))
         np.testing.assert_allclose(pairs.values, np.ones(5), atol=1e-11)
 
     def test_prior_operator_against_dense_oracle(self):
@@ -185,16 +185,25 @@ class TestRandomizedEigen:
         cont = (5e-2 * (np.arange(1, 21) * np.pi) ** 2) ** -1.0
         np.testing.assert_allclose(num.values, cont, rtol=6e-3)
 
-    def test_rank_deficiency_warns_and_truncates(self):
+    def test_low_rank_operator_returns_its_rank(self):
         rng = rng_stream(0, 6)
         u = rng.standard_normal((8, 2))
         low = u @ u.T  # rank 2
-        with pytest.warns(UserWarning, match="rank deficiency"):
-            pairs = randomized_eigen(
-                lambda X: low @ X, TriDiagOperator(np.ones(8), np.zeros(7)), 8, 5,
-                rng=rng_stream(0, 7),
-            )
+        pairs = randomized_eigen(
+            lambda X: low @ X, TriDiagOperator(np.ones(8), np.zeros(7)), 5,
+            rng=rng_stream(0, 7),
+        )
         assert len(pairs) == 2
+
+    def test_zero_operator_returns_no_pairs(self):
+        B = TriDiagOperator(np.full(8, 2.0), np.full(7, -0.5))
+        for power_iters in (0, 2):
+            pairs = randomized_eigen(
+                lambda X: 0.0 * X, B, 3, power_iters=power_iters,
+                rng=rng_stream(0, 8),
+            )
+            assert len(pairs) == 0
+            assert pairs.vectors.shape == (8, 0)
 
     def test_descending_enforced(self):
         with pytest.raises(ValueError):

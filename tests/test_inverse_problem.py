@@ -1,6 +1,5 @@
 import itertools
 import math
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -31,9 +30,7 @@ def linear6():
 
 @pytest.fixture(scope="module")
 def darcy6():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return make_darcy_problem(mesh_exp=6, seed=3)
+    return make_darcy_problem(mesh_exp=6, seed=3)
 
 
 class TestObservationMatrix:
@@ -85,9 +82,7 @@ class TestPotential:
 
     def test_single_observation_scalar_formula(self):
         # one mollified functional: potential = r^2 / (2 sigma^2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            p = make_darcy_problem(mesh_exp=5, obs_count=1, seed=1)
+        p = make_darcy_problem(mesh_exp=5, obs_count=1, seed=1)
         m = np.zeros(p.mesh.n_nodes)
         resid = p.y - p.forward(m)
         assert p.potential(m) == pytest.approx(
@@ -215,21 +210,17 @@ class TestFindMap:
     def test_darcy_data_seeds_converge(self):
         # 7, 8, 27 and 32 reach the roundoff floor of the cost above the
         # gradient tolerance, so only the Newton-decrement test stops them
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for seed in (0, 7, 8, 10, 27, 32):
-                res = make_darcy_problem(seed=seed).find_map()
-                assert res.converged, f"seed {seed}"
-                if seed == 0:
-                    assert res.newton_iters == 6
+        for seed in (0, 7, 8, 10, 27, 32):
+            res = make_darcy_problem(seed=seed).find_map()
+            assert res.converged, f"seed {seed}"
+            if seed == 0:
+                assert res.newton_iters == 6
 
 
 @pytest.fixture(scope="module")
 def darcy6_setup():
     cfg = ExperimentConfig.darcy_default(mesh_exp=6, seed=0, kl_dims=12)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return darcy_setup(cfg)
+    return darcy_setup(cfg)
 
 
 @pytest.mark.parametrize("path", ["hessian", "prior"])
@@ -402,22 +393,18 @@ class TestPosteriorEigen:
 
         q = NoData(p.mesh, p.alpha, p.beta, p.sigma, y=p.y)
         res = q.find_map()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            pairs = q.posterior_eigen(res, 10, j1=16, rng=rng_stream(0, 1),
-                                      oversampling=20, power_iters=6)
+        pairs = q.posterior_eigen(res, 10, j1=16, rng=rng_stream(0, 1),
+                                  oversampling=20, power_iters=6)
         prior = q.prior_pairs(10)
         np.testing.assert_allclose(pairs.values, prior.values, rtol=1e-7)
 
     def test_two_step_matches_analytic(self, linear6):
         p = linear6
         res = p.find_map(cfg=NewtonConfig(tol=1e-12))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            num = p.posterior_eigen(
-                res, 20, j1=40, cutoff=1e-7, oversampling=40, power_iters=3,
-                rng=rng_stream(0, 2),
-            )
+        num = p.posterior_eigen(
+            res, 20, j1=40, cutoff=1e-7, oversampling=40, power_iters=3,
+            rng=rng_stream(0, 2),
+        )
         ana = p.posterior_pairs_analytic(20)
         np.testing.assert_allclose(num.values, ana.values, rtol=1e-3)
 
@@ -427,16 +414,29 @@ class TestPosteriorEigen:
         # the closed-form values, A_alpha-orthonormal; even alpha included
         p = make_linear_problem(alpha=alpha, mesh_exp=6, seed=0)
         res = p.find_map()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", UserWarning)
-            mis = p.misfit_eigen(res, j1=20, oversampling=20, power_iters=3,
-                                 rng=rng_stream(0, 5))
+        mis = p.misfit_eigen(res, j1=20, oversampling=20, power_iters=3,
+                             rng=rng_stream(0, 5))
         assert len(mis) == 20
         n = p.mesh.n_interior
         ana = np.sort([p.misfit_eigenvalue_analytic(j) for j in range(1, n + 1)])
         np.testing.assert_allclose(mis.values, ana[::-1][:20], rtol=1e-8)
         gram = mis.vectors.T @ p.apply_prior_precision(mis.vectors)
         np.testing.assert_allclose(gram, np.eye(20), atol=1e-10)
+
+    def test_misfit_spectrum_stops_at_the_resolvable_rank(self):
+        # criterion 7's alpha = 2 call asks for 48 pairs of a spectrum with
+        # only 31 eigenvalues above 1e-12 of the largest: exactly those come
+        # back, without a warning, and the ones a 1e-7 cutoff keeps are the
+        # closed-form values
+        p = make_linear_problem(alpha=2, beta=5e-2, sigma=1e-2, mesh_exp=8, seed=0)
+        res = p.find_map(cfg=NewtonConfig(tol=1e-12))
+        mis = p.misfit_eigen(res, j1=48, oversampling=40, power_iters=3,
+                             rng=rng_stream(0, 5))
+        n = p.mesh.n_interior
+        ana = np.sort([p.misfit_eigenvalue_analytic(j) for j in range(1, n + 1)])[::-1]
+        assert len(mis) == np.sum(ana > 1e-12 * ana[0]) == 31
+        kept = mis.values > 1e-7
+        np.testing.assert_allclose(mis.values[kept], ana[: kept.sum()], rtol=1e-10)
 
     def test_eigenvalue_reduction_linear(self, linear6):
         # Lemma: lambda_j^1 <= lambda_j^0 under matched pre-rearrangement
@@ -452,11 +452,9 @@ class TestPosteriorEigen:
 
     def test_darcy_prior_sqrt_decay(self):
         # sqrt(lambda_j) of the benchmark prior decays ~ 1/j asymptotically
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            p = make_darcy_problem(mesh_exp=8, seed=0)
-            pairs = p.prior_pairs(150, oversampling=150, power_iters=3,
-                                  rng=rng_stream(0, 8))
+        p = make_darcy_problem(mesh_exp=8, seed=0)
+        pairs = p.prior_pairs(150, oversampling=150, power_iters=3,
+                              rng=rng_stream(0, 8))
         j = np.arange(20, 151)
         slope = np.polyfit(np.log(j), np.log(np.sqrt(pairs.values[19:150])), 1)[0]
         assert slope == pytest.approx(-1.0, abs=0.15)
@@ -464,12 +462,10 @@ class TestPosteriorEigen:
     def test_eigenvalue_reduction_darcy(self, darcy6):
         p = darcy6
         res = p.find_map()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            post = p.posterior_eigen(res, 30, j1=40, oversampling=40,
-                                     power_iters=3, rng=rng_stream(0, 3))
-            prior = p.prior_pairs(30, oversampling=40, power_iters=3,
-                                  rng=rng_stream(0, 4))
+        post = p.posterior_eigen(res, 30, j1=40, oversampling=40,
+                                 power_iters=3, rng=rng_stream(0, 3))
+        prior = p.prior_pairs(30, oversampling=40, power_iters=3,
+                              rng=rng_stream(0, 4))
         k = min(len(post), len(prior))
         assert np.all(post.values[:k] <= prior.values[:k] * (1 + 1e-7))
 
@@ -478,9 +474,7 @@ class TestReweightedIntegrands:
     def test_weight_is_one_at_map(self, darcy6):
         p = darcy6
         res = p.find_map()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            pairs = p.posterior_eigen(res, 10, rng=rng_stream(0, 5))
+        pairs = p.posterior_eigen(res, 10, rng=rng_stream(0, 5))
         fld = GaussianField(res.map_point, pairs)
         g = hessian_reweighted_integrand(p, fld, res.cost_at_map, p.qoi())
         w, qw = g.fn({})

@@ -681,7 +681,6 @@ SMALL_RUNS = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:rank deficiency")
 @pytest.mark.parametrize("name", sorted(SMALL_RUNS))
 def test_heap_and_rescan_traces_are_identical(name, monkeypatch):
     heap = trace_to_csv(SMALL_RUNS[name]().quadrature.trace)
@@ -689,7 +688,6 @@ def test_heap_and_rescan_traces_are_identical(name, monkeypatch):
     assert trace_to_csv(SMALL_RUNS[name]().quadrature.trace) == heap
 
 
-@pytest.mark.filterwarnings("ignore:rank deficiency")
 @pytest.mark.parametrize("name", sorted(SMALL_RUNS))
 def test_child_set_and_rescan_frontier_traces_are_identical(name, monkeypatch):
     fast = trace_to_csv(SMALL_RUNS[name]().quadrature.trace)
@@ -697,7 +695,6 @@ def test_child_set_and_rescan_frontier_traces_are_identical(name, monkeypatch):
     assert trace_to_csv(SMALL_RUNS[name]().quadrature.trace) == fast
 
 
-@pytest.mark.filterwarnings("ignore:rank deficiency")
 @pytest.mark.parametrize("name", ["linear", "darcy", "darcy-prior"])
 def test_small_run_matches_pinned_trace(name):
     got = list(csv.DictReader(io.StringIO(trace_to_csv(SMALL_RUNS[name]().quadrature.trace))))
