@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Print ``sha256  name`` of the adaptive trace (``trace_to_csv``) of the
 benchmark workloads and of every acceptance-suite run: the six linear runs
-and the two Darcy runs.
+and the two Darcy runs.  Then print the digests of the acceptance Darcy
+setup's two spectra (eigenvalues and eigenvectors of ``prior_field`` and of
+``posterior_field``), so that a change to the setup shows which one moved.
 
     python3 scripts/trace_digests.py
 
@@ -52,6 +54,12 @@ def _show(name, out):
     print(f"{digest}  {name}", flush=True)
 
 
+def _show_field(name, field):
+    pairs = field.pairs
+    digest = hashlib.sha256(pairs.values.tobytes() + pairs.vectors.tobytes()).hexdigest()
+    print(f"{digest}  {name}", flush=True)
+
+
 def main():
     for name, wl in WORKLOADS.items():
         cfg = wl.config(0)
@@ -73,6 +81,8 @@ def main():
         mesh_exp=10, seed=0, kl_dims=200, max_points=10_000, mode="prior",
     )
     _show("acceptance-darcy-prior-10k", run_darcy(prior_cfg, setup))
+    _show_field("acceptance-darcy-setup-prior-field", setup.prior_field)
+    _show_field("acceptance-darcy-setup-posterior-field", setup.posterior_field)
 
 
 if __name__ == "__main__":

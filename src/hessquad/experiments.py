@@ -41,6 +41,7 @@ from .inverse_problem import (
 )
 from .multiindex import BNuConfig
 from .sparse_quad import (
+    TIE_FLOOR,
     AdaptConfig,
     Construction,
     Integrand,
@@ -438,10 +439,12 @@ class DarcySetup:
 
     @property
     def oversampling(self) -> int:
-        """Sketch size margin of both eigensolves.  The trailing computed
-        pairs must be accurate out to the KL truncation (inaccurate pairs
-        inject spurious curvature into the reweighting), so the sketch is as
-        wide as the requested rank itself."""
+        """Sketch size margin of the prior eigensolve and of the posterior
+        step of ``posterior_eigen``; its misfit step keeps its own margin of
+        10 over ``j1``.  The trailing computed pairs must be accurate out to
+        the KL truncation (inaccurate pairs inject spurious curvature into
+        the reweighting), so the margin is as wide as the truncation
+        itself."""
         return max(10, self.kl_dims)
 
     @cached_property
@@ -544,6 +547,8 @@ def _summary(cfg, record, result, reference, estimate) -> dict:
         "n_indices": result.n_indices,
         "converged": result.converged,
         "stopped_on": result.stopped_on,
+        # steps chosen in tie-break order: indicator at or below TIE_FLOOR
+        "tie_break_steps": sum(rec.indicator <= TIE_FLOOR for rec in result.trace[1:]),
         "max_active_dim": result.index_set.max_active_dim
         if result.index_set is not None
         else None,

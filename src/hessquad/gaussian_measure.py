@@ -141,10 +141,14 @@ def _b_orthonormalize(Y: np.ndarray, B: TriDiagOperator) -> np.ndarray:
     U = scipy.linalg.cholesky_banded(B._banded(), lower=False)
     UY = U[1, :, None] * Y
     UY[:-1] += U[0, 1:, None] * Y[1:]
-    Q, R, _ = scipy.linalg.qr(UY, mode="economic", pivoting=True)
+    Q, R, _ = scipy.linalg.qr(
+        UY, mode="economic", pivoting=True, overwrite_a=True, check_finite=False,
+    )
     d = np.abs(np.diag(R))
     rank = int(np.sum(d > d[0] * 1e-12)) if len(d) else 0
-    return scipy.linalg.solve_banded((0, 1), U, Q[:, :rank])
+    return scipy.linalg.solve_banded(
+        (0, 1), U, Q[:, :rank], overwrite_b=True, check_finite=False,
+    )
 
 
 def randomized_eigen(
@@ -180,6 +184,7 @@ def randomized_eigen(
     for _ in range(power_iters):
         Y = apply_op(_b_orthonormalize(Y, B))
     Q = _b_orthonormalize(Y, B)
+    del Y  # free the sketch before the Rayleigh-Ritz apply allocates its own
     T = Q.T @ B.matvec(apply_op(Q))
     T = 0.5 * (T + T.T)
     theta, S = np.linalg.eigh(T)

@@ -352,6 +352,12 @@ class BayesProblem:
         problem against the mass matrix, returning descending,
         mass-orthonormal pairs.
 
+        ``oversampling`` is step two's sketch margin only, so that step
+        sketches ``J + oversampling`` columns.  Step one targets the fixed
+        rank ``j1`` and sketches ``j1`` plus ``misfit_eigen``'s default
+        margin of 10 (Halko, Martinsson & Tropp 2011); ``power_iters``
+        applies to both steps.
+
         The full misfit Hessian is mildly indefinite at a finite-residual MAP
         point; by default only positive modes are retained, which keeps the
         posterior spectrum dominated by the prior spectrum.  With
@@ -361,10 +367,7 @@ class BayesProblem:
         negative-curvature directions).
         """
         rng = rng if rng is not None else rng_stream(0, 7)
-        mis = self.misfit_eigen(
-            map_result, j1=j1, oversampling=oversampling,
-            power_iters=power_iters, rng=rng,
-        )
+        mis = self.misfit_eigen(map_result, j1=j1, power_iters=power_iters, rng=rng)
         keep = mis.values > cutoff
         if include_negative:
             keep |= mis.values < -cutoff

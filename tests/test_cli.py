@@ -13,11 +13,18 @@ from hessquad.cli import main
 from hessquad.experiments import ExperimentConfig
 from hessquad.multiindex import MultiIndex
 from hessquad.quad1d import MAX_LEVEL
+from hessquad.sparse_quad import TIE_FLOOR
 
 
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def tie_break_rows(out_dir):
+    """Trace rows after step 0 whose indicator is at or below TIE_FLOOR."""
+    trace = read_csv(out_dir / "trace.csv")
+    return sum(float(row["indicator"]) <= TIE_FLOOR for row in trace[1:])
 
 
 def test_package_import_loads_no_numpy():
@@ -78,6 +85,7 @@ def test_linear_run_outputs(tmp_path):
     trace = read_csv(out_dir / "trace.csv")
     assert int(trace[0]["n_indices"]) == 1
     assert int(trace[-1]["n_points"]) == summary["n_points"]
+    assert summary["tie_break_steps"] == tie_break_rows(out_dir)
 
     spectrum = (out_dir / "spectrum.csv").read_text().strip().splitlines()
     assert spectrum[0] == "j,sqrt_lambda"
@@ -98,6 +106,19 @@ def test_darcy_run_outputs(tmp_path):
     assert "posterior_mean_qoi" in summary
     convergence = read_csv(out_dir / "convergence.csv")
     assert int(convergence[-1]["n_points"]) <= 150  # tenth of the budget
+    assert summary["tie_break_steps"] == tie_break_rows(out_dir) == 0
+
+
+def test_darcy_prior_run_counts_tie_break_steps(tmp_path):
+    # the prior path's weight integral is far below 1, so its differences sit
+    # at or below TIE_FLOOR and it chooses in tie-break order
+    out_dir = tmp_path / "out"
+    code = main(
+        ["darcy", "--mode", "prior", "--max-points", "500", "--out", str(out_dir)]
+    )
+    assert code == 0
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert summary["tie_break_steps"] == tie_break_rows(out_dir) > 0
 
 
 def test_darcy_config_file_takes_darcy_defaults(tmp_path, capsys):

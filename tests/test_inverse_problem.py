@@ -459,6 +459,44 @@ class TestPosteriorEigen:
         slope = np.polyfit(np.log(j), np.log(np.sqrt(pairs.values[19:150])), 1)[0]
         assert slope == pytest.approx(-1.0, abs=0.15)
 
+    @pytest.mark.parametrize("oversampling", [10, 60])
+    def test_misfit_step_sketches_j1_plus_ten(self, oversampling, monkeypatch):
+        # the misfit step targets the fixed rank j1 with its own margin of 10
+        # whatever the posterior step's oversampling: j1 + 10 misfit Hessian
+        # column applies per sketch pass, and power_iters + 2 passes (the
+        # range, each power iteration, the Rayleigh-Ritz projection)
+        p = make_darcy_problem(mesh_exp=7, seed=0)
+        res = p.find_map()
+        j1, J, power_iters = 24, 30, 2
+        applies = 0
+        hessian_action = p.misfit_hessian_action
+
+        def counted(state, mhat):
+            nonlocal applies
+            applies += 1
+            return hessian_action(state, mhat)
+
+        monkeypatch.setattr(p, "misfit_hessian_action", counted)
+        widths = []  # the first sketch block of each randomized eigensolve
+        eigen = inverse_problem.randomized_eigen
+
+        def spy(apply_op, *args, **kwargs):
+            blocks = []
+
+            def op(X):
+                blocks.append(X.shape[1])
+                return apply_op(X)
+
+            out = eigen(op, *args, **kwargs)
+            widths.append(blocks[0])
+            return out
+
+        monkeypatch.setattr(inverse_problem, "randomized_eigen", spy)
+        p.posterior_eigen(res, J, j1=j1, oversampling=oversampling,
+                          power_iters=power_iters, rng=rng_stream(0, 3))
+        assert applies == (j1 + 10) * (power_iters + 2)
+        assert widths == [j1 + 10, J + oversampling]
+
     def test_eigenvalue_reduction_darcy(self, darcy6):
         p = darcy6
         res = p.find_map()
