@@ -3,7 +3,9 @@
 benchmark workloads and of every acceptance-suite run: the six linear runs
 and the two Darcy runs.  Then print the digests of the acceptance Darcy
 setup's two spectra (eigenvalues and eigenvectors of ``prior_field`` and of
-``posterior_field``), so that a change to the setup shows which one moved.
+``posterior_field``), so that a change to the setup shows which one moved,
+and the digest of its problem data: y, the prior mean, the prior operator
+and the mass matrix (diagonals and off-diagonals), B and the MAP point.
 
     python3 scripts/trace_digests.py
 
@@ -60,6 +62,14 @@ def _show_field(name, field):
     print(f"{digest}  {name}", flush=True)
 
 
+def _show_problem(name, setup):
+    p = setup.problem
+    arrays = (p.y, p.prior_mean, p.A_prior.diag, p.A_prior.off, p.M.diag, p.M.off,
+              p.B, setup.map_result.map_point)
+    digest = hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+    print(f"{digest}  {name}", flush=True)
+
+
 def main():
     for name, wl in WORKLOADS.items():
         cfg = wl.config(0)
@@ -83,6 +93,7 @@ def main():
     _show("acceptance-darcy-prior-10k", run_darcy(prior_cfg, setup))
     _show_field("acceptance-darcy-setup-prior-field", setup.prior_field)
     _show_field("acceptance-darcy-setup-posterior-field", setup.posterior_field)
+    _show_problem("acceptance-darcy-problem", setup)
 
 
 if __name__ == "__main__":

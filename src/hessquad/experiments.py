@@ -22,6 +22,7 @@ import csv
 import io
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -64,6 +65,18 @@ _QOIS = {"linear": ("q1", "q2"), "darcy": ("u_center",)}
 _DARCY_ONLY = ("gamma", "kappa", "obs_count")
 
 
+# Integer fields: a whole-valued float (6.0 or 1e3 from JSON) is taken as its
+# int, anything else is refused by name.  kl_dims may also be None.
+_WHOLE_NUMBERS = ("alpha", "mesh_exp", "obs_count", "seed", "max_points",
+                  "max_indices", "kl_dims")
+
+
+def _whole_number(name: str, value) -> int:
+    if not (isinstance(value, numbers.Real) and float(value).is_integer()):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class ExperimentConfig:
     """Everything a benchmark run needs; JSON keys mirror the physical and
@@ -88,6 +101,10 @@ class ExperimentConfig:
     kl_dims: int | None = None
 
     def __post_init__(self):
+        for name in _WHOLE_NUMBERS:
+            value = getattr(self, name)
+            if value is not None:
+                setattr(self, name, _whole_number(name, value))
         if self.problem not in ("linear", "darcy"):
             raise ValueError(f"unknown problem {self.problem!r}")
         if self.mode not in ("hessian", "prior"):
@@ -104,6 +121,12 @@ class ExperimentConfig:
                                      f"got {getattr(self, f.name)!r} for the linear problem")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
+        if self.kappa < 0:
+            raise ValueError(f"kappa must be >= 0, got {self.kappa!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
+        if self.obs_count < 1:
+            raise ValueError(f"obs_count must be >= 1, got {self.obs_count!r}")
         if self.alpha not in (1, 2):
             raise ValueError("alpha must be 1 or 2")
         if not 3 <= self.mesh_exp <= 12:
@@ -661,11 +684,4 @@ def mc_baseline(
         Checkpoint(b, 0, (math.nan,), (float(e),), (float(e / max(abs(reference), 1e-300)),))
         for b, e in zip(budgets, errors)
     ]
-    mask = trailing_window(np.array(budgets, dtype=float))
-    rate = estimate_rate(np.array(budgets, dtype=float)[mask], errors[mask])
-    return ConvergenceRecord(
-        checkpoints=cps,
-        rates=(rate,),
-        reference=(reference,),
-        label=f"mc-{cfg.qoi}-alpha{cfg.alpha}",
-    )
+    return _convergence_record(cps, (reference,), f"mc-{cfg.qoi}-alpha{cfg.alpha}")

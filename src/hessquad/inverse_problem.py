@@ -53,49 +53,38 @@ from .gaussian_measure import (
 from .sparse_quad import Integrand
 
 
-@dataclass(frozen=True)
-class ObservationSetup:
-    """Mollified-integral observation functionals with iid Gaussian noise."""
-
-    centers: np.ndarray
-    radius: float
-    noise_sigma: float
-
-    def __post_init__(self):
-        if len(self.centers) < 1:
-            raise ValueError("need at least one observation functional")
-        if self.noise_sigma <= 0:
-            raise ValueError("noise sigma must be positive")
+def _bump(x, center, radius):
+    """The Gaussian mollifier exp(-(x - c)^2 / (2 r^2))."""
+    return np.exp(-((x - center) ** 2) / (2.0 * radius**2))
 
 
 def assemble_observation_matrix(
-    mesh: Mesh1D, centers: np.ndarray, radius: float, normalize: bool = True
+    mesh: Mesh1D, centers: np.ndarray, radius: float
 ) -> np.ndarray:
-    """Rows are <b_k, phi_i> with b_k(x) = exp(-(x - c_k)^2 / (2 r^2)),
+    """Rows are <b_k, phi_i> with the bump b_k = ``_bump(x, c_k, radius)``,
     integrated with a 4-point Gauss rule per cell.
 
-    By default each row is normalized to unit mass (<b_k, 1> = 1), turning
-    the functionals into mollified point evaluations with <b_k, u> of the
-    size of u itself.  Without this the raw mollifier mass sqrt(2*pi)*r is
-    ~2.5e-3 at the benchmark radius, i.e. far below the noise level, and the
-    observations carry no information.
+    Each row is normalized to unit mass (<b_k, 1> = 1), turning the
+    functionals into mollified point evaluations with <b_k, u> of the size
+    of u itself.  The raw mollifier mass sqrt(2*pi)*r is ~2.5e-3 at the
+    benchmark radius, far below the noise level, so unnormalized
+    observations would carry no information.
     """
     t, xq, wq = cell_gauss_rule(mesh)
     B = np.zeros((len(centers), mesh.n_nodes))
     phi_l = 1.0 - t
     phi_r = t
     for k, c in enumerate(centers):
-        g = np.exp(-((xq - c) ** 2) / (2.0 * radius**2)) * wq
+        g = _bump(xq, c, radius) * wq
         B[k, :-1] += (g * phi_l).sum(axis=1)
         B[k, 1:] += (g * phi_r).sum(axis=1)
-    if normalize:
-        B /= B.sum(axis=1, keepdims=True)
+    B /= B.sum(axis=1, keepdims=True)
     return B
 
 
 def _smoothness(alpha) -> int:
     """The prior's exponent alpha, refused unless it is a whole number >= 1
-    (1.0 from a JSON config is 1)."""
+    (1.0 is taken as 1)."""
     if not (alpha >= 1 and float(alpha).is_integer()):
         raise ValueError(f"alpha must be an integer >= 1, got {alpha!r}")
     return int(alpha)
@@ -504,39 +493,32 @@ class LinearPoissonProblem(BayesProblem):
 
 
 class DarcyProblem(BayesProblem):
-    """-(exp(m) u')' = 0 on (0,1), u(0) = 1, u(1) = 0, mollified observations.
+    """-(exp(m) u')' = 0 on (0,1), u(0) = 1, u(1) = 0, observed through B.
 
-    Prior N(m0, (A + kappa*Mw)^{-alpha}) with A = -beta * Lap + gamma * I on
-    all nodes and Mw the mollified measurement operator.  Gradients and
-    Hessian actions come from the Lagrangian: one adjoint solve for the
-    gradient, incremental state and adjoint solves for each Hessian action.
+    Prior N(prior_mean, A_prior^{-alpha}) on all nodes (``make_darcy_problem``
+    builds the measurement-informed A_prior and prior mean of the benchmark);
+    observations B u with iid N(0, sigma^2) noise.  Gradients and Hessian
+    actions come from the Lagrangian: one adjoint solve for the gradient,
+    incremental state and adjoint solves for each Hessian action.
     """
 
     def __init__(
         self,
         mesh: Mesh1D,
         alpha: int,
-        beta: float,
-        gamma: float,
-        kappa: float,
-        obs: ObservationSetup,
+        A_prior: TriDiagOperator,
+        B: np.ndarray,
+        sigma: float,
         y: np.ndarray,
         prior_mean: np.ndarray,
-        measurement_centers: np.ndarray,
-        measurement_radius: float,
     ):
         self.mesh = mesh
         self.alpha = _smoothness(alpha)
-        self.beta = float(beta)
-        self.gamma = float(gamma)
-        self.kappa = float(kappa)
-        self.sigma = obs.noise_sigma
+        self.A_prior = A_prior
+        self.B = B
+        self.sigma = sigma
         self.y = np.asarray(y, dtype=float)
         self.M = mass_operator(mesh, dirichlet=False)
-        self.A_bare = assemble(mesh, beta=beta, gamma=gamma, dirichlet=False)
-        self.Mw = measurement_operator(mesh, measurement_centers, measurement_radius)
-        self.A_prior = self.A_bare.add(self.Mw, kappa)
-        self.B = assemble_observation_matrix(mesh, obs.centers, obs.radius)
         self.prior_mean = np.asarray(prior_mean, dtype=float)
 
     class _State:
@@ -633,21 +615,6 @@ class DarcyProblem(BayesProblem):
         )
 
 
-def measurement_operator(
-    mesh: Mesh1D, centers: np.ndarray, radius: float
-) -> TriDiagOperator:
-    """The mollified measurement operator sum_l eps_l * I as a weighted mass
-    matrix, eps_l(x) = exp(-(x - x_l)^2 / (2 r^2))."""
-    centers = np.asarray(centers, dtype=float)
-
-    def weight(x):
-        return np.sum(
-            np.exp(-((x[..., None] - centers) ** 2) / (2.0 * radius**2)), axis=-1
-        )
-
-    return weighted_mass_operator(mesh, weight)
-
-
 # ---------------------------------------------------------------------------
 # problem factories with seeded data generation
 # ---------------------------------------------------------------------------
@@ -687,34 +654,39 @@ def make_darcy_problem(
     obs_count: int = 65,
     seed: int = 0,
 ) -> DarcyProblem:
-    """Darcy benchmark with seeded data generation.
+    """Darcy benchmark with a measurement-informed prior and seeded data.
 
-    The true field is a KL draw from N(0, A^{-1}) truncated at
-    ``_TRUE_FIELD_MODES`` modes; the prior mean solves the quadratic
-    measurement-penalty problem (A + kappa*Mw) m0 = kappa * Mw m_true with
-    ``_MEASUREMENTS`` equispaced measurements; observations are B u(m_true)
-    plus iid noise.  Measurement and observation mollifiers both use radius h.
+    A = -beta * Lap + gamma * I on all nodes, and Mw is the mass matrix
+    weighted by the sum of ``_MEASUREMENTS`` equispaced bumps.  The prior
+    operator is A + kappa*Mw.  The true field is a KL draw from N(0, A^{-1})
+    truncated at ``_TRUE_FIELD_MODES`` modes; the prior mean solves the
+    quadratic measurement-penalty problem (A + kappa*Mw) m0 = kappa * Mw m_true;
+    observations are B u(m_true) plus iid noise, with B the ``obs_count``
+    equispaced mollified point evaluations.  Measurement and observation
+    bumps both have radius h.
     """
     mesh = Mesh1D.from_exponent(mesh_exp)
     radius = mesh.h
     meas_centers = np.linspace(0.0, 1.0, _MEASUREMENTS)
-    obs_centers = np.linspace(0.0, 1.0, obs_count)
-    obs = ObservationSetup(centers=obs_centers, radius=radius, noise_sigma=sigma)
+    A = assemble(mesh, beta=beta, gamma=gamma, dirichlet=False)
+    Mw = weighted_mass_operator(
+        mesh, lambda x: np.sum(_bump(x[..., None], meas_centers, radius), axis=-1)
+    )
+    A_prior = A.add(Mw, kappa)
+    B = assemble_observation_matrix(mesh, np.linspace(0.0, 1.0, obs_count), radius)
     problem = DarcyProblem(
-        mesh, alpha, beta, gamma, kappa, obs, np.zeros(obs_count),
-        np.zeros(mesh.n_nodes), meas_centers, radius,
+        mesh, alpha, A_prior, B, sigma, np.zeros(obs_count), np.zeros(mesh.n_nodes)
     )
 
     j_true = min(_TRUE_FIELD_MODES, mesh.n_nodes - 1)
     true_pairs = prior_eigen_numeric(
-        problem.A_bare, problem.M, 1, j_true, oversampling=10, power_iters=2,
+        A, problem.M, 1, j_true, oversampling=10, power_iters=2,
         rng=rng_stream(seed, 1),
     )
     xi = rng_stream(seed, 2).standard_normal(len(true_pairs))
     m_true = true_pairs.vectors @ (np.sqrt(np.maximum(true_pairs.values, 0.0)) * xi)
 
-    # A_prior = A + kappa * Mw
-    problem.prior_mean = problem.A_prior.solve(kappa * problem.Mw.matvec(m_true))
+    problem.prior_mean = A_prior.solve(kappa * Mw.matvec(m_true))
     noise = sigma * rng_stream(seed, 3).standard_normal(obs_count)
     problem.y = problem.forward(m_true) + noise
     return problem

@@ -191,6 +191,14 @@ def test_budget_below_one_is_an_error(tmp_path, capsys, budget):
     pytest.param("linear", {"gamma": 7.0, "kappa": 3.0, "obs_count": 2}, [], "gamma",
                  id="linear-darcy-fields"),
     pytest.param("linear", {"obs_count": 2}, [], "obs_count", id="linear-obs_count"),
+    # out-of-range and non-integer values
+    pytest.param("darcy", {"obs_count": 0}, [], "obs_count", id="darcy-obs_count-0"),
+    pytest.param("darcy", {"kappa": -1}, [], "kappa", id="darcy-negative-kappa"),
+    pytest.param("darcy", {"mesh_exp": 6.5}, [], "mesh_exp",
+                 id="darcy-fractional-mesh_exp"),
+    pytest.param("darcy", {"seed": -1}, [], "seed", id="darcy-negative-seed"),
+    pytest.param("linear", {"max_indices": 50.5}, [], "max_indices",
+                 id="linear-fractional-max_indices"),
 ])
 def test_bad_config_is_an_error_naming_the_field(tmp_path, capsys, problem, fields, flags,
                                                  message):

@@ -124,6 +124,17 @@ class TestConfig:
         linear = ExperimentConfig.linear_default(seed=4)
         assert ExperimentConfig.from_json(linear.to_json()) == linear
         assert ExperimentConfig.darcy_default(obs_count=2).obs_count == 2
+        # out-of-range and non-integer values are refused by name
+        for name, val in (("obs_count", 0), ("kappa", -1), ("mesh_exp", 6.5),
+                          ("seed", -1), ("max_indices", 50.5)):
+            with pytest.raises(ValueError, match=name):
+                ExperimentConfig.darcy_default(**{name: val})
+        with pytest.raises(ValueError, match="max_indices must be a whole number"):
+            ExperimentConfig.from_json('{"problem": "linear", "max_indices": 50.5}')
+        # whole-valued JSON floats load as ints
+        cfg = ExperimentConfig.from_json('{"mesh_exp": 6.0, "kl_dims": 20.0}', "darcy")
+        assert (cfg.mesh_exp, cfg.kl_dims) == (6, 20)
+        assert type(cfg.mesh_exp) is int and type(cfg.kl_dims) is int
         # each problem takes only the QoIs it defines
         assert ExperimentConfig.darcy_default().qoi == "u_center"
         for problem, qoi in (("linear", "u_center"), ("darcy", "q1"), ("darcy", "q2")):

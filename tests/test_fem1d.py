@@ -19,7 +19,7 @@ from hessquad.fem1d import (
 )
 from hessquad.inverse_problem import (
     DarcyProblem,
-    ObservationSetup,
+    assemble_observation_matrix,
     make_darcy_problem,
     make_linear_problem,
 )
@@ -27,12 +27,10 @@ from hessquad.inverse_problem import (
 
 def darcy_problem(mesh: Mesh1D) -> DarcyProblem:
     """A Darcy problem on ``mesh`` whose forward solve the tests probe."""
-    center = np.array([0.5])
-    obs = ObservationSetup(centers=center, radius=mesh.h, noise_sigma=1.0)
+    B = assemble_observation_matrix(mesh, np.array([0.5]), mesh.h)
     return DarcyProblem(
-        mesh, alpha=1, beta=1.0, gamma=1.0, kappa=1.0, obs=obs, y=np.zeros(1),
-        prior_mean=np.zeros(mesh.n_nodes), measurement_centers=center,
-        measurement_radius=mesh.h,
+        mesh, alpha=1, A_prior=assemble(mesh, beta=1.0, gamma=1.0), B=B, sigma=1.0,
+        y=np.zeros(1), prior_mean=np.zeros(mesh.n_nodes),
     )
 
 
