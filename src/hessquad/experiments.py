@@ -70,11 +70,26 @@ _DARCY_ONLY = ("gamma", "kappa", "obs_count")
 _WHOLE_NUMBERS = ("alpha", "mesh_exp", "obs_count", "seed", "max_points",
                   "max_indices", "kl_dims")
 
+# Float fields: any finite real number (an int from JSON included) is taken
+# as its float, anything else is refused by name.  tolerance may also be None.
+_REALS = ("beta", "gamma", "kappa", "sigma", "tolerance")
+
+
+def _is_real(value) -> bool:
+    # bool is a numbers.Real, but true/false in a config is a mistake
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
 
 def _whole_number(name: str, value) -> int:
-    if not (isinstance(value, numbers.Real) and float(value).is_integer()):
+    if not (_is_real(value) and float(value).is_integer()):
         raise ValueError(f"{name} must be a whole number, got {value!r}")
     return int(value)
+
+
+def _real_number(name: str, value) -> float:
+    if not (_is_real(value) and math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    return float(value)
 
 
 @dataclass
@@ -101,10 +116,11 @@ class ExperimentConfig:
     kl_dims: int | None = None
 
     def __post_init__(self):
-        for name in _WHOLE_NUMBERS:
-            value = getattr(self, name)
-            if value is not None:
-                setattr(self, name, _whole_number(name, value))
+        for names, convert in ((_WHOLE_NUMBERS, _whole_number), (_REALS, _real_number)):
+            for name in names:
+                value = getattr(self, name)
+                if value is not None:
+                    setattr(self, name, convert(name, value))
         if self.problem not in ("linear", "darcy"):
             raise ValueError(f"unknown problem {self.problem!r}")
         if self.mode not in ("hessian", "prior"):
@@ -119,8 +135,11 @@ class ExperimentConfig:
                 if f.name in _DARCY_ONLY and getattr(self, f.name) != f.default:
                     raise ValueError(f"{f.name} applies to the darcy problem only, "
                                      f"got {getattr(self, f.name)!r} for the linear problem")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        for name in ("beta", "sigma"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        if self.tolerance is not None and self.tolerance <= 0:
+            raise ValueError(f"tolerance must be positive or null, got {self.tolerance!r}")
         if self.kappa < 0:
             raise ValueError(f"kappa must be >= 0, got {self.kappa!r}")
         if self.seed < 0:
@@ -239,9 +258,10 @@ def point_ladder(lo: int, hi: int) -> list[int]:
 def estimate_rate(n_points: Sequence[float], errors: Sequence[float]) -> float:
     """Least-squares slope of log(error) vs log(n_points); returns -slope.
 
-    Requires at least 5 checkpoints spanning at least one decade and one
-    nonzero error.  Zero errors (exact hits) are floored at the smallest
-    positive error to keep the fit defined.
+    Requires at least 5 checkpoints spanning at least one decade and two
+    nonzero errors.  Zero errors (exact hits) are floored at the smallest
+    positive error to keep the fit defined; with one positive error the
+    floor would make the line flat by construction, so that is refused.
     """
     n = np.asarray(n_points, dtype=float)
     e = np.abs(np.asarray(errors, dtype=float))
@@ -254,6 +274,12 @@ def estimate_rate(n_points: Sequence[float], errors: Sequence[float]) -> float:
         raise ValueError(
             "every error is 0: the estimate equals its reference at every "
             "checkpoint given, so no rate can be fitted"
+        )
+    if len(positive) == 1:
+        raise ValueError(
+            f"only 1 of the {len(e)} errors is positive and the rest are 0: "
+            "flooring the zeros at it would fit a flat line by construction, "
+            "so no rate can be fitted"
         )
     e = np.maximum(e, positive.min())
     slope = np.polyfit(np.log(n), np.log(e), 1)[0]

@@ -6,10 +6,15 @@ eigenvalues and mass-orthonormal eigenvectors.  The KL map realizes field
 samples from sparse coordinate vectors; the adaptive quadrature touches
 coordinates lazily, so a full-dimensional truncation costs nothing up front.
 
-Eigenpairs come either from closed forms (sine modes of the Dirichlet
-Laplacian on a uniform mesh) or from a randomized matrix-free solver for
-generalized problems ``A v = lambda B v`` given the action of B^{-1}A and a
-banded (tridiagonal) B.
+Eigenpairs come either from closed forms or from a randomized matrix-free
+solver for generalized problems ``A v = lambda B v`` given the action of
+B^{-1}A and a banded (tridiagonal) B.  On a uniform mesh the nodal sine
+modes sin(j*pi*x) are exact eigenvectors of the P1 Dirichlet pencil and the
+nodal cosine modes cos(j*pi*x), j = 0, 1, ..., of the natural-boundary
+(Neumann) pencil, both with the discrete Laplacian eigenvalue
+``dirichlet_laplacian_eigenvalue``; they give the covariance of the linear
+prior (-beta * Lap)^(-alpha) and of N(0, (-beta * Lap + gamma)^(-1)), from
+which the Darcy benchmark draws its true field.
 """
 
 from __future__ import annotations
@@ -98,6 +103,19 @@ def dirichlet_sine_vector(mesh: Mesh1D, j: int) -> np.ndarray:
     return np.where(prod % n == 0, 0.0, vals)
 
 
+def neumann_cosine_vector(mesh: Mesh1D, j: int) -> np.ndarray:
+    """Nodal samples of cos(j*pi*x) on all nodes with exact lattice values.
+
+    The argument is reduced to j*i mod 2*n_cells before the cosine, so the
+    entries are exactly 1 and -1 where it is 0 and n_cells, and exactly zero
+    where it is n_cells/2 or 3*n_cells/2.  j = 0 is the constant mode.
+    """
+    n = mesh.n_cells
+    arg = (j * np.arange(n + 1)) % (2 * n)
+    vals = np.cos(np.pi * arg / n)
+    return np.where((2 * arg) % (2 * n) == n, 0.0, vals)
+
+
 def dirichlet_laplacian_eigenvalue(mesh: Mesh1D, j: int) -> float:
     """j-th eigenvalue of the discrete P1 Dirichlet Laplacian on (0, 1).
 
@@ -134,20 +152,59 @@ def prior_eigen_analytic(beta: float, alpha: int, J: int, mesh: Mesh1D) -> Eigen
     return EigenPairs(values=values, vectors=vectors)
 
 
+def neumann_eigen_analytic(beta: float, gamma: float, J: int, mesh: Mesh1D) -> EigenPairs:
+    """Closed-form eigenpairs of the covariance (-beta * Lap + gamma * I)^(-1)
+    with natural boundary conditions, on all nodes.
+
+    lambda_j = 1 / (beta * lap_j + gamma) for j = 0, ..., J-1, with lap_j the
+    discrete Laplacian eigenvalue (0 at j = 0); eigenvectors are the cosine
+    modes, normalized to unit natural-boundary mass norm.
+    """
+    if beta <= 0 or gamma <= 0:
+        raise ValueError("beta and gamma must be positive")
+    if J > mesh.n_nodes:
+        raise ValueError("J exceeds the node count")
+    M = mass_operator(mesh, dirichlet=False)
+    values = np.empty(J)
+    vectors = np.empty((mesh.n_nodes, J))
+    for j in range(J):
+        values[j] = 1.0 / (beta * dirichlet_laplacian_eigenvalue(mesh, j) + gamma)
+        v = neumann_cosine_vector(mesh, j)
+        vectors[:, j] = v / np.sqrt(M.quadratic(v))
+    return EigenPairs(values=values, vectors=vectors)
+
+
 def _b_orthonormalize(Y: np.ndarray, B: TriDiagOperator) -> np.ndarray:
-    """B-orthonormal basis via the banded Cholesky factor B = U^T U:
-    pivoted QR of U Y, then back-substitution.  Rank decisions happen on the
-    linear (not squared) spectrum, preserving small-eigenvalue directions."""
+    """B-orthonormal basis of the columns of Y via the banded Cholesky factor
+    B = U^T U: QR of U Y, then back-substitution.
+
+    An unpivoted QR keeps every column when each |R_ii| exceeds 1e-12 of the
+    largest.  Otherwise the sketch is numerically deficient (an empty sketch
+    or a zero operator included), and a pivoted QR cuts the rank: its R
+    puts the weak directions last, which the unpivoted one does not.  Rank
+    decisions happen on the linear (not squared) spectrum, preserving
+    small-eigenvalue directions.
+    """
     U = scipy.linalg.cholesky_banded(B._banded(), lower=False)
-    UY = U[1, :, None] * Y
-    UY[:-1] += U[0, 1:, None] * Y[1:]
-    Q, R, _ = scipy.linalg.qr(
-        UY, mode="economic", pivoting=True, overwrite_a=True, check_finite=False,
+
+    def u_times_y() -> np.ndarray:
+        UY = U[1, :, None] * Y
+        UY[:-1] += U[0, 1:, None] * Y[1:]
+        return UY
+
+    Q, R = scipy.linalg.qr(
+        u_times_y(), mode="economic", overwrite_a=True, check_finite=False,
     )
     d = np.abs(np.diag(R))
-    rank = int(np.sum(d > d[0] * 1e-12)) if len(d) else 0
+    if not (d.size and np.all(d > d.max() * 1e-12)):
+        Q, R, _ = scipy.linalg.qr(
+            u_times_y(), mode="economic", pivoting=True, overwrite_a=True,
+            check_finite=False,
+        )
+        d = np.abs(np.diag(R))
+        Q = Q[:, :int(np.sum(d > d[0] * 1e-12)) if d.size else 0]
     return scipy.linalg.solve_banded(
-        (0, 1), U, Q[:, :rank], overwrite_b=True, check_finite=False,
+        (0, 1), U, Q, overwrite_b=True, check_finite=False,
     )
 
 

@@ -45,6 +45,7 @@ from .gaussian_measure import (
     GaussianField,
     dirichlet_laplacian_eigenvalue,
     kl_map,
+    neumann_eigen_analytic,
     prior_eigen_analytic,
     prior_eigen_numeric,
     randomized_eigen,
@@ -659,11 +660,14 @@ def make_darcy_problem(
     A = -beta * Lap + gamma * I on all nodes, and Mw is the mass matrix
     weighted by the sum of ``_MEASUREMENTS`` equispaced bumps.  The prior
     operator is A + kappa*Mw.  The true field is a KL draw from N(0, A^{-1})
-    truncated at ``_TRUE_FIELD_MODES`` modes; the prior mean solves the
-    quadratic measurement-penalty problem (A + kappa*Mw) m0 = kappa * Mw m_true;
-    observations are B u(m_true) plus iid noise, with B the ``obs_count``
-    equispaced mollified point evaluations.  Measurement and observation
-    bumps both have radius h.
+    truncated at its ``_TRUE_FIELD_MODES`` leading modes (all but the last
+    on a mesh with fewer nodes), which are the closed-form cosine modes
+    (``neumann_eigen_analytic``), so the field is a function of (seed, mesh)
+    alone, with no eigensolve; its coefficients come from rng stream 2.  The
+    prior mean solves the quadratic measurement-penalty problem
+    (A + kappa*Mw) m0 = kappa * Mw m_true; observations are B u(m_true) plus
+    iid noise (rng stream 3), with B the ``obs_count`` equispaced mollified
+    point evaluations.  Measurement and observation bumps both have radius h.
     """
     mesh = Mesh1D.from_exponent(mesh_exp)
     radius = mesh.h
@@ -678,13 +682,11 @@ def make_darcy_problem(
         mesh, alpha, A_prior, B, sigma, np.zeros(obs_count), np.zeros(mesh.n_nodes)
     )
 
-    j_true = min(_TRUE_FIELD_MODES, mesh.n_nodes - 1)
-    true_pairs = prior_eigen_numeric(
-        A, problem.M, 1, j_true, oversampling=10, power_iters=2,
-        rng=rng_stream(seed, 1),
+    true_pairs = neumann_eigen_analytic(
+        beta, gamma, min(_TRUE_FIELD_MODES, mesh.n_nodes - 1), mesh
     )
     xi = rng_stream(seed, 2).standard_normal(len(true_pairs))
-    m_true = true_pairs.vectors @ (np.sqrt(np.maximum(true_pairs.values, 0.0)) * xi)
+    m_true = true_pairs.vectors @ (np.sqrt(true_pairs.values) * xi)
 
     problem.prior_mean = A_prior.solve(kappa * Mw.matvec(m_true))
     noise = sigma * rng_stream(seed, 3).standard_normal(obs_count)

@@ -199,6 +199,12 @@ def test_budget_below_one_is_an_error(tmp_path, capsys, budget):
     pytest.param("darcy", {"seed": -1}, [], "seed", id="darcy-negative-seed"),
     pytest.param("linear", {"max_indices": 50.5}, [], "max_indices",
                  id="linear-fractional-max_indices"),
+    # float fields that are not real numbers
+    pytest.param("darcy", {"sigma": "0.1"}, [], "sigma", id="darcy-string-sigma"),
+    pytest.param("darcy", {"kappa": "5"}, [], "kappa", id="darcy-string-kappa"),
+    pytest.param("darcy", {"beta": "2"}, [], "beta", id="darcy-string-beta"),
+    pytest.param("darcy", {"beta": True}, [], "beta", id="darcy-boolean-beta"),
+    pytest.param("linear", {"tolerance": "x"}, [], "tolerance", id="linear-string-tolerance"),
 ])
 def test_bad_config_is_an_error_naming_the_field(tmp_path, capsys, problem, fields, flags,
                                                  message):

@@ -57,6 +57,8 @@ class TestEstimateRate:
         n = np.logspace(1, 3, 6)
         with pytest.raises(ValueError, match="every error is 0"):
             estimate_rate(n, np.zeros(len(n)))
+        with pytest.raises(ValueError, match="only 1 of the 6 errors is positive"):
+            estimate_rate(n, np.r_[1e-3, np.zeros(len(n) - 1)])
 
     def test_trailing_window_log_midpoint(self):
         n = np.logspace(1, 3, 9)
@@ -131,6 +133,22 @@ class TestConfig:
                 ExperimentConfig.darcy_default(**{name: val})
         with pytest.raises(ValueError, match="max_indices must be a whole number"):
             ExperimentConfig.from_json('{"problem": "linear", "max_indices": 50.5}')
+        # float fields must be finite real numbers (booleans refused), beta
+        # positive, and tolerance null or positive
+        for text, name in (('{"sigma": "0.1"}', "sigma"), ('{"kappa": "5"}', "kappa"),
+                           ('{"beta": "2"}', "beta"), ('{"beta": true}', "beta"),
+                           ('{"sigma": NaN}', "sigma"), ('{"seed": true}', "seed"),
+                           ('{"tolerance": "x"}', "tolerance"),
+                           ('{"tolerance": -1}', "tolerance"), ('{"tolerance": 0}', "tolerance"),
+                           ('{"beta": 0}', "beta"), ('{"beta": -2}', "beta")):
+            with pytest.raises(ValueError, match=name):
+                ExperimentConfig.from_json(text, "darcy")
+        with pytest.raises(ValueError, match="beta"):
+            ExperimentConfig(beta=0.0)
+        # whole-valued JSON numbers load as floats in float fields
+        cfg = ExperimentConfig.from_json('{"beta": 2, "sigma": 1, "tolerance": 1}', "darcy")
+        assert (cfg.beta, cfg.sigma, cfg.tolerance) == (2.0, 1.0, 1.0)
+        assert type(cfg.beta) is float and type(cfg.tolerance) is float
         # whole-valued JSON floats load as ints
         cfg = ExperimentConfig.from_json('{"mesh_exp": 6.0, "kl_dims": 20.0}', "darcy")
         assert (cfg.mesh_exp, cfg.kl_dims) == (6, 20)
@@ -481,6 +499,13 @@ def test_unfitted_rate_is_nan_with_its_reason():
     assert math.isnan(rec.rates[0])
     assert rec.rate_notes[0].startswith("every error is 0")
     assert rec.rates[1] == pytest.approx(1.0) and rec.rate_notes[1] is None
+    # one positive error, then exact zeros (the Darcy prior path stalling
+    # after its first checkpoint in the window): flooring would fit a flat line
+    stalled = [Checkpoint(n, 1, (0.0,), (1.4e-19 if n == 100 else 0.0,), (0.0,))
+               for n in (10, 20, 50, 100, 200, 500, 1000)]
+    rec = _convergence_record(stalled, (0.0,), "")
+    assert math.isnan(rec.rates[0])
+    assert rec.rate_notes[0].startswith("only 1 of the 5 errors is positive")
     short = _convergence_record(flat[:3], (0.0, 0.0), "")
     assert all(math.isnan(r) for r in short.rates)
     assert all("at least 5 checkpoints" in note for note in short.rate_notes)

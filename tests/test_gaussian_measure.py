@@ -6,9 +6,12 @@ from hessquad.fem1d import Mesh1D, TriDiagOperator, assemble, mass_operator
 from hessquad.gaussian_measure import (
     EigenPairs,
     GaussianField,
+    _b_orthonormalize,
     dirichlet_laplacian_eigenvalue,
     dirichlet_sine_vector,
     kl_map,
+    neumann_cosine_vector,
+    neumann_eigen_analytic,
     prior_eigen_analytic,
     prior_eigen_numeric,
     randomized_eigen,
@@ -76,6 +79,128 @@ class TestAnalyticPrior:
             prior_eigen_analytic(1.0, 0, 3, mesh)
         with pytest.raises(ValueError):
             prior_eigen_analytic(1.0, 1, mesh.n_interior + 1, mesh)
+
+
+class TestAnalyticNeumann:
+    """Cosine modes: the covariance (-beta * Lap + gamma * I)^(-1) with natural
+    boundary conditions, from which the Darcy true field is drawn."""
+
+    @pytest.mark.parametrize("L", [6, 10])
+    def test_eigenpairs_of_the_natural_pencil(self, L):
+        # A psi = lambda^{-1} M psi, to a normwise relative residual
+        # |A psi - mu M psi| / ((|A| + mu |M|) |psi|) in the 1-norm of A and M
+        mesh = Mesh1D.from_exponent(L)
+        A = assemble(mesh, beta=2.0, gamma=1.0, dirichlet=False)
+        M = mass_operator(mesh, dirichlet=False)
+        pairs = neumann_eigen_analytic(2.0, 1.0, min(200, mesh.n_nodes), mesh)
+        V, mu = pairs.vectors, 1.0 / pairs.values
+        residual = np.linalg.norm(A.matvec(V) - M.matvec(V) * mu, axis=0)
+        norm_A = np.abs(A.dense()).sum(axis=0).max()
+        norm_M = np.abs(M.dense()).sum(axis=0).max()
+        scale = (norm_A + mu * norm_M) * np.linalg.norm(V, axis=0)
+        assert np.max(residual / scale) <= 1e-12
+
+    def test_values_match_dense_oracle(self):
+        mesh = Mesh1D.from_exponent(5)
+        A = assemble(mesh, beta=2.0, gamma=1.0, dirichlet=False).dense()
+        M = mass_operator(mesh, dirichlet=False).dense()
+        dense = 1.0 / scipy.linalg.eigh(A, M, eigvals_only=True)  # descending
+        pairs = neumann_eigen_analytic(2.0, 1.0, mesh.n_nodes, mesh)
+        np.testing.assert_allclose(pairs.values, dense, rtol=1e-10)
+
+    @pytest.mark.parametrize("L", [6, 10])
+    def test_mass_orthonormality(self, L):
+        mesh = Mesh1D.from_exponent(L)
+        pairs = neumann_eigen_analytic(2.0, 1.0, min(200, mesh.n_nodes), mesh)
+        M = mass_operator(mesh, dirichlet=False)
+        gram = pairs.vectors.T @ M.matvec(pairs.vectors)
+        np.testing.assert_allclose(gram, np.eye(len(pairs)), rtol=0, atol=1e-13)
+
+    def test_constant_mode(self):
+        mesh = Mesh1D.from_exponent(6)
+        assert np.array_equal(neumann_cosine_vector(mesh, 0), np.ones(mesh.n_nodes))
+        pairs = neumann_eigen_analytic(2.0, 4.0, 3, mesh)
+        assert pairs.values[0] == 0.25  # 1 / gamma: the Laplacian eigenvalue is 0
+        np.testing.assert_array_equal(pairs.vectors[:, 0], pairs.vectors[0, 0])
+
+    def test_exact_lattice_values(self):
+        # cos(j pi i / n) is exactly 1, -1 or 0 where j i mod 2n is 0, n, or
+        # n/2 or 3n/2; e.g. every odd mode vanishes at x = 1/2
+        mesh = Mesh1D.from_exponent(6)
+        n = mesh.n_cells
+        exact = {0: 1.0, n: -1.0, n // 2: 0.0, 3 * n // 2: 0.0}
+        for j in range(2 * n + 3):
+            v = neumann_cosine_vector(mesh, j)
+            for i in range(n + 1):
+                if (j * i) % (2 * n) in exact:
+                    assert v[i] == exact[(j * i) % (2 * n)], (j, i)
+            if j % 2:
+                assert v[n // 2] == 0.0
+            assert v[0] == 1.0 and v[n] == (-1.0) ** j
+
+    def test_validation(self):
+        mesh = Mesh1D.from_exponent(4)
+        for beta, gamma in ((0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)):
+            with pytest.raises(ValueError):
+                neumann_eigen_analytic(beta, gamma, 3, mesh)
+        with pytest.raises(ValueError):
+            neumann_eigen_analytic(1.0, 1.0, mesh.n_nodes + 1, mesh)
+
+
+class TestBOrthonormalize:
+    """Unpivoted QR of the Cholesky-scaled sketch, with the pivoted QR and its
+    rank cut only for a numerically deficient sketch."""
+
+    B = TriDiagOperator(np.full(40, 2.0), np.full(39, -0.5))
+
+    @pytest.fixture
+    def qr_calls(self, monkeypatch):
+        calls = []
+        qr = scipy.linalg.qr
+
+        def logged(a, *args, pivoting=False, **kwargs):
+            calls.append(pivoting)
+            return qr(a, *args, pivoting=pivoting, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "qr", logged)
+        return calls
+
+    def _pivoted_rank(self, Y):
+        # the rank cut on the pivoted R of U Y, with B = U^T U
+        U = scipy.linalg.cholesky(self.B.dense())
+        d = np.abs(np.diag(scipy.linalg.qr(U @ Y, mode="r", pivoting=True)[0]))
+        return int(np.sum(d > d[0] * 1e-12))
+
+    def _assert_b_orthonormal_basis_of(self, Q, Y):
+        np.testing.assert_allclose(Q.T @ self.B.matvec(Q), np.eye(Q.shape[1]),
+                                   rtol=0, atol=1e-12)
+        # Q spans the range of Y: projecting Y onto it B-orthogonally is exact
+        P = Q @ (Q.T @ self.B.matvec(Y))
+        np.testing.assert_allclose(P, Y, rtol=0, atol=1e-12 * np.abs(Y).max())
+
+    def test_full_rank_sketch_takes_one_unpivoted_qr(self, qr_calls):
+        Y = rng_stream(0, 20).standard_normal((40, 12))
+        Q = _b_orthonormalize(Y.copy(), self.B)
+        assert qr_calls == [False]
+        assert Q.shape == (40, 12)
+        self._assert_b_orthonormal_basis_of(Q, Y)
+
+    @pytest.mark.parametrize("deficiency, rank", [("duplicate column", 11), ("zero block", 8)])
+    def test_deficient_sketch_falls_back_to_the_pivoted_rank(self, deficiency, rank, qr_calls):
+        Y = rng_stream(0, 21).standard_normal((40, 12))
+        if deficiency == "duplicate column":
+            Y[:, 7] = Y[:, 2]
+        else:
+            Y[:, 8:] = 0.0
+        Q = _b_orthonormalize(Y.copy(), self.B)
+        assert qr_calls == [False, True]
+        assert Q.shape[1] == self._pivoted_rank(Y) == rank
+        self._assert_b_orthonormal_basis_of(Q, Y)
+
+    def test_empty_sketch(self, qr_calls):
+        Q = _b_orthonormalize(np.zeros((40, 0)), self.B)
+        assert Q.shape == (40, 0)
+        assert qr_calls == [False, True]
 
 
 class TestKlMap:

@@ -4,9 +4,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from hessquad import fem1d, inverse_problem
-from hessquad.experiments import ExperimentConfig, darcy_setup, linear_setup, run_linear
+from hessquad import fem1d, gaussian_measure, inverse_problem
+from hessquad.experiments import (
+    ExperimentConfig,
+    darcy_setup,
+    linear_setup,
+    run_darcy,
+    run_linear,
+)
 from hessquad.fem1d import Mesh1D
 from hessquad.gaussian_measure import GaussianField, kl_map, prior_eigen_analytic, rng_stream
 from hessquad.inverse_problem import (
@@ -209,6 +216,43 @@ class TestFindMap:
             assert res.converged, f"seed {seed}"
             if seed == 0:
                 assert res.newton_iters == 6
+
+
+class TestDarcyData:
+    def test_true_field_needs_no_eigensolve(self, monkeypatch):
+        # the true field is drawn from the closed-form cosine modes
+        def refuse(*args, **kwargs):
+            raise AssertionError("make_darcy_problem ran an eigensolve")
+
+        for module in (gaussian_measure, inverse_problem):
+            monkeypatch.setattr(module, "randomized_eigen", refuse)
+        p = make_darcy_problem(mesh_exp=6, seed=0)
+        assert np.isfinite(p.y).all() and np.isfinite(p.prior_mean).all()
+
+    @pytest.mark.parametrize("mode", ["hessian", "prior"])
+    def test_runs_do_not_depend_on_the_qr_path(self, mode, monkeypatch):
+        # forcing every B-orthonormalization down the pivoted fallback (an
+        # unpivoted R with a zero diagonal reads as deficient) leaves the data
+        # bit for bit, and the small runs choose the same indices with values
+        # that move only in their last bits
+        cfg = ExperimentConfig.darcy_default(mesh_exp=6, seed=0, kl_dims=20,
+                                             max_points=600, mode=mode)
+        fast = run_darcy(cfg, darcy_setup(cfg))
+        qr = scipy.linalg.qr
+
+        def deficient(a, *args, pivoting=False, **kwargs):
+            out = qr(a, *args, pivoting=pivoting, **kwargs)
+            return out if pivoting else (out[0], 0.0 * out[1])
+
+        monkeypatch.setattr(scipy.linalg, "qr", deficient)
+        setup = darcy_setup(cfg)
+        pivoted = run_darcy(cfg, setup)
+        reference = make_darcy_problem(mesh_exp=6, seed=0)
+        assert setup.problem.y.tobytes() == reference.y.tobytes()
+        assert setup.problem.prior_mean.tobytes() == reference.prior_mean.tobytes()
+        for a, b in itertools.zip_longest(fast.quadrature.trace, pivoted.quadrature.trace):
+            assert (a.chosen, a.n_points) == (b.chosen, b.n_points)
+            np.testing.assert_allclose(a.value, b.value, rtol=1e-9)
 
 
 @pytest.fixture(scope="module")

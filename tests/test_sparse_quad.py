@@ -652,12 +652,13 @@ class TestSelection:
             assert cands.best(value) == (small, a * inv)
 
 
-# Small runs whose traces are pinned in tests/data: "linear" and "darcy" were
-# written by the rescan selection, "darcy-prior" by the heap selection while
-# the Darcy problem still memoized its last forward state.  Chosen
-# indices and counts must match exactly; values and indicators to 1e-9
-# relative, because another BLAS build may move the last bits of the setup
-# (the rescan oracle below checks bit-identity on this machine).
+# Small runs whose traces are pinned in tests/data: "linear" was written by
+# the rescan selection; "darcy" and "darcy-prior" by the heap selection once
+# the Darcy true field was drawn from the closed-form cosine modes, and with
+# the unpivoted-QR range finder.  Chosen indices and counts must match
+# exactly; values and indicators to 1e-9 relative, because another BLAS
+# build may move the last bits of the setup (the rescan oracle below checks
+# bit-identity on this machine).
 SMALL_RUNS = {
     "linear": lambda: run_linear(
         ExperimentConfig.linear_default(mesh_exp=6, seed=0, max_points=600)
