@@ -168,7 +168,9 @@ class BayesProblem:
     # -- assembled quantities -------------------------------------------
 
     def potential(self, m: np.ndarray) -> float:
-        """Data-misfit potential 0.5 * ||y - G(m)||^2 / sigma^2 (one solve)."""
+        """Data-misfit potential 0.5 * ||y - G(m)||^2 / sigma^2, from one
+        forward state (one solve on the linear problem, the closed-form
+        pressure on the Darcy one)."""
         return self.potential_of_state(self._forward_state(m))
 
     def cost(self, m: np.ndarray) -> float:
@@ -498,9 +500,12 @@ class DarcyProblem(BayesProblem):
 
     Prior N(prior_mean, A_prior^{-alpha}) on all nodes (``make_darcy_problem``
     builds the measurement-informed A_prior and prior mean of the benchmark);
-    observations B u with iid N(0, sigma^2) noise.  Gradients and Hessian
-    actions come from the Lagrangian: one adjoint solve for the gradient,
-    incremental state and adjoint solves for each Hessian action.
+    observations B u with iid N(0, sigma^2) noise.  The forward pressure is
+    the closed-form nodal solution of the P1 system (``_forward_state``).
+    Gradients and Hessian actions come from the Lagrangian: one adjoint solve
+    for the gradient, incremental state and adjoint solves for each Hessian
+    action, all against the tridiagonal stiffness factor.  The constructor
+    refuses operators and data whose sizes do not match the mesh and B.
     """
 
     def __init__(
@@ -513,6 +518,17 @@ class DarcyProblem(BayesProblem):
         y: np.ndarray,
         prior_mean: np.ndarray,
     ):
+        n = mesh.n_nodes
+        if B.ndim != 2 or B.shape[1] != n:
+            raise ValueError(f"B must have one column per node ({n}), got {B.shape}")
+        if len(y) != B.shape[0]:
+            raise ValueError(f"y must have one entry per row of B ({B.shape[0]}), "
+                             f"got {len(y)}")
+        if len(prior_mean) != n:
+            raise ValueError(f"prior_mean must be a nodal field ({n}), "
+                             f"got {len(prior_mean)}")
+        if A_prior.n_dof != n:
+            raise ValueError(f"A_prior must act on the nodes ({n}), got {A_prior.n_dof}")
         self.mesh = mesh
         self.alpha = _smoothness(alpha)
         self.A_prior = A_prior
@@ -525,26 +541,40 @@ class DarcyProblem(BayesProblem):
     class _State:
         __slots__ = ("k", "op", "u", "Bu", "du", "dp")
 
-        def __init__(self, k, op, u, Bu):
-            self.k, self.op, self.u, self.Bu = k, op, u, Bu
-            self.du = self.dp = None  # set by _slopes
+        def __init__(self, k, u, Bu):
+            self.k, self.u, self.Bu = k, u, Bu
+            self.op = self.du = self.dp = None  # set by _slopes
 
     def _forward_state(self, m: np.ndarray) -> "DarcyProblem._State":
-        """Forward state at ``m``: the cell coefficients, the operator and its
-        factor, u and B u, from one tridiagonal factor-and-solve.  This is all
-        a quadrature point reads; the slopes of u and the adjoint are left to
-        ``_slopes``, which only gradient and Hessian actions call."""
+        """Forward state at ``m``: the cell coefficients k, u and B u.  This is
+        all a quadrature point reads; the stiffness operator, the slopes of u
+        and the adjoint are left to ``_slopes``, which only gradient and
+        Hessian actions call.
+
+        The P1 system with cell-constant k carries the same flux k_c (u_c -
+        u_{c+1}) / h through every cell, so its exact nodal solution is
+        u_i = sum_{c>=i} 1/k_c / sum_c 1/k_c: one reversed cumulative sum,
+        with u(0) = 1 and u(1) = 0 exactly and no factorization.  A
+        non-finite ``m``, a conductivity that overflows to inf and one whose
+        reciprocals do not sum to a finite number (a conductivity that
+        underflows to 0) are refused.
+        """
         m = np.asarray(m, dtype=float)
-        if not np.isfinite(m).all():
-            raise ValueError("parameter field must be finite")
-        k = darcy_cell_coeffs(m)
-        op = darcy_stiffness(k, self.mesh)
-        rhs = np.zeros(self.mesh.n_interior)
-        rhs[0] = k[0] / self.mesh.h  # u(0) = 1 lifting; u(1) = 0
+        with np.errstate(all="ignore"):  # every bad case is refused below
+            k = darcy_cell_coeffs(m)
+            tail = np.cumsum(1.0 / k[::-1])[::-1]
+        if not (k.max() < math.inf and tail[0] < math.inf):  # False on nan too
+            if not np.isfinite(m).all():
+                raise ValueError("parameter field must be finite")
+            if k.max() == math.inf:
+                raise ValueError("conductivity exp(m) overflows to inf")
+            raise ValueError(
+                "conductivity exp(m) underflows: the sum of 1/exp(m) is not finite"
+            )
         u = np.empty(self.mesh.n_nodes)
-        u[0], u[-1] = 1.0, 0.0
-        u[1:-1] = op.solve(rhs)
-        return self._State(k, op, u, self.B @ u)
+        np.divide(tail, tail[0], out=u[:-1])
+        u[-1] = 0.0
+        return self._State(k, u, self.B @ u)
 
     def forward(self, m: np.ndarray) -> np.ndarray:
         """Parameter-to-observable map G(m) = B u(m)."""
@@ -555,10 +585,13 @@ class DarcyProblem(BayesProblem):
         return 0.5 / self.sigma**2 * float(np.dot(r, r))
 
     def _slopes(self, state) -> tuple[np.ndarray, np.ndarray]:
-        """Cell slopes of the state and of its adjoint (one adjoint solve),
-        computed once per state when a gradient or Hessian action first
-        needs them."""
+        """Cell slopes of the state and of its adjoint, computed once per
+        state when a gradient or Hessian action first needs them; this
+        assembles the stiffness operator ``state.op`` (the adjoint and the
+        incremental solves of the Hessian action share its factor) and makes
+        the adjoint solve."""
         if state.dp is None:
+            state.op = darcy_stiffness(state.k, self.mesh)
             rhs = (self.B.T @ (self.y - state.Bu)) / self.sigma**2
             p = np.zeros(self.mesh.n_nodes)
             p[1:-1] = state.op.solve(rhs[1:-1])
@@ -706,9 +739,10 @@ def prior_weighted_integrand(
 ) -> Integrand:
     """Prior-based path: xi -> (exp(-Phi), Q * exp(-Phi)) at m0(xi); the
     posterior expectation is the ratio of the two integrals.  Each point
-    computes the KL map and one forward state (one factor-and-solve and
-    ``B @ u`` on the Darcy problem), which the potential and
-    ``qoi(m, state)`` read; no slopes or adjoints."""
+    computes the KL map and one forward state (the closed-form pressure and
+    ``B @ u`` on the Darcy problem, with no stiffness assembly or
+    factorization), which the potential and ``qoi(m, state)`` read; no
+    slopes or adjoints."""
 
     def fn(xi: Mapping[int, float]):
         m = kl_map(prior_field, xi)
@@ -729,9 +763,10 @@ def hessian_reweighted_integrand(
     J1(m) = J(m) - J(m1) - 0.5 * ||m - m1||^2_{C1}.
 
     The C1-norm is evaluated spectrally: in KL coordinates it is exactly
-    sum_j xi_j^2.  Each point computes the KL map, one forward state (one
-    factor-and-solve and ``B @ u`` on the Darcy problem), the potential, the
-    prior cost and ``qoi(m, state)``; no slopes or adjoints.
+    sum_j xi_j^2.  Each point computes the KL map, one forward state (the
+    closed-form pressure and ``B @ u`` on the Darcy problem, with no stiffness
+    assembly or factorization), the potential, the prior cost and
+    ``qoi(m, state)``; no slopes or adjoints.
     """
 
     def fn(xi: Mapping[int, float]):

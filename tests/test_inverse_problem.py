@@ -26,7 +26,14 @@ from hessquad.inverse_problem import (
     prior_weighted_integrand,
 )
 from hessquad.quad1d import hermite_rule
-from hessquad.sparse_quad import AdaptConfig, Construction, Integrand, adapt
+from hessquad.sparse_quad import (
+    AdaptConfig,
+    Construction,
+    Integrand,
+    IntegrandError,
+    PointCache,
+    adapt,
+)
 
 
 @pytest.fixture(scope="module")
@@ -262,7 +269,7 @@ def darcy6_setup():
 
 
 @pytest.mark.parametrize("path", ["hessian", "prior"])
-def test_one_factorization_per_quadrature_point(darcy6_setup, path, monkeypatch):
+def test_quadrature_points_factor_nothing(darcy6_setup, path, monkeypatch):
     setup = darcy6_setup
     problem = make_darcy_problem(mesh_exp=6, seed=0)  # has solved nothing yet
     if path == "hessian":
@@ -284,22 +291,25 @@ def test_one_factorization_per_quadrature_point(darcy6_setup, path, monkeypatch)
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    # one factorization, one solve and one KL map per point, and no slopes:
-    # only gradient and Hessian actions read them
+    # one KL map per point, and no stiffness, factorization, solve or slopes:
+    # the pressure is closed-form, and only gradient and Hessian actions
+    # build the operator and read the slopes
     counted(fem1d, "dpttrf")
     counted(fem1d.TriDiagOperator, "solve")
+    counted(inverse_problem, "darcy_stiffness")
     counted(inverse_problem, "kl_map")
     counted(inverse_problem, "cell_slopes")
     res = adapt(g, Construction.APOSTERIORI, AdaptConfig(max_points=300))
     assert res.n_points >= 300
-    assert counts == {"dpttrf": res.n_points, "solve": res.n_points,
+    assert counts == {"dpttrf": 0, "solve": 0, "darcy_stiffness": 0,
                       "kl_map": res.n_points, "cell_slopes": 0}
 
 
 def _parent_forward_state(problem, m):
-    """Oracle for ``DarcyProblem._forward_state``: the forward state as it
-    was built for every point before the slopes became lazy, returning u, B u
-    and the slopes of u."""
+    """Oracle for ``DarcyProblem._forward_state``: the forward state from a
+    tridiagonal LDL^T factor-and-solve of the assembled stiffness, as every
+    point computed it before the closed form (adjoint solves still take this
+    path), returning u, B u and the slopes of u."""
     m = np.asarray(m, dtype=float)
     if not np.all(np.isfinite(m)):
         raise ValueError("parameter field must be finite")
@@ -314,11 +324,127 @@ def _parent_forward_state(problem, m):
     return u, problem.B @ u, fem1d.cell_slopes(u, mesh)
 
 
+# Largest nodal difference between the closed-form pressure and the LDL^T
+# solve, by mesh exponent: the rounding of the LDL^T path, which grows with
+# the mesh (measured on the fields of test_closed_form_pressure_matches_ldlt:
+# 1.3e-14 at 2^6 and 6.8e-13 at 2^10).
+_LDLT_ATOL = {6: 5e-14, 10: 2e-12}
+
+
+def _extended_precision_pressure(k, mesh):
+    """Oracle: the P1 Darcy system for cell coefficients ``k`` assembled and
+    solved by Thomas elimination in ``np.longdouble``."""
+    k = k.astype(np.longdouble)
+    op = fem1d.darcy_stiffness(k, mesh)
+    d, e = op.diag.copy(), op.off
+    b = np.zeros(len(d), dtype=np.longdouble)
+    b[0] = k[0] / mesh.h  # u(0) = 1 lifting
+    for i in range(1, len(d)):
+        w = e[i - 1] / d[i - 1]
+        d[i] -= w * e[i - 1]
+        b[i] -= w * b[i - 1]
+    u = np.zeros(mesh.n_nodes, dtype=np.longdouble)
+    u[0] = 1
+    u[-2] = b[-1] / d[-1]
+    for i in range(len(d) - 2, -1, -1):
+        u[i + 1] = (b[i] - e[i] * u[i + 2]) / d[i]
+    return u
+
+
+def _rough_fields(mesh_exp, count=10):
+    """``count`` white-noise log-conductivities of unit amplitude: cell
+    coefficients that jump by factors up to ~e^3 from cell to cell."""
+    rng = rng_stream(mesh_exp, 1)
+    return [rng.standard_normal(2**mesh_exp + 1) for _ in range(count)]
+
+
+class TestDarcyForward:
+    @pytest.mark.parametrize("mesh_exp", [6, 10])
+    def test_closed_form_pressure_matches_ldlt(self, mesh_exp):
+        # the LDL^T solve of the assembled stiffness is the oracle, at its
+        # own rounding
+        problem = make_darcy_problem(mesh_exp=mesh_exp, seed=0)
+        mesh = problem.mesh
+        for m in _rough_fields(mesh_exp):
+            state = problem._forward_state(m)
+            np.testing.assert_allclose(state.u, _parent_forward_state(problem, m)[0],
+                                       rtol=0, atol=_LDLT_ATOL[mesh_exp])
+            assert state.u[0] == 1.0 and state.u[-1] == 0.0
+            assert state.op is None  # built only when an adjoint needs it
+            problem.misfit_gradient_of_state(state)
+            ref = fem1d.darcy_stiffness(fem1d.darcy_cell_coeffs(m), mesh)
+            np.testing.assert_array_equal(state.op.diag, ref.diag)
+            np.testing.assert_array_equal(state.op.off, ref.off)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="np.longdouble has no extra precision here")
+    @pytest.mark.parametrize("mesh_exp", [6, 10])
+    def test_closed_form_pressure_is_exact_to_rounding(self, mesh_exp):
+        # against an extended-precision solve of the same system the closed
+        # form errs by a few ulps (measured: 4.3e-16 at 2^6, 1.1e-15 at
+        # 2^10), where the LDL^T solve errs by up to 1.3e-14 and 6.8e-13
+        problem = make_darcy_problem(mesh_exp=mesh_exp, seed=0)
+        for m in _rough_fields(mesh_exp):
+            k = fem1d.darcy_cell_coeffs(m)
+            err = np.max(np.abs(problem._forward_state(m).u
+                                - _extended_precision_pressure(k, problem.mesh)))
+            assert err <= 1e-14
+
+    @pytest.mark.parametrize("value, refused", [
+        (800.0, "overflows"),
+        (-800.0, "underflows"),
+    ])
+    def test_refuses_a_conductivity_out_of_range(self, darcy6, value, refused):
+        # exp(m) = inf would carry no pressure drop and exp(m) = 0 none of
+        # the flux; the LDL^T factor that the closed form replaced refused
+        # both (non-finite entries, not positive definite)
+        n = darcy6.mesh.n_nodes
+        spike = np.r_[np.zeros(n // 2), 2 * value, np.zeros(n // 2)]
+        for m in (np.full(n, value), spike):
+            with pytest.raises(ValueError, match=rf"conductivity exp\(m\) {refused}"):
+                darcy6._forward_state(m)
+        with pytest.raises(ValueError, match="parameter field must be finite"):
+            darcy6._forward_state(np.r_[np.nan, np.zeros(n - 1)])
+
+    @pytest.mark.parametrize("x, refused", [(2.0, "overflows"), (-2.0, "underflows")])
+    def test_refused_conductivity_names_the_point(self, darcy6, x, refused):
+        # m(xi) = 400 xi_1: finite at xi = 0, out of range at |xi_1| = 2
+        n = darcy6.mesh.n_nodes
+        field = GaussianField(np.zeros(n), gaussian_measure.EigenPairs(
+            np.array([400.0**2]), np.ones((n, 1))))
+        cache = PointCache(prior_weighted_integrand(darcy6, field, darcy6.qoi()))
+        assert all(map(math.isfinite, cache.value(())))
+        with pytest.raises(IntegrandError, match=rf"conductivity exp\(m\) {refused}") as err:
+            cache.value(((1, x),))
+        assert err.value.point == {1: x}
+
+    @pytest.mark.parametrize("field, make_bad, message", [
+        pytest.param("B", lambda p: p.B[:, :-1], "B must have one column per node",
+                     id="B"),
+        pytest.param("y", lambda p: p.y[:-1], "y must have one entry per row of B",
+                     id="y"),
+        pytest.param("prior_mean", lambda p: p.prior_mean[1:],
+                     "prior_mean must be a nodal field", id="prior_mean"),
+        pytest.param("A_prior",
+                     lambda p: fem1d.assemble(Mesh1D(p.mesh.n_cells // 2), beta=2.0,
+                                              gamma=1.0),
+                     "A_prior must act on the nodes", id="A_prior"),
+    ])
+    def test_constructor_refuses_mismatched_shapes(self, darcy6, field, make_bad, message):
+        p = darcy6
+        args = dict(mesh=p.mesh, alpha=p.alpha, A_prior=p.A_prior, B=p.B,
+                    sigma=p.sigma, y=p.y, prior_mean=p.prior_mean)
+        inverse_problem.DarcyProblem(**args)
+        args[field] = make_bad(p)
+        with pytest.raises(ValueError, match=message):
+            inverse_problem.DarcyProblem(**args)
+
+
 def _parent_darcy_point(problem, field, xi, cost_at_map=None):
     """Oracle for one point of the Darcy integrands: the parent evaluation,
-    with the KL sum over ``field``'s eigenvectors in C order and the prior
-    cost through a matvec that allocates both couplings.  Prior path without
-    ``cost_at_map``, Hessian path with it."""
+    with the LDL^T forward state, the KL sum over ``field``'s eigenvectors
+    in C order and the prior cost through a matvec that allocates both
+    couplings.  Prior path without ``cost_at_map``, Hessian path with it."""
     assert problem.alpha == 1
     scales = np.sqrt(field.pairs.values)
     vectors = np.ascontiguousarray(field.pairs.vectors)
@@ -350,9 +476,12 @@ def _sparse_points(rng, dims, count):
 
 @pytest.mark.parametrize("path", ["hessian", "prior"])
 def test_lean_darcy_point_matches_parent_evaluation(darcy6_setup, path):
-    # every point returns the tuple the parent evaluation returns, over the
-    # Fortran-order field DarcySetup builds and over the C-order field the
-    # eigensolvers return
+    # every point returns the same tuple over the Fortran-order field
+    # DarcySetup builds and over the C-order field the eigensolvers return,
+    # and the tuple the parent's LDL^T evaluation returns up to that
+    # solve's rounding: u agrees to _LDLT_ATOL[6], which the potential
+    # (1/sigma^2 = 400, Phi up to ~300 on the prior path) amplifies to at
+    # most 1.7e-11 relative in exp(-Phi) (measured)
     setup, problem = darcy6_setup, darcy6_setup.problem
     built = setup.posterior_field if path == "hessian" else setup.prior_field
     assert built.pairs.vectors.flags.f_contiguous
@@ -360,19 +489,23 @@ def test_lean_darcy_point_matches_parent_evaluation(darcy6_setup, path):
         built.pairs, vectors=np.ascontiguousarray(built.pairs.vectors)))
     cost_at_map = setup.map_result.cost_at_map if path == "hessian" else None
     points = [{}] + _sparse_points(rng_stream(10, 1), setup.kl_dims, 500)
-    expected = [_parent_darcy_point(problem, built, xi, cost_at_map) for xi in points]
-    for field in (built, c_order):
+    values = {}
+    for name, field in (("built", built), ("c_order", c_order)):
         if path == "hessian":
             g = hessian_reweighted_integrand(problem, field, cost_at_map, problem.qoi())
         else:
             g = prior_weighted_integrand(problem, field, problem.qoi())
-        assert [g.fn(xi) for xi in points] == expected
+        values[name] = [g.fn(xi) for xi in points]
+    assert values["built"] == values["c_order"]
+    expected = [_parent_darcy_point(problem, built, xi, cost_at_map) for xi in points]
+    np.testing.assert_allclose(values["built"], expected, rtol=5e-11, atol=0)
 
 
 def test_darcy_derivatives_do_not_depend_on_what_read_the_state_first(darcy6_setup):
-    # the slopes are computed when a gradient or Hessian action first needs
-    # them; both actions are the same whether the state is fresh or was first
-    # read by the potential alone, and the slopes of u are the parent's
+    # the operator and the slopes are built when a gradient or Hessian action
+    # first needs them; both actions are the same whether the state is fresh
+    # or was first read by the potential alone, and the slopes of u are the
+    # parent's up to the LDL^T rounding of u
     problem = darcy6_setup.problem
     rng = rng_stream(10, 2)
     n = problem.mesh.n_nodes
@@ -385,13 +518,14 @@ def test_darcy_derivatives_do_not_depend_on_what_read_the_state_first(darcy6_set
                 for gn in (False, True)]
         read = problem._forward_state(m)
         problem.potential_of_state(read)
-        assert read.du is None and read.dp is None
+        assert read.op is None and read.du is None and read.dp is None
         hess_read = [problem.misfit_hessian_action(read, mhat, gauss_newton=gn)
                      for gn in (False, True)]
         np.testing.assert_array_equal(problem.misfit_gradient_of_state(read), grad)
         for a, b in zip(hess_read, hess):
             np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(read.du, _parent_forward_state(problem, m)[2])
+        np.testing.assert_allclose(read.du, _parent_forward_state(problem, m)[2],
+                                   rtol=0, atol=2 * _LDLT_ATOL[6] / problem.mesh.h)
 
 
 def test_linear_prior_run_solves_once_per_quadrature_point(monkeypatch):
