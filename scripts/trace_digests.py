@@ -1,7 +1,10 @@
 #!/usr/bin/env python3
 """Print ``sha256  name`` of the adaptive trace (``trace_to_csv``) of the
 benchmark workloads and of every acceptance-suite run: the six linear runs
-and the two Darcy runs.  Then print the digests of the acceptance Darcy
+and the two Darcy runs.  Each trace's line is followed by the digest of its
+selection columns alone (step, chosen index, index and point counts), as
+``sha256  name selection``, so that a change that moves the values of a
+trace but not which indices it chose shows that in one diff.  Then print the digests of the acceptance Darcy
 setup's two spectra (eigenvalues and eigenvectors of ``prior_field`` and of
 ``posterior_field``), so that a change to the setup shows which one moved,
 and the digest of its problem data: y, the prior mean, the prior operator
@@ -21,7 +24,9 @@ import os
 # before numpy loads
 os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
 
+import csv  # noqa: E402
 import hashlib  # noqa: E402
+import io  # noqa: E402
 import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -51,9 +56,22 @@ LINEAR_RUNS = (
 )
 
 
+SELECTION = ("step", "chosen_index", "n_indices", "n_points")
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def _show(name, out):
-    digest = hashlib.sha256(trace_to_csv(out.quadrature.trace).encode()).hexdigest()
-    print(f"{digest}  {name}", flush=True)
+    trace = trace_to_csv(out.quadrature.trace)
+    selection = io.StringIO()
+    writer = csv.DictWriter(selection, SELECTION, extrasaction="ignore",
+                            lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(csv.DictReader(io.StringIO(trace)))
+    print(f"{_sha(trace)}  {name}", flush=True)
+    print(f"{_sha(selection.getvalue())}  {name} selection", flush=True)
 
 
 def _show_field(name, field):

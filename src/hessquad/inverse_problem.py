@@ -165,6 +165,21 @@ class BayesProblem:
     ) -> np.ndarray:
         raise NotImplementedError
 
+    def _observed_points(
+        self, field: GaussianField, points: list[Mapping[int, float]],
+        read: Callable[[np.ndarray, object], object],
+    ) -> list[tuple[object, float]]:
+        """(``read(m, state)``, potential) per point xi of a batch, in order,
+        at m = kl_map(field, xi) and its forward state: what the reweighted
+        integrands evaluate.  One forward state per point here; the Darcy
+        problem observes the whole batch in one product."""
+        out = []
+        for xi in points:
+            m = kl_map(field, xi)
+            state = self._forward_state(m)
+            out.append((read(m, state), self.potential_of_state(state)))
+        return out
+
     # -- assembled quantities -------------------------------------------
 
     def potential(self, m: np.ndarray) -> float:
@@ -501,7 +516,9 @@ class DarcyProblem(BayesProblem):
     Prior N(prior_mean, A_prior^{-alpha}) on all nodes (``make_darcy_problem``
     builds the measurement-informed A_prior and prior mean of the benchmark);
     observations B u with iid N(0, sigma^2) noise.  The forward pressure is
-    the closed-form nodal solution of the P1 system (``_forward_state``).
+    the closed-form nodal solution of the P1 system (``_pressure``); a batch
+    of quadrature points observes its pressures in one product
+    (``_observed_points``).
     Gradients and Hessian actions come from the Lagrangian: one adjoint solve
     for the gradient, incremental state and adjoint solves for each Hessian
     action, all against the tridiagonal stiffness factor.  The constructor
@@ -545,11 +562,9 @@ class DarcyProblem(BayesProblem):
             self.k, self.u, self.Bu = k, u, Bu
             self.op = self.du = self.dp = None  # set by _slopes
 
-    def _forward_state(self, m: np.ndarray) -> "DarcyProblem._State":
-        """Forward state at ``m``: the cell coefficients k, u and B u.  This is
-        all a quadrature point reads; the stiffness operator, the slopes of u
-        and the adjoint are left to ``_slopes``, which only gradient and
-        Hessian actions call.
+    def _pressure(self, m: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Write the nodal pressure at ``m`` into ``u`` and return the cell
+        coefficients k.
 
         The P1 system with cell-constant k carries the same flux k_c (u_c -
         u_{c+1}) / h through every cell, so its exact nodal solution is
@@ -571,17 +586,42 @@ class DarcyProblem(BayesProblem):
             raise ValueError(
                 "conductivity exp(m) underflows: the sum of 1/exp(m) is not finite"
             )
-        u = np.empty(self.mesh.n_nodes)
         np.divide(tail, tail[0], out=u[:-1])
         u[-1] = 0.0
+        return k
+
+    def _forward_state(self, m: np.ndarray) -> "DarcyProblem._State":
+        """Forward state at ``m``: the cell coefficients k, u and B u.  This is
+        all a quadrature point reads; the stiffness operator, the slopes of u
+        and the adjoint are left to ``_slopes``, which only gradient and
+        Hessian actions call."""
+        u = np.empty(self.mesh.n_nodes)
+        k = self._pressure(m, u)
         return self._State(k, u, self.B @ u)
+
+    def _observed_points(self, field, points, read):
+        """``BayesProblem._observed_points`` with one observation product:
+        each point's pressure is written into a row of one block U and read
+        (``state.Bu`` is not set), and U B^T then observes every row, so
+        ``B`` is streamed once per batch instead of once per point.  The
+        pressures stay per point: as one block they measured slower and
+        need P x n temporaries beside U."""
+        U = np.empty((len(points), self.mesh.n_nodes))
+        reads = []
+        for xi, u in zip(points, U):
+            m = kl_map(field, xi)
+            reads.append(read(m, self._State(self._pressure(m, u), u, None)))
+        return [(r, self._potential(bu)) for r, bu in zip(reads, U @ self.B.T)]
 
     def forward(self, m: np.ndarray) -> np.ndarray:
         """Parameter-to-observable map G(m) = B u(m)."""
         return self._forward_state(m).Bu
 
     def potential_of_state(self, state) -> float:
-        r = self.y - state.Bu
+        return self._potential(state.Bu)
+
+    def _potential(self, Bu: np.ndarray) -> float:
+        r = self.y - Bu
         return 0.5 / self.sigma**2 * float(np.dot(r, r))
 
     def _slopes(self, state) -> tuple[np.ndarray, np.ndarray]:
@@ -738,19 +778,23 @@ def prior_weighted_integrand(
     qoi: Callable[..., float],
 ) -> Integrand:
     """Prior-based path: xi -> (exp(-Phi), Q * exp(-Phi)) at m0(xi); the
-    posterior expectation is the ratio of the two integrals.  Each point
-    computes the KL map and one forward state (the closed-form pressure and
-    ``B @ u`` on the Darcy problem, with no stiffness assembly or
-    factorization), which the potential and ``qoi(m, state)`` read; no
-    slopes or adjoints."""
+    posterior expectation is the ratio of the two integrals.  Batched: each
+    point computes the KL map and one forward state (the closed-form
+    pressure on the Darcy problem, with no stiffness assembly or
+    factorization), which ``qoi(m, state)`` reads; the Darcy problem
+    observes a batch's pressures in one product, and the potential is read
+    per point (``_observed_points``).  No slopes or adjoints."""
 
-    def fn(xi: Mapping[int, float]):
-        m = kl_map(prior_field, xi)
-        state = problem._forward_state(m)
-        w = math.exp(-problem.potential_of_state(state))
-        return (w, qoi(m, state) * w)
+    def fn(points):
+        if isinstance(points, Mapping):
+            return fn([points])[0]
+        out = []
+        for q, phi in problem._observed_points(prior_field, points, qoi):
+            w = math.exp(-phi)
+            out.append((w, q * w))
+        return out
 
-    return Integrand(fn=fn, n_outputs=2, dim_hint=prior_field.truncation)
+    return Integrand(fn=fn, n_outputs=2, dim_hint=prior_field.truncation, batched=True)
 
 
 def hessian_reweighted_integrand(
@@ -763,20 +807,27 @@ def hessian_reweighted_integrand(
     J1(m) = J(m) - J(m1) - 0.5 * ||m - m1||^2_{C1}.
 
     The C1-norm is evaluated spectrally: in KL coordinates it is exactly
-    sum_j xi_j^2.  Each point computes the KL map, one forward state (the
-    closed-form pressure and ``B @ u`` on the Darcy problem, with no stiffness
-    assembly or factorization), the potential, the prior cost and
-    ``qoi(m, state)``; no slopes or adjoints.
+    sum_j xi_j^2.  Batched like ``prior_weighted_integrand``: each point
+    computes the KL map, one forward state, ``qoi(m, state)`` and the prior
+    cost, and reads its potential off the batch's observation product; no
+    slopes or adjoints.
     """
 
-    def fn(xi: Mapping[int, float]):
-        m = kl_map(posterior_field, xi)
-        state = problem._forward_state(m)
-        half_sq = 0.5 * sum(x * x for x in xi.values())
-        cost = problem.potential_of_state(state) + problem.prior_cost(m)
-        j1 = cost - cost_at_map - half_sq
-        w = math.exp(-j1)
-        return (w, qoi(m, state) * w)
+    def read(m, state):
+        return qoi(m, state), problem.prior_cost(m)
 
-    return Integrand(fn=fn, n_outputs=2, dim_hint=posterior_field.truncation)
+    def fn(points):
+        if isinstance(points, Mapping):
+            return fn([points])[0]
+        out = []
+        terms = problem._observed_points(posterior_field, points, read)
+        for xi, ((q, prior), phi) in zip(points, terms):
+            half_sq = 0.5 * sum(x * x for x in xi.values())
+            j1 = phi + prior - cost_at_map - half_sq
+            w = math.exp(-j1)
+            out.append((w, q * w))
+        return out
+
+    return Integrand(fn=fn, n_outputs=2, dim_hint=posterior_field.truncation,
+                     batched=True)
 

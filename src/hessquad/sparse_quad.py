@@ -6,8 +6,11 @@ from the zero index, selecting the next forward neighbor either by the
 computed error indicator (a posteriori) or by the closed-form priority
 coefficient (a priori), and reusing every neighbor evaluation when its index
 is adopted.  All point evaluations go through a cache keyed by the nonzero
-coordinates, so each distinct quadrature point costs exactly one integrand
-call.
+coordinates, so each distinct quadrature point is evaluated exactly once.
+Each step builds the difference grids of the candidates it admits; a batched
+integrand (``Integrand.batched``) then receives all their uncached points in
+one call, in the order the grids meet them, before the differences are
+summed from the cache, and any other integrand is called point by point.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import io
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -50,11 +53,17 @@ class Integrand:
     once per distinct point and reuses that value wherever the point recurs.
     ``dim_hint`` caps the dimensions the adaptive loop may explore (e.g. a KL
     truncation).
+
+    With ``batched`` set, ``fn`` also takes a list of such mappings and
+    returns a list with one output per point, in order; a single mapping
+    still returns one output.  The adaptive loop then evaluates each step's
+    uncached points, those of every candidate the step admits, in one call.
     """
 
     fn: Callable[[Mapping[int, float]], object]
     n_outputs: int = 1
     dim_hint: int | None = None
+    batched: bool = False
 
 
 class PointCache:
@@ -63,7 +72,9 @@ class PointCache:
 
     The coordinates are the difference-rule nodes themselves, and a node two
     difference rules share is the same float in both (tested), so a point
-    that recurs across tensor grids hits its cache entry.
+    that recurs across tensor grids hits its cache entry.  ``value``
+    evaluates a missing point on its own; ``fill`` evaluates many in one
+    call of a batched integrand.
     """
 
     def __init__(self, integrand: Integrand):
@@ -82,24 +93,53 @@ class PointCache:
                 raw = self._integrand.fn(point)
             except Exception as exc:  # surface the failing quadrature point
                 raise IntegrandError(f"integrand evaluation failed ({exc})", point) from exc
-            n = self._integrand.n_outputs
-            if type(raw) is float and n == 1:
-                out = (raw,)
-            elif type(raw) is tuple and len(raw) == n and all(type(v) is float for v in raw):
-                out = raw
-            else:
-                try:
-                    arr = np.atleast_1d(np.asarray(raw, dtype=float))
-                except (TypeError, ValueError) as exc:
-                    raise IntegrandError(f"integrand returned {raw!r} ({exc})", point) from exc
-                if arr.shape != (n,):
-                    raise IntegrandError(
-                        f"integrand returned shape {arr.shape}, expected ({n},)", point
-                    )
-                out = tuple(arr.tolist())
-            if not all(map(math.isfinite, out)):
-                raise IntegrandError(f"integrand returned non-finite value {out}", point)
-            self._data[items] = out
+            out = self._data[items] = self._checked(raw, point)
+        return out
+
+    def fill(self, keys: Iterable[tuple[tuple[int, float], ...]]) -> None:
+        """Evaluate each point of ``keys`` that is not cached yet, once and
+        in the order the keys first name it, in one call of the batched
+        integrand.  A failing batch is reported at the first of its points
+        that fails on its own."""
+        data = self._data
+        missing = list(dict.fromkeys(k for k in keys if k not in data))
+        if not missing:
+            return
+        points = [dict(k) for k in missing]
+        try:
+            raws = self._integrand.fn(points)
+        except Exception as exc:
+            for key in missing:  # raises at the first point that fails alone
+                self.value(key)
+            raise IntegrandError(f"integrand evaluation failed ({exc})", points[0]) from exc
+        if type(raws) is not list or len(raws) != len(points):
+            raise IntegrandError(
+                f"batched integrand returned {raws!r:.80} for {len(points)} points",
+                points[0],
+            )
+        for key, point, raw in zip(missing, points, raws):
+            data[key] = self._checked(raw, point)
+
+    def _checked(self, raw, point: dict[int, float]) -> tuple[float, ...]:
+        """``raw`` as a tuple of ``n_outputs`` finite floats, or an
+        IntegrandError naming ``point``."""
+        n = self._integrand.n_outputs
+        if type(raw) is float and n == 1:
+            out = (raw,)
+        elif type(raw) is tuple and len(raw) == n and all(type(v) is float for v in raw):
+            out = raw
+        else:
+            try:
+                arr = np.atleast_1d(np.asarray(raw, dtype=float))
+            except (TypeError, ValueError) as exc:
+                raise IntegrandError(f"integrand returned {raw!r} ({exc})", point) from exc
+            if arr.shape != (n,):
+                raise IntegrandError(
+                    f"integrand returned shape {arr.shape}, expected ({n},)", point
+                )
+            out = tuple(arr.tolist())
+        if not all(map(math.isfinite, out)):
+            raise IntegrandError(f"integrand returned non-finite value {out}", point)
         return out
 
 
@@ -115,18 +155,29 @@ def _grid_terms(dim: int, level: int) -> tuple:
     )
 
 
-def tensor_delta(nu: MultiIndex, g: Integrand, cache: PointCache) -> tuple[float, ...]:
-    """Tensor-product signed quadrature applied to ``g``, one sum per output.
-
-    Iterates the Cartesian product of the per-dimension difference-rule nodes
-    over the support of ``nu`` (absent dimensions sit at the single level-0
-    node 0 with weight 1), multiplying signed weights in dimension order.
-    Values come from the cache, keyed by the nonzero coordinates.
-    """
-    grid = [(1.0, ())]  # (weight, point items)
+def _difference_grid(nu: MultiIndex) -> list[tuple[float, tuple]]:
+    """(signed weight, point items) per node of the tensor difference grid
+    of ``nu``: the Cartesian product of the per-dimension difference-rule
+    nodes over its support (absent dimensions sit at the single level-0 node
+    0 with weight 1), signed weights multiplied in dimension order."""
+    grid = [(1.0, ())]
     for dim, level in nu.entries:
         grid = [(w0 * w, items + xp) for w0, items in grid
                 for w, xp in _grid_terms(dim, level)]
+    return grid
+
+
+def tensor_delta(
+    nu: MultiIndex, g: Integrand, cache: PointCache, grid: list | None = None
+) -> tuple[float, ...]:
+    """Tensor-product signed quadrature applied to ``g``, one sum per output.
+
+    ``grid`` is nu's ``_difference_grid`` when the caller has built it.
+    Values come from the cache, keyed by the nonzero coordinates; a point it
+    lacks is evaluated there on its own.
+    """
+    if grid is None:
+        grid = _difference_grid(nu)
     value = cache.value
     if g.n_outputs == 1:
         total = 0.0
@@ -138,6 +189,20 @@ def tensor_delta(nu: MultiIndex, g: Integrand, cache: PointCache) -> tuple[float
         for i, v in enumerate(value(items)):
             totals[i] += w * v
     return tuple(totals)
+
+
+def tensor_deltas(
+    nus: Sequence[MultiIndex], g: Integrand, cache: PointCache
+) -> list[tuple[float, ...]]:
+    """``tensor_delta`` of each of ``nus``, in order, each grid built once.
+    For a batched integrand the points of all the grids that the cache
+    lacks are evaluated first, in one ``PointCache.fill`` in the order the
+    grids meet them; otherwise each is evaluated as its sum first meets it,
+    in the same order."""
+    grids = [_difference_grid(nu) for nu in nus]
+    if g.batched:
+        cache.fill(items for grid in grids for _, items in grid)
+    return [tensor_delta(nu, g, cache, grid) for nu, grid in zip(nus, grids)]
 
 
 @dataclass(frozen=True)
@@ -211,8 +276,8 @@ def evaluate(index_set: IndexSet, g: Integrand) -> QuadratureResult:
     """
     cache = PointCache(g)
     value = np.zeros(g.n_outputs)
-    for nu in index_set.sorted_members():
-        value += tensor_delta(nu, g, cache)
+    for delta in tensor_deltas(index_set.sorted_members(), g, cache):
+        value += delta
     return QuadratureResult(
         value=value,
         n_indices=len(index_set),
@@ -420,7 +485,7 @@ def adapt(
     """
     lam = IndexSet()
     cache = PointCache(g)
-    value = tensor_delta(ZERO_INDEX, g, cache)
+    (value,) = tensor_deltas([ZERO_INDEX], g, cache)
     trace = [
         TraceRecord(
             step=0,
@@ -437,8 +502,8 @@ def adapt(
     lazy_apriori = mode is Construction.APRIORI and cfg.tolerance is None
 
     def admit(fresh: Sequence[MultiIndex]) -> None:
-        for nu in fresh:
-            delta = None if lazy_apriori else tensor_delta(nu, g, cache)
+        deltas = [None] * len(fresh) if lazy_apriori else tensor_deltas(fresh, g, cache)
+        for nu, delta in zip(fresh, deltas):
             priority = b_coefficient(nu, cfg.bnu) if mode is Construction.APRIORI else None
             candidates.add(nu, delta, priority)
 
@@ -475,7 +540,7 @@ def adapt(
             break
 
         if lazy_apriori:
-            delta = tensor_delta(chosen, g, cache)
+            (delta,) = tensor_deltas([chosen], g, cache)
         else:
             delta = candidates.deltas.pop(chosen)
         indicator = _indicator(delta, value)

@@ -412,11 +412,18 @@ class TestDarcyForward:
         n = darcy6.mesh.n_nodes
         field = GaussianField(np.zeros(n), gaussian_measure.EigenPairs(
             np.array([400.0**2]), np.ones((n, 1))))
-        cache = PointCache(prior_weighted_integrand(darcy6, field, darcy6.qoi()))
+        g = prior_weighted_integrand(darcy6, field, darcy6.qoi())
+        cache = PointCache(g)
         assert all(map(math.isfinite, cache.value(())))
         with pytest.raises(IntegrandError, match=rf"conductivity exp\(m\) {refused}") as err:
             cache.value(((1, x),))
         assert err.value.point == {1: x}
+        # in the middle of a batch the point named is the refused one, not
+        # the batch's first, with the refusal chained
+        with pytest.raises(IntegrandError, match=rf"conductivity exp\(m\) {refused}") as err:
+            PointCache(g).fill([(), ((1, x / 4),), ((1, x),)])
+        assert err.value.point == {1: x}
+        assert isinstance(err.value.__cause__, ValueError)
 
     @pytest.mark.parametrize("field, make_bad, message", [
         pytest.param("B", lambda p: p.B[:, :-1], "B must have one column per node",
@@ -499,6 +506,24 @@ def test_lean_darcy_point_matches_parent_evaluation(darcy6_setup, path):
     assert values["built"] == values["c_order"]
     expected = [_parent_darcy_point(problem, built, xi, cost_at_map) for xi in points]
     np.testing.assert_allclose(values["built"], expected, rtol=5e-11, atol=0)
+
+
+@pytest.mark.parametrize("path", ["hessian", "prior"])
+def test_darcy_batch_matches_pointwise(darcy6_setup, path):
+    # a batch observes its pressures with one product U B^T where a single
+    # point is a batch of one: only the last bits of B u may move (measured
+    # on these points: at most 8.5e-14 relative, 7.1e-14 at mesh 2^10)
+    setup, problem = darcy6_setup, darcy6_setup.problem
+    if path == "hessian":
+        g = hessian_reweighted_integrand(problem, setup.posterior_field,
+                                         setup.map_result.cost_at_map, problem.qoi())
+    else:
+        g = prior_weighted_integrand(problem, setup.prior_field, problem.qoi())
+    assert g.batched
+    points = [{}] + _sparse_points(rng_stream(10, 3), setup.kl_dims, 200)
+    batch = g.fn(points)
+    assert type(batch) is list and len(batch) == len(points)
+    np.testing.assert_allclose(batch, [g.fn(xi) for xi in points], rtol=1e-12, atol=0)
 
 
 def test_darcy_derivatives_do_not_depend_on_what_read_the_state_first(darcy6_setup):

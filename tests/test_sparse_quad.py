@@ -41,6 +41,20 @@ def scalar(fn, dim_hint=None):
     return Integrand(fn=fn, n_outputs=1, dim_hint=dim_hint)
 
 
+def as_batched(fn, n_outputs=1, dim_hint=None, calls=None):
+    """``fn`` as a batched integrand: a list of points maps to the list of
+    their values, and each list is recorded in ``calls`` when given."""
+
+    def batch_fn(xi):
+        if isinstance(xi, list):
+            if calls is not None:
+                calls.append([dict(p) for p in xi])
+            return [fn(p) for p in xi]
+        return fn(xi)
+
+    return Integrand(fn=batch_fn, n_outputs=n_outputs, dim_hint=dim_hint, batched=True)
+
+
 def grid_size(nu):
     """Number of nodes of the tensor difference grid of ``nu``."""
     n = 1
@@ -330,6 +344,13 @@ class TestAdapt:
         assert res.value[0] == pytest.approx(math.exp(0.125), abs=1e-9)
 
 
+def _pointwise_and_batched(*cases):
+    """Each (n_outputs, raw, id) case for a pointwise integrand under its id
+    and for a batched one under ``id-batched``."""
+    return [pytest.param(n, raw, batched, id=name + ("-batched" if batched else ""))
+            for n, raw, name in cases for batched in (False, True)]
+
+
 class TestIntegrandErrors:
     def test_failure_carries_point(self):
         def g_fn(xi):
@@ -342,38 +363,62 @@ class TestIntegrandErrors:
                   AdaptConfig(max_indices=4))
         assert 1 in err.value.point
 
+    def test_failure_in_a_batch_names_its_point(self):
+        # the whole batch raises; the point named is the first that fails
+        # on its own, not the first of the batch, and its error is chained
+        def g_fn(xi):
+            if xi.get(1, 0.0) > 1.0:
+                raise RuntimeError("solver blew up")
+            return 1.0
+
+        cache = PointCache(as_batched(g_fn))
+        keys = [(), ((1, -2.0),), ((1, 0.5),), ((1, 1.5),), ((1, 3.0),)]
+        with pytest.raises(IntegrandError, match="solver blew up") as err:
+            cache.fill(keys)
+        assert err.value.point == {1: 1.5}
+        assert isinstance(err.value.__cause__, RuntimeError)
+
+    def test_batch_of_the_wrong_length_rejected(self):
+        g = Integrand(fn=lambda xi: [1.0] if isinstance(xi, list) else 1.0, batched=True)
+        with pytest.raises(IntegrandError, match="for 2 points"):
+            PointCache(g).fill([((1, 1.0),), ((1, -1.0),)])
+
     @staticmethod
-    def _rejected_naming_the_point(n_outputs, raw):
+    def _rejected_naming_the_point(n_outputs, raw, batched):
         """``raw`` at every nonzero point (a valid value at the zero point)
         raises IntegrandError naming the first nonzero point evaluated."""
         good = 1.0 if n_outputs == 1 else (1.0, 1.0)
-        g = Integrand(fn=lambda xi: raw if xi else good, n_outputs=n_outputs, dim_hint=1)
+        fn = lambda xi: raw if xi else good
+        if batched:
+            g = as_batched(fn, n_outputs=n_outputs, dim_hint=1)
+        else:
+            g = Integrand(fn=fn, n_outputs=n_outputs, dim_hint=1)
         with pytest.raises(IntegrandError) as err:
             adapt(g, Construction.APOSTERIORI, AdaptConfig(max_indices=4))
         assert list(err.value.point) == [1]
         assert str(err.value).endswith(f"at point {err.value.point}")
 
-    @pytest.mark.parametrize("n_outputs, raw", [
-        pytest.param(1, math.inf, id="n1-inf"),
-        pytest.param(1, math.nan, id="n1-nan"),
-        pytest.param(1, (-math.inf,), id="n1-tuple"),
-        pytest.param(1, np.float64(math.nan), id="n1-numpy"),
-        pytest.param(2, (1.0, math.nan), id="n2-tuple"),
-        pytest.param(2, [math.inf, 0.0], id="n2-list"),
-    ])
-    def test_non_finite_rejected(self, n_outputs, raw):
-        self._rejected_naming_the_point(n_outputs, raw)
+    @pytest.mark.parametrize("n_outputs, raw, batched", _pointwise_and_batched(
+        (1, math.inf, "n1-inf"),
+        (1, math.nan, "n1-nan"),
+        (1, (-math.inf,), "n1-tuple"),
+        (1, np.float64(math.nan), "n1-numpy"),
+        (2, (1.0, math.nan), "n2-tuple"),
+        (2, [math.inf, 0.0], "n2-list"),
+    ))
+    def test_non_finite_rejected(self, n_outputs, raw, batched):
+        self._rejected_naming_the_point(n_outputs, raw, batched)
 
-    @pytest.mark.parametrize("n_outputs, raw", [
-        pytest.param(1, (1.0, 2.0), id="n1-pair"),
-        pytest.param(1, [], id="n1-empty"),
-        pytest.param(2, 1.0, id="n2-float"),
-        pytest.param(2, (1.0,), id="n2-single"),
-        pytest.param(2, [1.0, 2.0, 3.0], id="n2-list"),
-        pytest.param(2, np.zeros(3), id="n2-array"),
-    ])
-    def test_bad_shape_rejected(self, n_outputs, raw):
-        self._rejected_naming_the_point(n_outputs, raw)
+    @pytest.mark.parametrize("n_outputs, raw, batched", _pointwise_and_batched(
+        (1, (1.0, 2.0), "n1-pair"),
+        (1, [], "n1-empty"),
+        (2, 1.0, "n2-float"),
+        (2, (1.0,), "n2-single"),
+        (2, [1.0, 2.0, 3.0], "n2-list"),
+        (2, np.zeros(3), "n2-array"),
+    ))
+    def test_bad_shape_rejected(self, n_outputs, raw, batched):
+        self._rejected_naming_the_point(n_outputs, raw, batched)
 
     @pytest.mark.parametrize("n_outputs, raw", [
         pytest.param(1, "abc", id="n1-str"),
@@ -384,7 +429,7 @@ class TestIntegrandErrors:
         pytest.param(2, [[1.0], [2.0, 3.0]], id="n2-ragged"),
     ])
     def test_non_numeric_rejected(self, n_outputs, raw):
-        self._rejected_naming_the_point(n_outputs, raw)
+        self._rejected_naming_the_point(n_outputs, raw, batched=False)
 
     @pytest.mark.parametrize("n_outputs, raw", [
         pytest.param(1, 0.25, id="n1-float"),
@@ -408,6 +453,44 @@ class TestIntegrandErrors:
         assert got == tuple(np.atleast_1d(np.asarray(raw, dtype=float)).tolist())
         assert all(type(v) is float for v in got)
         assert cache.value(point) is got and cache.n_points == 1
+
+
+class TestBatches:
+    @staticmethod
+    def _fn(xi):
+        return math.exp(0.7 * xi.get(1, 0.0) - 0.4 * xi.get(2, 0.0)
+                        + 0.1 * xi.get(3, 0.0) ** 2)
+
+    def test_evaluate_fills_every_point_in_one_call(self):
+        calls = []
+        res = evaluate(full_box((3, 2)), as_batched(self._fn, calls=calls))
+        assert [len(batch) for batch in calls] == [res.n_points]
+        assert res.value[0] == evaluate(full_box((3, 2)), scalar(self._fn)).value[0]
+
+    @pytest.mark.parametrize("mode, tolerance", [
+        (Construction.APOSTERIORI, None),
+        (Construction.APRIORI, 1e-8),
+        (Construction.APRIORI, None),  # lazy: evaluated on adoption only
+    ])
+    def test_one_call_per_admit_with_misses(self, mode, tolerance, monkeypatch):
+        calls, fills = [], []
+        tensor_deltas = sparse_quad.tensor_deltas
+
+        def counted(nus, g, cache):
+            points, n_calls = cache.n_points, len(calls)
+            out = tensor_deltas(nus, g, cache)
+            fills.append((cache.n_points > points, len(calls) - n_calls))
+            return out
+
+        monkeypatch.setattr(sparse_quad, "tensor_deltas", counted)
+        cfg = AdaptConfig(tolerance=tolerance, max_points=400)
+        res = adapt(as_batched(self._fn, dim_hint=3, calls=calls), mode, cfg)
+        assert len(fills) > 10
+        assert all(n == int(grew) for grew, n in fills)
+        keys = [tuple(sorted(p.items())) for batch in calls for p in batch]
+        assert len(keys) == len(set(keys)) == res.n_points
+        pointwise = adapt(scalar(self._fn, dim_hint=3), mode, cfg)
+        assert trace_to_csv(res.trace) == trace_to_csv(pointwise.trace)
 
 
 class TestTraceCsv:
