@@ -181,7 +181,10 @@ class ExperimentConfig:
         """Config from a JSON object.  ``problem`` applies when the object has
         no "problem" key; the fields it leaves out take the defaults of its
         problem (``darcy_default`` for "darcy")."""
-        fields = {"problem": problem, **json.loads(text)}
+        data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError(f"a config must be a JSON object, not {type(data).__name__}")
+        fields = {"problem": problem, **data}
         if fields["problem"] == "darcy":
             return cls.darcy_default(**fields)
         return cls(**fields)
@@ -346,15 +349,16 @@ def _affine(base: float, coefs: np.ndarray, xi: Mapping[int, float]) -> float:
 
 def linear_gaussian_integrand(setup: LinearSetup, qoi: str) -> Integrand:
     """Fast xi -> Q(m1(xi)) under the Hessian (exact posterior)
-    parametrization; identical values to the generic KL-map path."""
+    parametrization, per point of the list it is given; identical values to
+    the generic KL-map path."""
     fld = setup.posterior_field
     base, coefs = functional_coefficients(
         fld, setup.problem.linear_functional(qoi)
     )
     if qoi == "q1":
-        fn = lambda xi: math.exp(_affine(base, coefs, xi))
+        fn = lambda points: [math.exp(_affine(base, coefs, xi)) for xi in points]
     else:
-        fn = lambda xi: float(_affine(base, coefs, xi) ** 2)
+        fn = lambda points: [float(_affine(base, coefs, xi) ** 2) for xi in points]
     return Integrand(fn=fn, n_outputs=1, dim_hint=fld.truncation)
 
 

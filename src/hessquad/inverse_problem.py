@@ -591,9 +591,11 @@ class DarcyProblem(BayesProblem):
         return k
 
     def _forward_state(self, m: np.ndarray) -> "DarcyProblem._State":
-        """Forward state at ``m``: the cell coefficients k, u and B u.  This is
-        all a quadrature point reads; the stiffness operator, the slopes of u
-        and the adjoint are left to ``_slopes``, which only gradient and
+        """Forward state at ``m``: the cell coefficients k, u and B u, for
+        one parameter at a time (``forward``, the potential, the MAP solve);
+        quadrature points go through ``_observed_points``, which observes a
+        batch's pressures in one product.  The stiffness operator, the slopes
+        of u and the adjoint are left to ``_slopes``, which only gradient and
         Hessian actions call."""
         u = np.empty(self.mesh.n_nodes)
         k = self._pressure(m, u)
@@ -778,12 +780,13 @@ def prior_weighted_integrand(
     qoi: Callable[..., float],
 ) -> Integrand:
     """Prior-based path: xi -> (exp(-Phi), Q * exp(-Phi)) at m0(xi); the
-    posterior expectation is the ratio of the two integrals.  Batched: each
-    point computes the KL map and one forward state (the closed-form
+    posterior expectation is the ratio of the two integrals.  Each point of
+    a batch computes the KL map and one forward state (the closed-form
     pressure on the Darcy problem, with no stiffness assembly or
     factorization), which ``qoi(m, state)`` reads; the Darcy problem
     observes a batch's pressures in one product, and the potential is read
-    per point (``_observed_points``).  No slopes or adjoints."""
+    per point (``_observed_points``).  No slopes or adjoints.  A single
+    mapping in place of the list returns its one output."""
 
     def fn(points):
         if isinstance(points, Mapping):
@@ -794,7 +797,7 @@ def prior_weighted_integrand(
             out.append((w, q * w))
         return out
 
-    return Integrand(fn=fn, n_outputs=2, dim_hint=prior_field.truncation, batched=True)
+    return Integrand(fn=fn, n_outputs=2, dim_hint=prior_field.truncation)
 
 
 def hessian_reweighted_integrand(
@@ -807,10 +810,10 @@ def hessian_reweighted_integrand(
     J1(m) = J(m) - J(m1) - 0.5 * ||m - m1||^2_{C1}.
 
     The C1-norm is evaluated spectrally: in KL coordinates it is exactly
-    sum_j xi_j^2.  Batched like ``prior_weighted_integrand``: each point
+    sum_j xi_j^2.  Like ``prior_weighted_integrand``, each point of a batch
     computes the KL map, one forward state, ``qoi(m, state)`` and the prior
     cost, and reads its potential off the batch's observation product; no
-    slopes or adjoints.
+    slopes or adjoints.  A single mapping returns its one output.
     """
 
     def read(m, state):
@@ -828,6 +831,5 @@ def hessian_reweighted_integrand(
             out.append((w, q * w))
         return out
 
-    return Integrand(fn=fn, n_outputs=2, dim_hint=posterior_field.truncation,
-                     batched=True)
+    return Integrand(fn=fn, n_outputs=2, dim_hint=posterior_field.truncation)
 

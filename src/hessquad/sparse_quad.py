@@ -7,10 +7,9 @@ computed error indicator (a posteriori) or by the closed-form priority
 coefficient (a priori), and reusing every neighbor evaluation when its index
 is adopted.  All point evaluations go through a cache keyed by the nonzero
 coordinates, so each distinct quadrature point is evaluated exactly once.
-Each step builds the difference grids of the candidates it admits; a batched
-integrand (``Integrand.batched``) then receives all their uncached points in
-one call, in the order the grids meet them, before the differences are
-summed from the cache, and any other integrand is called point by point.
+Each step builds the difference grids of the candidates it admits; the
+integrand then receives all their uncached points in one call, in the order
+the grids meet them, before the differences are summed from the cache.
 """
 
 from __future__ import annotations
@@ -46,24 +45,21 @@ class IntegrandError(RuntimeError):
 
 @dataclass(frozen=True)
 class Integrand:
-    """A pure map from a sparse parameter vector to one or more real outputs.
+    """A pure map from sparse parameter vectors to one or more real outputs.
 
-    ``fn`` receives a mapping {dimension (1-based) -> coordinate}; absent
-    dimensions are zero.  It must be deterministic: the point cache calls it
-    once per distinct point and reuses that value wherever the point recurs.
-    ``dim_hint`` caps the dimensions the adaptive loop may explore (e.g. a KL
-    truncation).
-
-    With ``batched`` set, ``fn`` also takes a list of such mappings and
-    returns a list with one output per point, in order; a single mapping
-    still returns one output.  The adaptive loop then evaluates each step's
-    uncached points, those of every candidate the step admits, in one call.
+    ``fn`` receives a list of points, each a mapping {dimension (1-based) ->
+    coordinate} in which absent dimensions are zero, and returns a list with
+    one output per point, in order.  It must be deterministic: the point
+    cache evaluates each distinct point once and reuses that value wherever
+    the point recurs; the adaptive loop hands it each step's uncached
+    points, those of every candidate the step admits, in one call.
+    ``dim_hint`` caps the dimensions the adaptive loop may explore (e.g. a
+    KL truncation).
     """
 
-    fn: Callable[[Mapping[int, float]], object]
+    fn: Callable[[list[Mapping[int, float]]], list]
     n_outputs: int = 1
     dim_hint: int | None = None
-    batched: bool = False
 
 
 class PointCache:
@@ -72,13 +68,13 @@ class PointCache:
 
     The coordinates are the difference-rule nodes themselves, and a node two
     difference rules share is the same float in both (tested), so a point
-    that recurs across tensor grids hits its cache entry.  ``value``
-    evaluates a missing point on its own; ``fill`` evaluates many in one
-    call of a batched integrand.
+    that recurs across tensor grids hits its cache entry.  ``fill``
+    evaluates the points it lacks in one call of the integrand; ``value``
+    looks a point up, filling a miss as a batch of one.
     """
 
     def __init__(self, integrand: Integrand):
-        self._integrand = integrand
+        self.integrand = integrand
         self._data: dict[tuple, tuple[float, ...]] = {}
 
     @property
@@ -88,34 +84,35 @@ class PointCache:
     def value(self, items: tuple[tuple[int, float], ...]) -> tuple[float, ...]:
         out = self._data.get(items)
         if out is None:
-            point = dict(items)
-            try:
-                raw = self._integrand.fn(point)
-            except Exception as exc:  # surface the failing quadrature point
-                raise IntegrandError(f"integrand evaluation failed ({exc})", point) from exc
-            out = self._data[items] = self._checked(raw, point)
+            self.fill((items,))
+            out = self._data[items]
         return out
 
     def fill(self, keys: Iterable[tuple[tuple[int, float], ...]]) -> None:
         """Evaluate each point of ``keys`` that is not cached yet, once and
-        in the order the keys first name it, in one call of the batched
-        integrand.  A failing batch is reported at the first of its points
-        that fails on its own."""
+        in the order the keys first name it, in one call of the integrand.
+        A failing batch is reported at the first of its points that fails
+        on its own."""
         data = self._data
         missing = list(dict.fromkeys(k for k in keys if k not in data))
         if not missing:
             return
         points = [dict(k) for k in missing]
+        fn = self.integrand.fn
         try:
-            raws = self._integrand.fn(points)
-        except Exception as exc:
-            for key in missing:  # raises at the first point that fails alone
-                self.value(key)
-            raise IntegrandError(f"integrand evaluation failed ({exc})", points[0]) from exc
+            raws = fn(points)
+        except Exception as exc:  # surface the failing quadrature point
+            failed = points[0]
+            for point in points:
+                try:
+                    fn([point])
+                except Exception as alone:
+                    exc, failed = alone, point
+                    break
+            raise IntegrandError(f"integrand evaluation failed ({exc})", failed) from exc
         if type(raws) is not list or len(raws) != len(points):
             raise IntegrandError(
-                f"batched integrand returned {raws!r:.80} for {len(points)} points",
-                points[0],
+                f"integrand returned {raws!r:.80} for {len(points)} points", points[0]
             )
         for key, point, raw in zip(missing, points, raws):
             data[key] = self._checked(raw, point)
@@ -123,7 +120,7 @@ class PointCache:
     def _checked(self, raw, point: dict[int, float]) -> tuple[float, ...]:
         """``raw`` as a tuple of ``n_outputs`` finite floats, or an
         IntegrandError naming ``point``."""
-        n = self._integrand.n_outputs
+        n = self.integrand.n_outputs
         if type(raw) is float and n == 1:
             out = (raw,)
         elif type(raw) is tuple and len(raw) == n and all(type(v) is float for v in raw):
@@ -167,42 +164,31 @@ def _difference_grid(nu: MultiIndex) -> list[tuple[float, tuple]]:
     return grid
 
 
-def tensor_delta(
-    nu: MultiIndex, g: Integrand, cache: PointCache, grid: list | None = None
-) -> tuple[float, ...]:
-    """Tensor-product signed quadrature applied to ``g``, one sum per output.
-
-    ``grid`` is nu's ``_difference_grid`` when the caller has built it.
-    Values come from the cache, keyed by the nonzero coordinates; a point it
-    lacks is evaluated there on its own.
-    """
-    if grid is None:
-        grid = _difference_grid(nu)
+def tensor_delta(grid: list[tuple[float, tuple]], cache: PointCache) -> tuple[float, ...]:
+    """The signed sum of a ``_difference_grid`` over the cached values of
+    its points, one sum per output of the cache's integrand."""
     value = cache.value
-    if g.n_outputs == 1:
+    n_outputs = cache.integrand.n_outputs
+    if n_outputs == 1:
         total = 0.0
         for w, items in grid:
             total += w * value(items)[0]
         return (total,)
-    totals = [0.0] * g.n_outputs
+    totals = [0.0] * n_outputs
     for w, items in grid:
         for i, v in enumerate(value(items)):
             totals[i] += w * v
     return tuple(totals)
 
 
-def tensor_deltas(
-    nus: Sequence[MultiIndex], g: Integrand, cache: PointCache
-) -> list[tuple[float, ...]]:
-    """``tensor_delta`` of each of ``nus``, in order, each grid built once.
-    For a batched integrand the points of all the grids that the cache
-    lacks are evaluated first, in one ``PointCache.fill`` in the order the
-    grids meet them; otherwise each is evaluated as its sum first meets it,
-    in the same order."""
+def tensor_deltas(nus: Sequence[MultiIndex], cache: PointCache) -> list[tuple[float, ...]]:
+    """Tensor-product signed quadrature of each of ``nus``, in order, each
+    grid built once.  The points of all the grids that the cache lacks are
+    evaluated first, in one ``PointCache.fill`` in the order the grids meet
+    them; each ``tensor_delta`` then sums from the cache."""
     grids = [_difference_grid(nu) for nu in nus]
-    if g.batched:
-        cache.fill(items for grid in grids for _, items in grid)
-    return [tensor_delta(nu, g, cache, grid) for nu, grid in zip(nus, grids)]
+    cache.fill(items for grid in grids for _, items in grid)
+    return [tensor_delta(grid, cache) for grid in grids]
 
 
 @dataclass(frozen=True)
@@ -276,7 +262,7 @@ def evaluate(index_set: IndexSet, g: Integrand) -> QuadratureResult:
     """
     cache = PointCache(g)
     value = np.zeros(g.n_outputs)
-    for delta in tensor_deltas(index_set.sorted_members(), g, cache):
+    for delta in tensor_deltas(index_set.sorted_members(), cache):
         value += delta
     return QuadratureResult(
         value=value,
@@ -485,7 +471,7 @@ def adapt(
     """
     lam = IndexSet()
     cache = PointCache(g)
-    (value,) = tensor_deltas([ZERO_INDEX], g, cache)
+    (value,) = tensor_deltas([ZERO_INDEX], cache)
     trace = [
         TraceRecord(
             step=0,
@@ -502,7 +488,7 @@ def adapt(
     lazy_apriori = mode is Construction.APRIORI and cfg.tolerance is None
 
     def admit(fresh: Sequence[MultiIndex]) -> None:
-        deltas = [None] * len(fresh) if lazy_apriori else tensor_deltas(fresh, g, cache)
+        deltas = [None] * len(fresh) if lazy_apriori else tensor_deltas(fresh, cache)
         for nu, delta in zip(fresh, deltas):
             priority = b_coefficient(nu, cfg.bnu) if mode is Construction.APRIORI else None
             candidates.add(nu, delta, priority)
@@ -540,7 +526,7 @@ def adapt(
             break
 
         if lazy_apriori:
-            (delta,) = tensor_deltas([chosen], g, cache)
+            (delta,) = tensor_deltas([chosen], cache)
         else:
             delta = candidates.deltas.pop(chosen)
         indicator = _indicator(delta, value)

@@ -276,7 +276,8 @@ def test_criterion_8a_sparse_tensor_equivalence():
             )
 
         g = Integrand(
-            fn=lambda xi: poly([xi.get(j + 1, 0.0) for j in range(len(levels))]),
+            fn=lambda points: [poly([xi.get(j + 1, 0.0) for j in range(len(levels))])
+                               for xi in points],
             n_outputs=1,
         )
         members = [

@@ -205,11 +205,18 @@ def test_budget_below_one_is_an_error(tmp_path, capsys, budget):
     pytest.param("darcy", {"beta": "2"}, [], "beta", id="darcy-string-beta"),
     pytest.param("darcy", {"beta": True}, [], "beta", id="darcy-boolean-beta"),
     pytest.param("linear", {"tolerance": "x"}, [], "tolerance", id="linear-string-tolerance"),
+    # a config that is not a JSON object, written as it is
+    pytest.param("linear", [], [], "must be a JSON object, not list", id="linear-array"),
+    pytest.param("darcy", None, [], "must be a JSON object, not NoneType", id="darcy-null"),
+    pytest.param("linear", 3, [], "must be a JSON object, not int", id="linear-number"),
+    pytest.param("darcy", "x", [], "must be a JSON object, not str", id="darcy-string"),
 ])
 def test_bad_config_is_an_error_naming_the_field(tmp_path, capsys, problem, fields, flags,
                                                  message):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"problem": problem, **fields}))
+    if isinstance(fields, dict):
+        fields = {"problem": problem, **fields}
+    cfg_path.write_text(json.dumps(fields))
     code = main([problem, "--config", str(cfg_path), *flags, "--out", str(tmp_path / "o")])
     assert code == 1
     assert message in capsys.readouterr().err

@@ -2,11 +2,13 @@ import csv
 import io
 import json
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from hessquad import sparse_quad
 from hessquad.experiments import (
     Checkpoint,
     ConvergenceRecord,
@@ -103,6 +105,9 @@ class TestConfig:
                 ExperimentConfig(max_indices=budget)
         with pytest.raises(ValueError, match="max_indices"):
             ExperimentConfig.from_json('{"problem": "linear", "max_indices": 0}')
+        for text, kind in (("[]", "list"), ("null", "NoneType"), ("3", "int"), ('"x"', "str")):
+            with pytest.raises(ValueError, match=f"must be a JSON object, not {kind}$"):
+                ExperimentConfig.from_json(text)
         for dims in (0, -3):
             with pytest.raises(ValueError, match="kl_dims"):
                 ExperimentConfig(kl_dims=dims)
@@ -264,9 +269,32 @@ class TestLinearIntegrands:
             for _ in range(15):
                 xi = {int(j): float(rng.standard_normal())
                       for j in rng.integers(1, 30, 3)}
-                a, b = fast_g.fn(xi), q(kl_map(s.posterior_field, xi))
+                (a,), b = fast_g.fn([xi]), q(kl_map(s.posterior_field, xi))
                 assert type(a) is float
                 assert a == pytest.approx(b, rel=1e-9, abs=1e-12)
+
+    def test_one_call_per_step_that_adds_points(self, small_linear_setup, monkeypatch):
+        # the linear Hessian-path integrand takes each tensor_deltas' missing
+        # points in one call, like the Darcy ones
+        g = linear_gaussian_integrand(small_linear_setup, "q1")
+        calls, fills = [], []
+
+        def fn(points):
+            calls.append(len(points))
+            return g.fn(points)
+
+        tensor_deltas = sparse_quad.tensor_deltas
+
+        def counted(nus, cache):
+            points, n_calls = cache.n_points, len(calls)
+            out = tensor_deltas(nus, cache)
+            fills.append((cache.n_points - points, len(calls) - n_calls))
+            return out
+
+        monkeypatch.setattr(sparse_quad, "tensor_deltas", counted)
+        res = sparse_quad.adapt(replace(g, fn=fn), cfg=sparse_quad.AdaptConfig(max_points=400))
+        assert len(fills) > 10 and sum(calls) == res.n_points
+        assert all(n_calls == (added > 0) for added, n_calls in fills)
 
     def test_functional_coefficients_affine(self, small_linear_setup):
         s = small_linear_setup

@@ -502,7 +502,7 @@ def test_lean_darcy_point_matches_parent_evaluation(darcy6_setup, path):
             g = hessian_reweighted_integrand(problem, field, cost_at_map, problem.qoi())
         else:
             g = prior_weighted_integrand(problem, field, problem.qoi())
-        values[name] = [g.fn(xi) for xi in points]
+        values[name] = [g.fn([xi])[0] for xi in points]
     assert values["built"] == values["c_order"]
     expected = [_parent_darcy_point(problem, built, xi, cost_at_map) for xi in points]
     np.testing.assert_allclose(values["built"], expected, rtol=5e-11, atol=0)
@@ -519,11 +519,10 @@ def test_darcy_batch_matches_pointwise(darcy6_setup, path):
                                          setup.map_result.cost_at_map, problem.qoi())
     else:
         g = prior_weighted_integrand(problem, setup.prior_field, problem.qoi())
-    assert g.batched
     points = [{}] + _sparse_points(rng_stream(10, 3), setup.kl_dims, 200)
     batch = g.fn(points)
     assert type(batch) is list and len(batch) == len(points)
-    np.testing.assert_allclose(batch, [g.fn(xi) for xi in points], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(batch, [g.fn([xi])[0] for xi in points], rtol=1e-12, atol=0)
 
 
 def test_darcy_derivatives_do_not_depend_on_what_read_the_state_first(darcy6_setup):
@@ -712,7 +711,7 @@ class TestReweightedIntegrands:
         pairs = p.posterior_eigen(res, 10, rng=rng_stream(0, 5))
         fld = GaussianField(res.map_point, pairs)
         g = hessian_reweighted_integrand(p, fld, res.cost_at_map, p.qoi())
-        w, qw = g.fn({})
+        ((w, qw),) = g.fn([{}])
         assert w == pytest.approx(1.0, abs=1e-12)
         assert qw == pytest.approx(p.qoi()(res.map_point), rel=1e-12)
 
@@ -729,7 +728,7 @@ class TestReweightedIntegrands:
         for _ in range(10):
             xi = {int(j): float(rng.standard_normal())
                   for j in rng.integers(1, 40, 3)}
-            w, _ = g.fn(xi)
+            ((w, _),) = g.fn([xi])
             assert abs(w - 1.0) <= 1e-10
 
     def test_q2_at_map_matches_derivative_stencil(self, linear6):
@@ -755,7 +754,7 @@ def dense_tensor_expectation(integrand, dims, level):
             x = rule.nodes[k]
             if x != 0.0:
                 xi[j] = x
-        val = w * np.atleast_1d(np.asarray(integrand.fn(xi), dtype=float))
+        val = w * np.atleast_1d(np.asarray(integrand.fn([xi])[0], dtype=float))
         total = val if total is None else total + val
     return total
 
@@ -780,7 +779,7 @@ class TestPriorHessianAgreement:
         )
         qoi = p.qoi("q1")
         g_prior = prior_weighted_integrand(p, prior_fld, qoi)
-        g_gauss = Integrand(fn=lambda xi: qoi(kl_map(post_fld, xi)), n_outputs=1)
+        g_gauss = Integrand(fn=lambda points: [qoi(kl_map(post_fld, xi)) for xi in points])
         prior_vals = dense_tensor_expectation(g_prior, 3, 18)
         prior_est = prior_vals[1] / prior_vals[0]
         gauss_est = dense_tensor_expectation(g_gauss, 3, 18)[0]

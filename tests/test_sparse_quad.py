@@ -26,7 +26,7 @@ from hessquad.sparse_quad import (
     _indicator,
     adapt,
     evaluate,
-    tensor_delta,
+    tensor_deltas,
     trace_to_csv,
 )
 
@@ -37,22 +37,17 @@ def idx(*pairs):
     return MultiIndex(pairs)
 
 
-def scalar(fn, dim_hint=None):
-    return Integrand(fn=fn, n_outputs=1, dim_hint=dim_hint)
+def integrand(fn, n_outputs=1, dim_hint=None, calls=None):
+    """The integrand of ``fn``, which maps one point to its output: a list
+    of points maps to the list of their values, and each list is recorded
+    in ``calls`` when given."""
 
+    def batch_fn(points):
+        if calls is not None:
+            calls.append([dict(p) for p in points])
+        return [fn(p) for p in points]
 
-def as_batched(fn, n_outputs=1, dim_hint=None, calls=None):
-    """``fn`` as a batched integrand: a list of points maps to the list of
-    their values, and each list is recorded in ``calls`` when given."""
-
-    def batch_fn(xi):
-        if isinstance(xi, list):
-            if calls is not None:
-                calls.append([dict(p) for p in xi])
-            return [fn(p) for p in xi]
-        return fn(xi)
-
-    return Integrand(fn=batch_fn, n_outputs=n_outputs, dim_hint=dim_hint, batched=True)
+    return Integrand(fn=batch_fn, n_outputs=n_outputs, dim_hint=dim_hint)
 
 
 def grid_size(nu):
@@ -93,16 +88,16 @@ def delta_oracle(levels, g):
 
 class TestTensorDelta:
     def test_zero_index_constant(self):
-        g = scalar(lambda xi: 3.5)
-        out = tensor_delta(ZERO_INDEX, g, PointCache(g))
+        g = integrand(lambda xi: 3.5)
+        out = tensor_deltas([ZERO_INDEX], PointCache(g))[0]
         assert out[0] == pytest.approx(3.5)
 
     def test_product_bilinear_vanishes(self):
         # Delta_1 applied to the identity is 0 in each factor, so the
         # product xi1 * xi2 integrates to exactly 0 (oracle agrees)
         g_fn = lambda xi: xi.get(1, 0.0) * xi.get(2, 0.0)
-        g = scalar(g_fn)
-        out = tensor_delta(idx((1, 1), (2, 1)), g, PointCache(g))
+        g = integrand(g_fn)
+        out = tensor_deltas([idx((1, 1), (2, 1))], PointCache(g))[0]
         oracle = delta_oracle([1, 1], lambda x: x[0] * x[1])
         assert oracle == pytest.approx(0.0, abs=1e-14)
         assert out[0] == pytest.approx(oracle, abs=1e-14)
@@ -110,15 +105,15 @@ class TestTensorDelta:
     def test_product_of_squares(self):
         # (Delta_1 xi^2)^2 = 1: the separable square product
         g_fn = lambda xi: (xi.get(1, 0.0) ** 2) * (xi.get(2, 0.0) ** 2)
-        g = scalar(g_fn)
-        out = tensor_delta(idx((1, 1), (2, 1)), g, PointCache(g))
+        g = integrand(g_fn)
+        out = tensor_deltas([idx((1, 1), (2, 1))], PointCache(g))[0]
         oracle = delta_oracle([1, 1], lambda x: x[0] ** 2 * x[1] ** 2)
         assert oracle == pytest.approx(1.0)
         assert out[0] == pytest.approx(oracle)
 
     def test_telescoping_square(self):
-        g = scalar(lambda xi: xi.get(1, 0.0) ** 2)
-        out = tensor_delta(idx((1, 2)), g, PointCache(g))
+        g = integrand(lambda xi: xi.get(1, 0.0) ** 2)
+        out = tensor_deltas([idx((1, 2))], PointCache(g))[0]
         assert abs(out[0]) <= 1e-13
 
     @pytest.mark.parametrize("levels", [(2,), (1, 2), (2, 1, 1)])
@@ -132,9 +127,9 @@ class TestTensorDelta:
                          for row, xi in zip(coef, x)])
             )
 
-        g = scalar(lambda xi: poly([xi.get(j + 1, 0.0) for j in range(len(levels))]))
+        g = integrand(lambda xi: poly([xi.get(j + 1, 0.0) for j in range(len(levels))]))
         nu = MultiIndex([(j + 1, l) for j, l in enumerate(levels)])
-        out = tensor_delta(nu, g, PointCache(g))
+        out = tensor_deltas([nu], PointCache(g))[0]
         assert out[0] == pytest.approx(delta_oracle(list(levels), poly), abs=1e-12)
 
     def test_grid_size(self):
@@ -153,7 +148,7 @@ def full_box(levels_per_dim):
 
 class TestEvaluate:
     def test_constant(self):
-        g = scalar(lambda xi: 2.25)
+        g = integrand(lambda xi: 2.25)
         res = evaluate(IndexSet(), g)
         assert res.value[0] == pytest.approx(2.25)
         assert res.n_points == 1
@@ -171,7 +166,7 @@ class TestEvaluate:
                          for cs, xi in zip(coef, x)])
             )
 
-        g = scalar(lambda xi: poly([xi.get(j + 1, 0.0) for j in range(len(levels))]))
+        g = integrand(lambda xi: poly([xi.get(j + 1, 0.0) for j in range(len(levels))]))
         res = evaluate(full_box(levels), g)
         oracle = tensor_rule_oracle(list(levels), poly)
         assert res.value[0] == pytest.approx(oracle, rel=1e-12, abs=1e-12)
@@ -182,7 +177,7 @@ class TestEvaluate:
             for ls in itertools.product(range(3), repeat=3)
             if sum(ls) <= 2
         ]
-        g = scalar(
+        g = integrand(
             lambda xi: xi.get(1, 0.0) ** 2 + xi.get(2, 0.0) * xi.get(3, 0.0)
         )
         res = evaluate(IndexSet(members), g)
@@ -206,7 +201,7 @@ class TestEvaluate:
         vals = []
         for _ in range(3):
             rng.shuffle(members)
-            res = evaluate(IndexSet(members), scalar(g_fn))
+            res = evaluate(IndexSet(members), integrand(g_fn))
             vals.append(res.value[0])
         assert vals[0] == vals[1] == vals[2]
 
@@ -217,14 +212,14 @@ class TestEvaluate:
             calls.append(dict(xi))
             return xi.get(1, 0.0) + xi.get(2, 0.0)
 
-        g = scalar(g_fn)
+        g = integrand(g_fn)
         res = evaluate(full_box((3, 3)), g)
         assert len(calls) == res.n_points
 
 
 class TestAdapt:
     def test_square_terminates_after_level_one(self):
-        g = scalar(lambda xi: xi.get(1, 0.0) ** 2)
+        g = integrand(lambda xi: xi.get(1, 0.0) ** 2)
         res = adapt(g, Construction.APOSTERIORI, AdaptConfig(tolerance=1e-12))
         assert res.value[0] == pytest.approx(1.0)
         assert res.converged
@@ -232,7 +227,7 @@ class TestAdapt:
         assert members == [ZERO_INDEX, idx((1, 1))]
 
     def test_constant_stops_after_first_sweep(self):
-        g = scalar(lambda xi: -1.75)
+        g = integrand(lambda xi: -1.75)
         res = adapt(g, Construction.APOSTERIORI, AdaptConfig(tolerance=1e-12))
         assert res.value[0] == pytest.approx(-1.75)
         assert res.index_set.sorted_members() == [ZERO_INDEX]
@@ -241,7 +236,7 @@ class TestAdapt:
     @pytest.mark.parametrize("mode", [Construction.APOSTERIORI, Construction.APRIORI])
     def test_separable_exponential(self, mode):
         cs = [0.8, 0.5, 0.3]
-        g = scalar(
+        g = integrand(
             lambda xi: math.exp(sum(cs[j - 1] * x for j, x in xi.items())),
             dim_hint=3,
         )
@@ -251,7 +246,7 @@ class TestAdapt:
         assert res.value[0] == pytest.approx(truth, abs=5e-9)
 
     def test_budget_stop_not_converged_with_tolerance(self):
-        g = scalar(lambda xi: math.exp(xi.get(1, 0.0)), dim_hint=1)
+        g = integrand(lambda xi: math.exp(xi.get(1, 0.0)), dim_hint=1)
         res = adapt(
             g, Construction.APOSTERIORI,
             AdaptConfig(tolerance=1e-14, max_indices=3),
@@ -260,14 +255,14 @@ class TestAdapt:
         assert res.stopped_on == "max_indices"
 
     def test_level_cap_is_a_stop_reason(self):
-        g = scalar(lambda xi: math.exp(xi.get(1, 0.0)), dim_hint=1)
+        g = integrand(lambda xi: math.exp(xi.get(1, 0.0)), dim_hint=1)
         res = adapt(g, Construction.APOSTERIORI, AdaptConfig())
         assert res.stopped_on == "max_level"
         assert not res.converged
         assert res.index_set.sorted_members()[-1] == idx((1, MAX_LEVEL))
 
     def test_budget_mode_converged_flag(self):
-        g = scalar(lambda xi: math.exp(xi.get(1, 0.0)), dim_hint=1)
+        g = integrand(lambda xi: math.exp(xi.get(1, 0.0)), dim_hint=1)
         res = adapt(
             g, Construction.APOSTERIORI, AdaptConfig(tolerance=None, max_indices=5)
         )
@@ -280,7 +275,7 @@ class TestAdapt:
             seen.append(dict(xi))
             return math.exp(0.5 * xi.get(1, 0.0) + 0.25 * xi.get(2, 0.0))
 
-        g = Integrand(fn=g_fn, n_outputs=1, dim_hint=2)
+        g = integrand(g_fn, dim_hint=2)
         res = adapt(
             g, Construction.APRIORI,
             AdaptConfig(tolerance=None, max_indices=6, bnu=BNuConfig()),
@@ -291,7 +286,7 @@ class TestAdapt:
         assert len(seen) == res.n_points
 
     def test_trace_monotone_points(self):
-        g = scalar(lambda xi: math.exp(0.4 * xi.get(1, 0.0)), dim_hint=2)
+        g = integrand(lambda xi: math.exp(0.4 * xi.get(1, 0.0)), dim_hint=2)
         res = adapt(g, Construction.APOSTERIORI, AdaptConfig(max_indices=10))
         pts = [rec.n_points for rec in res.trace]
         assert all(b >= a for a, b in zip(pts, pts[1:]))
@@ -302,7 +297,7 @@ class TestAdapt:
 
     def test_deterministic_repeat(self):
         def run():
-            g = scalar(
+            g = integrand(
                 lambda xi: math.exp(
                     0.7 * xi.get(1, 0.0) - 0.4 * xi.get(2, 0.0)
                     + 0.1 * xi.get(3, 0.0) ** 2
@@ -319,7 +314,7 @@ class TestAdapt:
     def test_zero_dimension_does_not_block_frontier(self):
         # dimension 2 is inert; dimensions 3+ must still be reached
         cs = {1: 0.6, 3: 0.5, 5: 0.4}
-        g = scalar(
+        g = integrand(
             lambda xi: math.exp(sum(cs.get(j, 0.0) * x for j, x in xi.items())),
             dim_hint=5,
         )
@@ -334,21 +329,14 @@ class TestAdapt:
         assert levels[3] >= 2 and levels[5] >= 2
 
     def test_vector_outputs_and_indicator(self):
-        g = Integrand(
-            fn=lambda xi: (math.exp(0.5 * xi.get(1, 0.0)), 100.0),
+        g = integrand(
+            lambda xi: (math.exp(0.5 * xi.get(1, 0.0)), 100.0),
             n_outputs=2,
             dim_hint=1,
         )
         res = adapt(g, Construction.APOSTERIORI, AdaptConfig(tolerance=1e-10))
         assert res.value[1] == pytest.approx(100.0)
         assert res.value[0] == pytest.approx(math.exp(0.125), abs=1e-9)
-
-
-def _pointwise_and_batched(*cases):
-    """Each (n_outputs, raw, id) case for a pointwise integrand under its id
-    and for a batched one under ``id-batched``."""
-    return [pytest.param(n, raw, batched, id=name + ("-batched" if batched else ""))
-            for n, raw, name in cases for batched in (False, True)]
 
 
 class TestIntegrandErrors:
@@ -359,7 +347,7 @@ class TestIntegrandErrors:
             return 1.0
 
         with pytest.raises(IntegrandError) as err:
-            adapt(scalar(g_fn, dim_hint=1), Construction.APOSTERIORI,
+            adapt(integrand(g_fn, dim_hint=1), Construction.APOSTERIORI,
                   AdaptConfig(max_indices=4))
         assert 1 in err.value.point
 
@@ -371,7 +359,7 @@ class TestIntegrandErrors:
                 raise RuntimeError("solver blew up")
             return 1.0
 
-        cache = PointCache(as_batched(g_fn))
+        cache = PointCache(integrand(g_fn))
         keys = [(), ((1, -2.0),), ((1, 0.5),), ((1, 1.5),), ((1, 3.0),)]
         with pytest.raises(IntegrandError, match="solver blew up") as err:
             cache.fill(keys)
@@ -379,46 +367,42 @@ class TestIntegrandErrors:
         assert isinstance(err.value.__cause__, RuntimeError)
 
     def test_batch_of_the_wrong_length_rejected(self):
-        g = Integrand(fn=lambda xi: [1.0] if isinstance(xi, list) else 1.0, batched=True)
+        g = Integrand(fn=lambda points: [1.0])
         with pytest.raises(IntegrandError, match="for 2 points"):
             PointCache(g).fill([((1, 1.0),), ((1, -1.0),)])
 
     @staticmethod
-    def _rejected_naming_the_point(n_outputs, raw, batched):
+    def _rejected_naming_the_point(n_outputs, raw):
         """``raw`` at every nonzero point (a valid value at the zero point)
         raises IntegrandError naming the first nonzero point evaluated."""
         good = 1.0 if n_outputs == 1 else (1.0, 1.0)
-        fn = lambda xi: raw if xi else good
-        if batched:
-            g = as_batched(fn, n_outputs=n_outputs, dim_hint=1)
-        else:
-            g = Integrand(fn=fn, n_outputs=n_outputs, dim_hint=1)
+        g = integrand(lambda xi: raw if xi else good, n_outputs=n_outputs, dim_hint=1)
         with pytest.raises(IntegrandError) as err:
             adapt(g, Construction.APOSTERIORI, AdaptConfig(max_indices=4))
         assert list(err.value.point) == [1]
         assert str(err.value).endswith(f"at point {err.value.point}")
 
-    @pytest.mark.parametrize("n_outputs, raw, batched", _pointwise_and_batched(
-        (1, math.inf, "n1-inf"),
-        (1, math.nan, "n1-nan"),
-        (1, (-math.inf,), "n1-tuple"),
-        (1, np.float64(math.nan), "n1-numpy"),
-        (2, (1.0, math.nan), "n2-tuple"),
-        (2, [math.inf, 0.0], "n2-list"),
-    ))
-    def test_non_finite_rejected(self, n_outputs, raw, batched):
-        self._rejected_naming_the_point(n_outputs, raw, batched)
+    @pytest.mark.parametrize("n_outputs, raw", [
+        pytest.param(1, math.inf, id="n1-inf"),
+        pytest.param(1, math.nan, id="n1-nan"),
+        pytest.param(1, (-math.inf,), id="n1-tuple"),
+        pytest.param(1, np.float64(math.nan), id="n1-numpy"),
+        pytest.param(2, (1.0, math.nan), id="n2-tuple"),
+        pytest.param(2, [math.inf, 0.0], id="n2-list"),
+    ])
+    def test_non_finite_rejected(self, n_outputs, raw):
+        self._rejected_naming_the_point(n_outputs, raw)
 
-    @pytest.mark.parametrize("n_outputs, raw, batched", _pointwise_and_batched(
-        (1, (1.0, 2.0), "n1-pair"),
-        (1, [], "n1-empty"),
-        (2, 1.0, "n2-float"),
-        (2, (1.0,), "n2-single"),
-        (2, [1.0, 2.0, 3.0], "n2-list"),
-        (2, np.zeros(3), "n2-array"),
-    ))
-    def test_bad_shape_rejected(self, n_outputs, raw, batched):
-        self._rejected_naming_the_point(n_outputs, raw, batched)
+    @pytest.mark.parametrize("n_outputs, raw", [
+        pytest.param(1, (1.0, 2.0), id="n1-pair"),
+        pytest.param(1, [], id="n1-empty"),
+        pytest.param(2, 1.0, id="n2-float"),
+        pytest.param(2, (1.0,), id="n2-single"),
+        pytest.param(2, [1.0, 2.0, 3.0], id="n2-list"),
+        pytest.param(2, np.zeros(3), id="n2-array"),
+    ])
+    def test_bad_shape_rejected(self, n_outputs, raw):
+        self._rejected_naming_the_point(n_outputs, raw)
 
     @pytest.mark.parametrize("n_outputs, raw", [
         pytest.param(1, "abc", id="n1-str"),
@@ -429,7 +413,7 @@ class TestIntegrandErrors:
         pytest.param(2, [[1.0], [2.0, 3.0]], id="n2-ragged"),
     ])
     def test_non_numeric_rejected(self, n_outputs, raw):
-        self._rejected_naming_the_point(n_outputs, raw, batched=False)
+        self._rejected_naming_the_point(n_outputs, raw)
 
     @pytest.mark.parametrize("n_outputs, raw", [
         pytest.param(1, 0.25, id="n1-float"),
@@ -447,7 +431,7 @@ class TestIntegrandErrors:
         pytest.param(2, (3, -4), id="n2-int-tuple"),
     ])
     def test_miss_caches_the_floats_of_the_numpy_path(self, n_outputs, raw):
-        cache = PointCache(Integrand(fn=lambda xi: raw, n_outputs=n_outputs))
+        cache = PointCache(integrand(lambda xi: raw, n_outputs=n_outputs))
         point = ((1, 0.5), (3, -1.25))
         got = cache.value(point)
         assert got == tuple(np.atleast_1d(np.asarray(raw, dtype=float)).tolist())
@@ -463,9 +447,8 @@ class TestBatches:
 
     def test_evaluate_fills_every_point_in_one_call(self):
         calls = []
-        res = evaluate(full_box((3, 2)), as_batched(self._fn, calls=calls))
+        res = evaluate(full_box((3, 2)), integrand(self._fn, calls=calls))
         assert [len(batch) for batch in calls] == [res.n_points]
-        assert res.value[0] == evaluate(full_box((3, 2)), scalar(self._fn)).value[0]
 
     @pytest.mark.parametrize("mode, tolerance", [
         (Construction.APOSTERIORI, None),
@@ -476,27 +459,25 @@ class TestBatches:
         calls, fills = [], []
         tensor_deltas = sparse_quad.tensor_deltas
 
-        def counted(nus, g, cache):
+        def counted(nus, cache):
             points, n_calls = cache.n_points, len(calls)
-            out = tensor_deltas(nus, g, cache)
+            out = tensor_deltas(nus, cache)
             fills.append((cache.n_points > points, len(calls) - n_calls))
             return out
 
         monkeypatch.setattr(sparse_quad, "tensor_deltas", counted)
         cfg = AdaptConfig(tolerance=tolerance, max_points=400)
-        res = adapt(as_batched(self._fn, dim_hint=3, calls=calls), mode, cfg)
+        res = adapt(integrand(self._fn, dim_hint=3, calls=calls), mode, cfg)
         assert len(fills) > 10
         assert all(n == int(grew) for grew, n in fills)
         keys = [tuple(sorted(p.items())) for batch in calls for p in batch]
         assert len(keys) == len(set(keys)) == res.n_points
-        pointwise = adapt(scalar(self._fn, dim_hint=3), mode, cfg)
-        assert trace_to_csv(res.trace) == trace_to_csv(pointwise.trace)
 
 
 class TestTraceCsv:
     def test_roundtrip(self):
-        g = Integrand(
-            fn=lambda xi: (math.exp(0.4 * xi.get(1, 0.0)), xi.get(2, 0.0) ** 2),
+        g = integrand(
+            lambda xi: (math.exp(0.4 * xi.get(1, 0.0)), xi.get(2, 0.0) ** 2),
             n_outputs=2,
             dim_hint=3,
         )
