@@ -11,12 +11,22 @@ and the digest of its problem data: y, the prior mean, the prior operator
 and the mass matrix (diagonals and off-diagonals), B and the MAP point.
 
     python3 scripts/trace_digests.py
+    python3 scripts/trace_digests.py --dump DIR
+    python3 scripts/trace_digests.py --against DIR
 
 Run from the repository root; takes a few minutes.  A change that must leave
 every trace byte-identical shows it by printing the same lines as its parent.
 The benchmark configurations are read from ``perfbench/run.py`` (seed 0), and
 BLAS runs on one thread, as in the benchmark, because the last bits of the
 setup depend on the thread count.
+
+``--dump DIR`` also writes each trace's CSV to ``DIR/<name>.csv``.
+``--against DIR`` compares each trace with the CSV of the same name in DIR
+(written by ``--dump``, say at the parent commit) and prints, after the
+trace's two digest lines, one line ``against  <name>``: whether the
+selection columns match, and the largest relative difference of the values
+and of the indicators over the rows both traces have.  A change that moves
+only the last bits of the values shows how far they moved.
 """
 
 import os
@@ -24,9 +34,11 @@ import os
 # before numpy loads
 os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
 
+import argparse  # noqa: E402
 import csv  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
+import math  # noqa: E402
 import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -63,7 +75,35 @@ def _sha(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _show(name, out):
+def _rel_diff(a, b):
+    """|a - b| relative to the larger magnitude; 0 for equal floats, nan
+    included."""
+    x, y = float(a), float(b)
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    return abs(x - y) / max(abs(x), abs(y))
+
+
+def _compare(name, trace, path):
+    """The ``against`` line of one trace against its CSV at ``path``."""
+    if not path.is_file():
+        return f"against  {name}: no {path.name} to compare with"
+    rows = list(csv.DictReader(io.StringIO(trace)))
+    old = list(csv.DictReader(io.StringIO(path.read_text())))
+    same = len(rows) == len(old) and all(
+        [r[c] for c in SELECTION] == [o[c] for c in SELECTION] for r, o in zip(rows, old)
+    )
+    values = [c for c in rows[0] if c.startswith("value_")] if rows else []
+    value_diff = max((_rel_diff(r[c], o[c]) for r, o in zip(rows, old) for c in values),
+                     default=0.0)
+    indicator_diff = max((_rel_diff(r["indicator"], o["indicator"])
+                          for r, o in zip(rows, old)), default=0.0)
+    return (f"against  {name}: selection {'same' if same else 'DIFFERENT'} "
+            f"({len(rows)} rows, {len(old)} there), values max rel "
+            f"{value_diff:.3g}, indicators max rel {indicator_diff:.3g}")
+
+
+def _show(name, out, args):
     trace = trace_to_csv(out.quadrature.trace)
     selection = io.StringIO()
     writer = csv.DictWriter(selection, SELECTION, extrasaction="ignore",
@@ -72,6 +112,10 @@ def _show(name, out):
     writer.writerows(csv.DictReader(io.StringIO(trace)))
     print(f"{_sha(trace)}  {name}", flush=True)
     print(f"{_sha(selection.getvalue())}  {name} selection", flush=True)
+    if args.dump is not None:
+        (args.dump / f"{name}.csv").write_text(trace)
+    if args.against is not None:
+        print(_compare(name, trace, args.against / f"{name}.csv"), flush=True)
 
 
 def _show_field(name, field):
@@ -88,27 +132,36 @@ def _show_problem(name, setup):
     print(f"{digest}  {name}", flush=True)
 
 
-def main():
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--dump", type=Path, metavar="DIR",
+                    help="write each trace's CSV to DIR/<name>.csv")
+    ap.add_argument("--against", type=Path, metavar="DIR",
+                    help="compare each trace with DIR/<name>.csv")
+    args = ap.parse_args(argv)
+    if args.dump is not None:
+        args.dump.mkdir(parents=True, exist_ok=True)
     for name, wl in WORKLOADS.items():
         cfg = wl.config(0)
-        _show(name, wl.run(cfg, wl.setup(cfg)))
+        _show(name, wl.run(cfg, wl.setup(cfg)), args)
     for alpha, qoi, mode, budget in LINEAR_RUNS:
         cfg = ExperimentConfig.linear_default(
             alpha=alpha, qoi=qoi, mode=mode, construction="aposteriori",
             mesh_exp=10, seed=0, max_points=budget,
         )
         _show(f"acceptance-linear-{mode}-{qoi}-alpha{alpha}-{budget // 1000}k",
-              run_linear(cfg))
+              run_linear(cfg), args)
     # the acceptance suite's darcy_shared runs: one setup, two runs
     cfg = ExperimentConfig.darcy_default(
         mesh_exp=10, seed=0, kl_dims=200, max_points=100_000,
     )
     setup = darcy_setup(cfg)
-    _show("acceptance-darcy-hessian-100k", run_darcy(cfg, setup))
+    _show("acceptance-darcy-hessian-100k", run_darcy(cfg, setup), args)
     prior_cfg = ExperimentConfig.darcy_default(
         mesh_exp=10, seed=0, kl_dims=200, max_points=10_000, mode="prior",
     )
-    _show("acceptance-darcy-prior-10k", run_darcy(prior_cfg, setup))
+    _show("acceptance-darcy-prior-10k", run_darcy(prior_cfg, setup), args)
     _show_field("acceptance-darcy-setup-prior-field", setup.prior_field)
     _show_field("acceptance-darcy-setup-posterior-field", setup.posterior_field)
     _show_problem("acceptance-darcy-problem", setup)

@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .gaussian_measure import EigenPairs, GaussianField, kl_map, rng_stream
+from .gaussian_measure import GaussianField, kl_map, rng_stream
 from .inverse_problem import (
     DarcyProblem,
     LinearPoissonProblem,
@@ -472,18 +472,14 @@ def run_linear(cfg: ExperimentConfig, setup: LinearSetup | None = None) -> RunOu
     )
 
 
-def _column_major_field(mean: np.ndarray, pairs: EigenPairs) -> GaussianField:
-    """The field with its eigenvectors in Fortran order, so that each KL
-    column ``kl_map`` reads is contiguous; the C-order array is dropped."""
-    return GaussianField(mean, replace(pairs, vectors=np.asfortranarray(pairs.vectors)))
-
-
 @dataclass
 class DarcySetup:
     """The Darcy problem, its MAP point and the settings of its two Gaussian
     fields.  Each field is computed on first read from its own rng stream
-    (10 prior, 12 posterior), so the order of the reads changes neither, and
-    stores its KL columns contiguously (``_column_major_field``)."""
+    (10 prior, 12 posterior), so the order of the reads changes neither.
+    The integrands build the cell data their points read from a field
+    (``DarcyProblem._point_observer``), so the fields keep the eigensolvers'
+    arrays as they are."""
 
     problem: DarcyProblem
     map_result: MapResult
@@ -506,7 +502,7 @@ class DarcySetup:
             self.kl_dims, rng=rng_stream(self.seed, 10),
             oversampling=self.oversampling, power_iters=3,
         )
-        return _column_major_field(self.problem.prior_mean, pairs)
+        return GaussianField(self.problem.prior_mean, pairs)
 
     @cached_property
     def posterior_field(self) -> GaussianField:
@@ -514,7 +510,7 @@ class DarcySetup:
             self.map_result, self.kl_dims, oversampling=self.oversampling,
             power_iters=3, rng=rng_stream(self.seed, 12),
         )
-        return _column_major_field(self.map_result.map_point, pairs)
+        return GaussianField(self.map_result.map_point, pairs)
 
 
 def darcy_setup(cfg: ExperimentConfig) -> DarcySetup:

@@ -242,12 +242,17 @@ def randomized_eigen(
         Y = apply_op(_b_orthonormalize(Y, B))
     Q = _b_orthonormalize(Y, B)
     del Y  # free the sketch before the Rayleigh-Ritz apply allocates its own
+    # The pairs outlive the Rayleigh-Ritz temporaries.  Taken before them,
+    # in the space the sketch left, their memory lies beneath those
+    # temporaries, so that freeing them leaves the top of the heap free and
+    # the allocator can return it to the system.
+    vectors = np.empty((n, min(J, Q.shape[1])))
     T = Q.T @ B.matvec(apply_op(Q))
     T = 0.5 * (T + T.T)
     theta, S = np.linalg.eigh(T)
     order = np.argsort(-theta, kind="stable")[:J]
     values = theta[order]
-    vectors = Q @ S[:, order]
+    np.matmul(Q, S[:, order], out=vectors)
     for col in range(vectors.shape[1]):
         i = np.argmax(np.abs(vectors[:, col]))
         if vectors[i, col] < 0:

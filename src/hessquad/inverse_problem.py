@@ -32,7 +32,6 @@ from .fem1d import (
     assemble,
     cell_gauss_rule,
     cell_slopes,
-    darcy_cell_coeffs,
     darcy_stiffness,
     laplace_operator,
     mass_operator,
@@ -89,6 +88,13 @@ def _smoothness(alpha) -> int:
     if not (alpha >= 1 and float(alpha).is_integer()):
         raise ValueError(f"alpha must be an integer >= 1, got {alpha!r}")
     return int(alpha)
+
+
+def _scaled_columns(field: GaussianField) -> np.ndarray:
+    """W = V diag(sqrt(lambda)), whose columns the KL map adds, from a
+    C-ordered copy of V: what is built from W by a matrix product then has
+    the same bits whatever the memory layout of the field's vectors."""
+    return np.ascontiguousarray(field.pairs.vectors) * field.sqrt_values
 
 
 @dataclass
@@ -165,20 +171,24 @@ class BayesProblem:
     ) -> np.ndarray:
         raise NotImplementedError
 
-    def _observed_points(
-        self, field: GaussianField, points: list[Mapping[int, float]],
-        read: Callable[[np.ndarray, object], object],
-    ) -> list[tuple[object, float]]:
-        """(``read(m, state)``, potential) per point xi of a batch, in order,
-        at m = kl_map(field, xi) and its forward state: what the reweighted
-        integrands evaluate.  One forward state per point here; the Darcy
-        problem observes the whole batch in one product."""
-        out = []
-        for xi in points:
-            m = kl_map(field, xi)
-            state = self._forward_state(m)
-            out.append((read(m, state), self.potential_of_state(state)))
-        return out
+    def _point_observer(
+        self, field: GaussianField, qoi: Callable[..., float],
+    ) -> Callable[[list[Mapping[int, float]]], list[tuple[float, float]]]:
+        """``observe(points)``: (``qoi(m, state)``, potential) per point xi
+        of a batch, in order, at m = kl_map(field, xi) and its forward state,
+        which is what the reweighted integrands evaluate.  One forward state
+        per point here; the Darcy problem works in KL coordinates and
+        observes the whole batch in one product."""
+
+        def observe(points):
+            out = []
+            for xi in points:
+                m = kl_map(field, xi)
+                state = self._forward_state(m)
+                out.append((qoi(m, state), self.potential_of_state(state)))
+            return out
+
+        return observe
 
     # -- assembled quantities -------------------------------------------
 
@@ -516,9 +526,11 @@ class DarcyProblem(BayesProblem):
     Prior N(prior_mean, A_prior^{-alpha}) on all nodes (``make_darcy_problem``
     builds the measurement-informed A_prior and prior mean of the benchmark);
     observations B u with iid N(0, sigma^2) noise.  The forward pressure is
-    the closed-form nodal solution of the P1 system (``_pressure``); a batch
-    of quadrature points observes its pressures in one product
-    (``_observed_points``).
+    the closed-form nodal solution of the P1 system for the cell
+    log-conductivities (``_pressure``).  A quadrature point works in KL
+    coordinates: its cell log-conductivities come straight from xi through
+    the field's pre-averaged cell columns, with no nodal m, and a batch of
+    points observes its pressures in one product (``_point_observer``).
     Gradients and Hessian actions come from the Lagrangian: one adjoint solve
     for the gradient, incremental state and adjoint solves for each Hessian
     action, all against the tridiagonal stiffness factor.  The constructor
@@ -562,24 +574,24 @@ class DarcyProblem(BayesProblem):
             self.k, self.u, self.Bu = k, u, Bu
             self.op = self.du = self.dp = None  # set by _slopes
 
-    def _pressure(self, m: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Write the nodal pressure at ``m`` into ``u`` and return the cell
-        coefficients k.
+    def _pressure(self, a: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Write the nodal pressure for the cell log-conductivities ``a``
+        into ``u`` and return the cell coefficients k = exp(a); ``a`` may be
+        ``u[:-1]`` itself, which is read before it is overwritten.
 
         The P1 system with cell-constant k carries the same flux k_c (u_c -
         u_{c+1}) / h through every cell, so its exact nodal solution is
         u_i = sum_{c>=i} 1/k_c / sum_c 1/k_c: one reversed cumulative sum,
         with u(0) = 1 and u(1) = 0 exactly and no factorization.  A
-        non-finite ``m``, a conductivity that overflows to inf and one whose
+        non-finite field, a conductivity that overflows to inf and one whose
         reciprocals do not sum to a finite number (a conductivity that
-        underflows to 0) are refused.
+        underflows to 0) are refused, so the callers ignore floating-point
+        warnings around it (one ``np.errstate`` per batch of points).
         """
-        m = np.asarray(m, dtype=float)
-        with np.errstate(all="ignore"):  # every bad case is refused below
-            k = darcy_cell_coeffs(m)
-            tail = np.cumsum(1.0 / k[::-1])[::-1]
+        k = np.exp(a)
+        tail = (1.0 / k[::-1]).cumsum()[::-1]
         if not (k.max() < math.inf and tail[0] < math.inf):  # False on nan too
-            if not np.isfinite(m).all():
+            if not np.isfinite(a).all():
                 raise ValueError("parameter field must be finite")
             if k.max() == math.inf:
                 raise ValueError("conductivity exp(m) overflows to inf")
@@ -593,27 +605,58 @@ class DarcyProblem(BayesProblem):
     def _forward_state(self, m: np.ndarray) -> "DarcyProblem._State":
         """Forward state at ``m``: the cell coefficients k, u and B u, for
         one parameter at a time (``forward``, the potential, the MAP solve);
-        quadrature points go through ``_observed_points``, which observes a
-        batch's pressures in one product.  The stiffness operator, the slopes
-        of u and the adjoint are left to ``_slopes``, which only gradient and
-        Hessian actions call."""
+        quadrature points go through ``_point_observer``, which works in KL
+        coordinates and observes a batch's pressures in one product.  The
+        stiffness operator, the slopes of u and the adjoint are left to
+        ``_slopes``, which only gradient and Hessian actions call."""
+        m = np.asarray(m, dtype=float)
         u = np.empty(self.mesh.n_nodes)
-        k = self._pressure(m, u)
+        with np.errstate(all="ignore"):  # _pressure refuses every bad case
+            a = 0.5 * (m[:-1] + m[1:])  # log of the midpoint conductivity
+            k = self._pressure(a, u)
         return self._State(k, u, self.B @ u)
 
-    def _observed_points(self, field, points, read):
-        """``BayesProblem._observed_points`` with one observation product:
-        each point's pressure is written into a row of one block U and read
-        (``state.Bu`` is not set), and U B^T then observes every row, so
-        ``B`` is streamed once per batch instead of once per point.  The
-        pressures stay per point: as one block they measured slower and
-        need P x n temporaries beside U."""
-        U = np.empty((len(points), self.mesh.n_nodes))
-        reads = []
-        for xi, u in zip(points, U):
-            m = kl_map(field, xi)
-            reads.append(read(m, self._State(self._pressure(m, u), u, None)))
-        return [(r, self._potential(bu)) for r, bu in zip(reads, U @ self.B.T)]
+    def _point_observer(self, field, qoi):
+        """``BayesProblem._point_observer`` in KL coordinates, with one
+        observation product per batch.
+
+        m(xi) is affine in xi, and so is the log-conductivity at each cell
+        midpoint.  The observer keeps the field's cell data: the cell mean
+        0.5 (mean[:-1] + mean[1:]) and the scaled cell columns 0.5 (W[:-1] +
+        W[1:]), W = V diag(sqrt(lambda)), in Fortran order and built from a
+        C-ordered copy of V, so that the bits do not depend on the field's
+        layout.  A point copies the cell mean into its row of one block U,
+        adds one axpy per nonzero coordinate, and ``_pressure`` turns the row
+        into the point's pressure; no nodal m is formed, so ``qoi`` reads
+        the state alone (it is called with m = None).  U B^T then observes
+        every row, so ``B`` is streamed once per batch instead of once per
+        point.  The pressures stay per point: as one block they measured
+        slower and need P x n temporaries beside U.  A coordinate outside
+        the truncation is refused as ``kl_map`` refuses it."""
+        J, n = field.truncation, self.mesh.n_nodes
+        W = _scaled_columns(field)
+        cell_mean = 0.5 * (field.mean[:-1] + field.mean[1:])
+        cell_cols = np.add(W[:-1], W[1:], out=np.empty((n - 1, J), order="F"))
+        cell_cols *= 0.5
+
+        def observe(points):
+            U = np.empty((len(points), n))
+            states = []
+            with np.errstate(all="ignore"):  # _pressure refuses every bad case
+                for xi, u in zip(points, U):
+                    a = u[:-1]
+                    a[:] = cell_mean
+                    for j, x in xi.items():
+                        if not 1 <= j <= J:
+                            raise ValueError(
+                                f"coordinate dimension {j} outside truncation {J}"
+                            )
+                        a += x * cell_cols[:, j - 1]
+                    states.append(self._State(self._pressure(a, u), u, None))
+            return [(qoi(None, state), self._potential(bu))
+                    for state, bu in zip(states, U @ self.B.T)]
+
+        return observe
 
     def forward(self, m: np.ndarray) -> np.ndarray:
         """Parameter-to-observable map G(m) = B u(m)."""
@@ -669,7 +712,8 @@ class DarcyProblem(BayesProblem):
 
     def qoi(self, kind: str = "u_center") -> Callable[..., float]:
         """``qoi(m, state=None)``: u(0.5) read off the forward state at ``m``,
-        solved for when not given."""
+        solved for when not given.  It reads the state alone, which is all
+        that the Darcy integrands pass (with m = None)."""
         if kind != "u_center":
             raise ValueError(f"unknown QoI {kind!r}")
         idx = self.mesh.n_cells // 2
@@ -781,23 +825,64 @@ def prior_weighted_integrand(
 ) -> Integrand:
     """Prior-based path: xi -> (exp(-Phi), Q * exp(-Phi)) at m0(xi); the
     posterior expectation is the ratio of the two integrals.  Each point of
-    a batch computes the KL map and one forward state (the closed-form
-    pressure on the Darcy problem, with no stiffness assembly or
-    factorization), which ``qoi(m, state)`` reads; the Darcy problem
-    observes a batch's pressures in one product, and the potential is read
-    per point (``_observed_points``).  No slopes or adjoints.  A single
-    mapping in place of the list returns its one output."""
+    a batch builds one forward state, which ``qoi(m, state)`` reads, and its
+    potential (``_point_observer``, built once with the integrand).  On the
+    Darcy problem a point works in KL coordinates: its cell
+    log-conductivities are the field's cell mean plus one axpy of a
+    pre-averaged cell column per nonzero coordinate, its pressure is the
+    closed form (no KL map, stiffness assembly or factorization), its QoI
+    reads the state alone, and the batch is observed in one product.  No
+    slopes or adjoints.  A single mapping in place of the list returns its
+    one output."""
+    observe = problem._point_observer(prior_field, qoi)
 
     def fn(points):
         if isinstance(points, Mapping):
             return fn([points])[0]
         out = []
-        for q, phi in problem._observed_points(prior_field, points, qoi):
+        for q, phi in observe(points):
             w = math.exp(-phi)
             out.append((w, q * w))
         return out
 
     return Integrand(fn=fn, n_outputs=2, dim_hint=prior_field.truncation)
+
+
+def _kl_quadratic_terms(
+    problem: BayesProblem, field: GaussianField
+) -> Callable[[Mapping[int, float]], tuple[float, float]]:
+    """``terms(xi)``: (0.5 * sum_j xi_j^2, the prior cost at m(xi)), both
+    summed over the nonzero coordinates of xi alone.
+
+    m(xi) = mean + W xi is affine, with W = V diag(sqrt(lambda)) and d1 =
+    mean - m0, so the prior cost is a quadratic form in xi:
+
+        0.5 ||m - m0||^2_{C0^-1} = c0 + g.xi + 0.5 xi^T G xi,
+        c0 = 0.5 d1^T A_alpha d1,  g = W^T A_alpha d1,  G = W^T A_alpha W.
+
+    All three are computed here, once (G through ``apply_prior_precision``
+    on the block, so every alpha works, and W from a C-ordered copy of V),
+    and a point needs neither its nodal m nor the prior operator.  c0 is
+    ``problem.prior_cost(mean)`` bit for bit.  G stays an array: as nested
+    lists its entries would take about four times the memory.
+    """
+    W = _scaled_columns(field)
+    d1 = field.mean - problem.prior_mean
+    A_d1 = problem.apply_prior_precision(d1)
+    c0 = 0.5 * float(np.dot(d1, A_d1))
+    g = (W.T @ A_d1).tolist()
+    G_entry = (W.T @ problem.apply_prior_precision(W)).item
+
+    def terms(xi):
+        sq = lin = quad = 0.0
+        for j, x in xi.items():
+            sq += x * x
+            lin += g[j - 1] * x
+            for k, z in xi.items():
+                quad += G_entry(j - 1, k - 1) * x * z
+        return 0.5 * sq, c0 + lin + 0.5 * quad
+
+    return terms
 
 
 def hessian_reweighted_integrand(
@@ -809,27 +894,27 @@ def hessian_reweighted_integrand(
     """Hessian-based path: xi -> (exp(-J1), Q * exp(-J1)) at m1(xi), with
     J1(m) = J(m) - J(m1) - 0.5 * ||m - m1||^2_{C1}.
 
-    The C1-norm is evaluated spectrally: in KL coordinates it is exactly
-    sum_j xi_j^2.  Like ``prior_weighted_integrand``, each point of a batch
-    computes the KL map, one forward state, ``qoi(m, state)`` and the prior
-    cost, and reads its potential off the batch's observation product; no
-    slopes or adjoints.  A single mapping returns its one output.
+    Both quadratic terms are evaluated in KL coordinates: the C1-norm is
+    exactly sum_j xi_j^2, and the prior cost is a quadratic form in the
+    point's nonzero coordinates whose coefficients are computed once, when
+    the integrand is built (``_kl_quadratic_terms``).  The QoI and the
+    potential come from one forward state per point, as on
+    ``prior_weighted_integrand`` (in KL coordinates on the Darcy problem,
+    with no nodal m); no slopes or adjoints.  A single mapping returns its
+    one output.
     """
-
-    def read(m, state):
-        return qoi(m, state), problem.prior_cost(m)
+    terms = _kl_quadratic_terms(problem, posterior_field)
+    observe = problem._point_observer(posterior_field, qoi)
 
     def fn(points):
         if isinstance(points, Mapping):
             return fn([points])[0]
         out = []
-        terms = problem._observed_points(posterior_field, points, read)
-        for xi, ((q, prior), phi) in zip(points, terms):
-            half_sq = 0.5 * sum(x * x for x in xi.values())
+        for xi, (q, phi) in zip(points, observe(points)):
+            half_sq, prior = terms(xi)
             j1 = phi + prior - cost_at_map - half_sq
             w = math.exp(-j1)
             out.append((w, q * w))
         return out
 
     return Integrand(fn=fn, n_outputs=2, dim_hint=posterior_field.truncation)
-

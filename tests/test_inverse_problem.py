@@ -291,18 +291,20 @@ def test_quadrature_points_factor_nothing(darcy6_setup, path, monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    # one KL map per point, and no stiffness, factorization, solve or slopes:
-    # the pressure is closed-form, and only gradient and Hessian actions
-    # build the operator and read the slopes
+    # a point works in KL coordinates: no KL map and no prior operator (the
+    # Hessian path's prior cost is a quadratic form in xi), and no stiffness,
+    # factorization, solve or slopes: the pressure is closed-form, and only
+    # gradient and Hessian actions build the operator and read the slopes
     counted(fem1d, "dpttrf")
     counted(fem1d.TriDiagOperator, "solve")
     counted(inverse_problem, "darcy_stiffness")
     counted(inverse_problem, "kl_map")
+    counted(inverse_problem.BayesProblem, "prior_cost")
     counted(inverse_problem, "cell_slopes")
     res = adapt(g, Construction.APOSTERIORI, AdaptConfig(max_points=300))
     assert res.n_points >= 300
-    assert counts == {"dpttrf": 0, "solve": 0, "darcy_stiffness": 0,
-                      "kl_map": res.n_points, "cell_slopes": 0}
+    assert counts == {"dpttrf": 0, "solve": 0, "darcy_stiffness": 0, "kl_map": 0,
+                      "prior_cost": 0, "cell_slopes": 0}
 
 
 def _parent_forward_state(problem, m):
@@ -481,31 +483,119 @@ def _sparse_points(rng, dims, count):
     return points
 
 
+def _darcy_integrand(setup, path, field=None):
+    """The ``path`` integrand of a Darcy setup, over ``field`` when given and
+    over the setup's field of that path otherwise."""
+    problem = setup.problem
+    if path == "hessian":
+        field = field if field is not None else setup.posterior_field
+        return hessian_reweighted_integrand(problem, field, setup.map_result.cost_at_map,
+                                            problem.qoi())
+    field = field if field is not None else setup.prior_field
+    return prior_weighted_integrand(problem, field, problem.qoi())
+
+
 @pytest.mark.parametrize("path", ["hessian", "prior"])
 def test_lean_darcy_point_matches_parent_evaluation(darcy6_setup, path):
-    # every point returns the same tuple over the Fortran-order field
-    # DarcySetup builds and over the C-order field the eigensolvers return,
-    # and the tuple the parent's LDL^T evaluation returns up to that
-    # solve's rounding: u agrees to _LDLT_ATOL[6], which the potential
-    # (1/sigma^2 = 400, Phi up to ~300 on the prior path) amplifies to at
-    # most 1.7e-11 relative in exp(-Phi) (measured)
+    # every point returns the same tuple over a Fortran-order and a C-order
+    # copy of the field, and the tuple the parent's LDL^T evaluation returns
+    # up to that solve's rounding: u agrees to _LDLT_ATOL[6], which the
+    # potential (1/sigma^2 = 400, Phi up to ~300 on the prior path)
+    # amplifies to at most 1.7e-11 relative in exp(-Phi) (measured)
     setup, problem = darcy6_setup, darcy6_setup.problem
     built = setup.posterior_field if path == "hessian" else setup.prior_field
-    assert built.pairs.vectors.flags.f_contiguous
-    c_order = GaussianField(built.mean, replace(
-        built.pairs, vectors=np.ascontiguousarray(built.pairs.vectors)))
+    f_order, c_order = (
+        GaussianField(built.mean, replace(built.pairs, vectors=layout(built.pairs.vectors)))
+        for layout in (np.asfortranarray, np.ascontiguousarray)
+    )
     cost_at_map = setup.map_result.cost_at_map if path == "hessian" else None
     points = [{}] + _sparse_points(rng_stream(10, 1), setup.kl_dims, 500)
     values = {}
-    for name, field in (("built", built), ("c_order", c_order)):
-        if path == "hessian":
-            g = hessian_reweighted_integrand(problem, field, cost_at_map, problem.qoi())
-        else:
-            g = prior_weighted_integrand(problem, field, problem.qoi())
+    for name, field in (("f_order", f_order), ("c_order", c_order)):
+        g = _darcy_integrand(setup, path, field)
         values[name] = [g.fn([xi])[0] for xi in points]
-    assert values["built"] == values["c_order"]
+    assert values["f_order"] == values["c_order"]
     expected = [_parent_darcy_point(problem, built, xi, cost_at_map) for xi in points]
-    np.testing.assert_allclose(values["built"], expected, rtol=5e-11, atol=0)
+    np.testing.assert_allclose(values["f_order"], expected, rtol=5e-11, atol=0)
+
+
+@pytest.mark.parametrize("path", ["hessian", "prior"])
+@pytest.mark.parametrize("dim", [0, 13])
+def test_darcy_point_refuses_a_coordinate_outside_the_truncation(darcy6_setup, path, dim):
+    # the cell log-conductivities are read off the field's cell columns,
+    # which refuse what kl_map refused: the point named is the refused one,
+    # not the batch's first, with the refusal chained
+    assert darcy6_setup.kl_dims == 12
+    g = _darcy_integrand(darcy6_setup, path)
+    with pytest.raises(IntegrandError,
+                       match=rf"coordinate dimension {dim} outside truncation 12") as err:
+        PointCache(g).fill([(), ((12, 0.5),), ((dim, 0.5),)])
+    assert err.value.point == {dim: 0.5}
+    assert isinstance(err.value.__cause__, ValueError)
+
+
+def _longdouble_prior_cost(problem, field, xi):
+    """Oracle: the prior cost at m(xi) for alpha = 1, with the KL sum, m -
+    m0 and the tridiagonal product in ``np.longdouble`` over the same
+    float data."""
+    assert problem.alpha == 1
+    ld = np.longdouble
+    scales = np.sqrt(field.pairs.values)
+    m = field.mean.astype(ld)
+    for j, x in xi.items():
+        m += ld(scales[j - 1]) * ld(x) * field.pairs.vectors[:, j - 1].astype(ld)
+    d = m - problem.prior_mean.astype(ld)
+    A = problem.A_prior
+    Ad = A.diag.astype(ld) * d
+    Ad[:-1] += A.off.astype(ld) * d[1:]
+    Ad[1:] += A.off.astype(ld) * d[:-1]
+    return 0.5 * np.dot(d, Ad)
+
+
+class TestPriorCostInKLCoordinates:
+    @pytest.mark.parametrize("alpha", [1, 2])
+    def test_matches_the_nodal_prior_cost(self, alpha):
+        # c0 + g.xi + 0.5 xi^T G xi over the nonzero coordinates is the prior
+        # cost of kl_map(field, xi), for sparse points and for a dense one
+        # (all coordinates nonzero), at both smoothness exponents, and it is
+        # the nodal value bit for bit at xi = 0.  The field is centred on a
+        # prior draw, so that c0 (7.4) and the xi terms are of one size
+        # (measured: at most 1.4e-14 relative apart, at alpha = 2)
+        problem = make_darcy_problem(alpha=alpha, mesh_exp=6, seed=0)
+        J = 16
+        pairs = problem.prior_pairs(J, rng=rng_stream(0, 10), oversampling=J,
+                                    power_iters=3)
+        zeta = rng_stream(0, 11).standard_normal(J)
+        mean = problem.prior_mean + pairs.vectors @ (np.sqrt(pairs.values) * zeta)
+        field = GaussianField(mean, pairs)
+        terms = inverse_problem._kl_quadratic_terms(problem, field)
+        assert terms({}) == (0.0, problem.prior_cost(mean))
+        rng = rng_stream(10, 5)
+        dense = {j: float(rng.standard_normal()) for j in range(1, J + 1)}
+        for xi in _sparse_points(rng, J, 100) + [dense]:
+            half_sq, prior = terms(xi)
+            assert half_sq == 0.5 * sum(x * x for x in xi.values())
+            assert prior == pytest.approx(problem.prior_cost(kl_map(field, xi)),
+                                          rel=1e-12, abs=0)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="np.longdouble has no extra precision here")
+    def test_is_as_accurate_as_the_nodal_form(self):
+        # on the posterior field of the benchmark (mesh 2^10, 200 dims) the
+        # quadratic form errs no more than the nodal prior cost against an
+        # extended-precision evaluation (measured: at most 4.1e-13 against
+        # 5.2e-13 relative)
+        cfg = ExperimentConfig.darcy_default(mesh_exp=10, seed=0, kl_dims=200)
+        setup = darcy_setup(cfg)
+        problem, field = setup.problem, setup.posterior_field
+        terms = inverse_problem._kl_quadratic_terms(problem, field)
+        kl_err = nodal_err = 0.0
+        for xi in _sparse_points(rng_stream(10, 0), 200, 300):
+            ref = _longdouble_prior_cost(problem, field, xi)
+            kl_err = max(kl_err, float(abs(terms(xi)[1] / ref - 1)))
+            nodal = problem.prior_cost(kl_map(field, xi))
+            nodal_err = max(nodal_err, float(abs(nodal / ref - 1)))
+        assert kl_err <= nodal_err
 
 
 @pytest.mark.parametrize("path", ["hessian", "prior"])
@@ -513,12 +603,8 @@ def test_darcy_batch_matches_pointwise(darcy6_setup, path):
     # a batch observes its pressures with one product U B^T where a single
     # point is a batch of one: only the last bits of B u may move (measured
     # on these points: at most 8.5e-14 relative, 7.1e-14 at mesh 2^10)
-    setup, problem = darcy6_setup, darcy6_setup.problem
-    if path == "hessian":
-        g = hessian_reweighted_integrand(problem, setup.posterior_field,
-                                         setup.map_result.cost_at_map, problem.qoi())
-    else:
-        g = prior_weighted_integrand(problem, setup.prior_field, problem.qoi())
+    setup = darcy6_setup
+    g = _darcy_integrand(setup, path)
     points = [{}] + _sparse_points(rng_stream(10, 3), setup.kl_dims, 200)
     batch = g.fn(points)
     assert type(batch) is list and len(batch) == len(points)
