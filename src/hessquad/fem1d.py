@@ -226,12 +226,6 @@ def apply_A_alpha_inv(
     return out
 
 
-def darcy_cell_coeffs(m: np.ndarray) -> np.ndarray:
-    """Coefficient exp(m) at cell midpoints (midpoint quadrature per cell);
-    ``m`` is a float array of nodal values."""
-    return np.exp(0.5 * (m[:-1] + m[1:]))
-
-
 def darcy_stiffness(k_cells: np.ndarray, mesh: Mesh1D) -> TriDiagOperator:
     """Interior stiffness of -d/dx(k du/dx) with cell-constant coefficient."""
     a = k_cells / mesh.h

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NoReturn
 
 import numpy as np
 
@@ -172,21 +172,17 @@ class BayesProblem:
         raise NotImplementedError
 
     def _point_observer(
-        self, field: GaussianField, qoi: Callable[..., float],
+        self, field: GaussianField, qoi: Callable[[np.ndarray], float],
     ) -> Callable[[list[Mapping[int, float]]], list[tuple[float, float]]]:
-        """``observe(points)``: (``qoi(m, state)``, potential) per point xi
-        of a batch, in order, at m = kl_map(field, xi) and its forward state,
-        which is what the reweighted integrands evaluate.  One forward state
-        per point here; the Darcy problem works in KL coordinates and
-        observes the whole batch in one product."""
+        """``observe(points)``: (``qoi(m)``, potential) per point xi of a
+        batch, in order, at m = kl_map(field, xi), which is what the
+        reweighted integrands evaluate.  One forward solve per point here;
+        the Darcy problem works in KL coordinates and observes the whole
+        batch in one product."""
 
         def observe(points):
-            out = []
-            for xi in points:
-                m = kl_map(field, xi)
-                state = self._forward_state(m)
-                out.append((qoi(m, state), self.potential_of_state(state)))
-            return out
+            return [(qoi(m), self.potential(m))
+                    for m in (kl_map(field, xi) for xi in points)]
 
         return observe
 
@@ -511,13 +507,16 @@ class LinearPoissonProblem(BayesProblem):
             return self.M.matvec(self.K.solve(l))
         raise ValueError(f"unknown QoI {kind!r}")
 
-    def qoi(self, kind: str) -> Callable[..., float]:
-        """``qoi(m, state=None)`` from ``linear_functional(kind)``; both QoIs
-        read ``m`` alone."""
+    def qoi(self, kind: str) -> Callable[[np.ndarray], float]:
+        """``qoi(m)`` from ``linear_functional(kind)``."""
         l = self.linear_functional(kind)
         if kind == "q1":
-            return lambda m, state=None: math.exp(float(np.dot(l, m)))
-        return lambda m, state=None: float(np.dot(l, m)) ** 2
+            return lambda m: math.exp(float(np.dot(l, m)))
+        return lambda m: float(np.dot(l, m)) ** 2
+
+
+# exp(a) overflows to inf exactly when a > log(DBL_MAX) = 709.78...
+_LOG_DBL_MAX = math.log(np.finfo(float).max)
 
 
 class DarcyProblem(BayesProblem):
@@ -525,16 +524,19 @@ class DarcyProblem(BayesProblem):
 
     Prior N(prior_mean, A_prior^{-alpha}) on all nodes (``make_darcy_problem``
     builds the measurement-informed A_prior and prior mean of the benchmark);
-    observations B u with iid N(0, sigma^2) noise.  The forward pressure is
-    the closed-form nodal solution of the P1 system for the cell
-    log-conductivities (``_pressure``).  A quadrature point works in KL
-    coordinates: its cell log-conductivities come straight from xi through
-    the field's pre-averaged cell columns, with no nodal m, and a batch of
-    points observes its pressures in one product (``_point_observer``).
-    Gradients and Hessian actions come from the Lagrangian: one adjoint solve
-    for the gradient, incremental state and adjoint solves for each Hessian
-    action, all against the tridiagonal stiffness factor.  The constructor
-    refuses operators and data whose sizes do not match the mesh and B.
+    observations B u with iid N(0, sigma^2) noise.  With r_c = exp(-a_c) the
+    reciprocal conductivity of cell c, the nodal P1 pressure is u_i =
+    sum_{c>=i} r_c / T with T = sum_c r_c (``_pressure``), so B u, a QoI
+    linear in u and T are all linear functionals of r.  A quadrature point
+    works in KL coordinates: its cell log-conductivities come straight from
+    xi through the field's pre-averaged cell columns, with no nodal m, and a
+    batch of points is observed with one product of its r rows against the
+    folded operator ``_folded_operator``, with no pressure formed
+    (``_point_observer``).  Gradients and Hessian actions come from the
+    Lagrangian: one adjoint solve for the gradient, incremental state and
+    adjoint solves for each Hessian action, all against the tridiagonal
+    stiffness factor.  The constructor refuses operators and data whose
+    sizes do not match the mesh and B.
     """
 
     def __init__(
@@ -574,6 +576,20 @@ class DarcyProblem(BayesProblem):
             self.k, self.u, self.Bu = k, u, Bu
             self.op = self.du = self.dp = None  # set by _slopes
 
+    @staticmethod
+    def _refuse(a: np.ndarray) -> NoReturn:
+        """Raise the ValueError that says why the cell log-conductivities
+        ``a`` carry no pressure: a non-finite entry, else a conductivity
+        exp(a) that overflows to inf, else reciprocals 1/exp(a) that do not
+        sum to a finite number."""
+        if not np.isfinite(a).all():
+            raise ValueError("parameter field must be finite")
+        if a.max() > _LOG_DBL_MAX:
+            raise ValueError("conductivity exp(m) overflows to inf")
+        raise ValueError(
+            "conductivity exp(m) underflows: the sum of 1/exp(m) is not finite"
+        )
+
     def _pressure(self, a: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Write the nodal pressure for the cell log-conductivities ``a``
         into ``u`` and return the cell coefficients k = exp(a); ``a`` may be
@@ -582,33 +598,25 @@ class DarcyProblem(BayesProblem):
         The P1 system with cell-constant k carries the same flux k_c (u_c -
         u_{c+1}) / h through every cell, so its exact nodal solution is
         u_i = sum_{c>=i} 1/k_c / sum_c 1/k_c: one reversed cumulative sum,
-        with u(0) = 1 and u(1) = 0 exactly and no factorization.  A
-        non-finite field, a conductivity that overflows to inf and one whose
-        reciprocals do not sum to a finite number (a conductivity that
-        underflows to 0) are refused, so the callers ignore floating-point
-        warnings around it (one ``np.errstate`` per batch of points).
+        with u(0) = 1 and u(1) = 0 exactly and no factorization.  The cases
+        of ``_refuse`` are refused, so the caller ignores floating-point
+        warnings around it.
         """
         k = np.exp(a)
         tail = (1.0 / k[::-1]).cumsum()[::-1]
         if not (k.max() < math.inf and tail[0] < math.inf):  # False on nan too
-            if not np.isfinite(a).all():
-                raise ValueError("parameter field must be finite")
-            if k.max() == math.inf:
-                raise ValueError("conductivity exp(m) overflows to inf")
-            raise ValueError(
-                "conductivity exp(m) underflows: the sum of 1/exp(m) is not finite"
-            )
+            self._refuse(a)
         np.divide(tail, tail[0], out=u[:-1])
         u[-1] = 0.0
         return k
 
     def _forward_state(self, m: np.ndarray) -> "DarcyProblem._State":
         """Forward state at ``m``: the cell coefficients k, u and B u, for
-        one parameter at a time (``forward``, the potential, the MAP solve);
-        quadrature points go through ``_point_observer``, which works in KL
-        coordinates and observes a batch's pressures in one product.  The
-        stiffness operator, the slopes of u and the adjoint are left to
-        ``_slopes``, which only gradient and Hessian actions call."""
+        one parameter at a time (``forward``, the potential, the MAP solve,
+        the eigensolves); quadrature points go through ``_point_observer``,
+        which forms no pressure.  The stiffness operator, the slopes of u
+        and the adjoint are left to ``_slopes``, which only gradient and
+        Hessian actions call."""
         m = np.asarray(m, dtype=float)
         u = np.empty(self.mesh.n_nodes)
         with np.errstate(all="ignore"):  # _pressure refuses every bad case
@@ -616,45 +624,77 @@ class DarcyProblem(BayesProblem):
             k = self._pressure(a, u)
         return self._State(k, u, self.B @ u)
 
+    def _folded_operator(self, functional: np.ndarray) -> np.ndarray:
+        """C = [B S; l S; 1^T] for the nodal functional l, one column per
+        cell, with S the upper-triangular ones matrix: r C^T = T (B u, l.u,
+        1) for the reciprocal conductivities r and T = sum_c r_c, because
+        u_i = sum_{c>=i} r_c / T.  Row k of B S is the prefix sum of row k
+        of B over the nodes 0..n-2; the last node drops out, as u is 0
+        there.  The benchmark's B and l have no negative entries, and
+        neither has r, so r C^T has no cancellation."""
+        n_obs = self.B.shape[0]
+        C = np.empty((n_obs + 2, self.mesh.n_cells))
+        np.cumsum(self.B[:, :-1], axis=1, out=C[:n_obs])
+        np.cumsum(functional[:-1], out=C[n_obs])
+        C[-1] = 1.0
+        return C
+
     def _point_observer(self, field, qoi):
         """``BayesProblem._point_observer`` in KL coordinates, with one
-        observation product per batch.
+        product per batch and no pressure formed.
 
-        m(xi) is affine in xi, and so is the log-conductivity at each cell
-        midpoint.  The observer keeps the field's cell data: the cell mean
-        0.5 (mean[:-1] + mean[1:]) and the scaled cell columns 0.5 (W[:-1] +
+        m(xi) is affine in xi, and so is the log-conductivity a at each cell
+        midpoint.  The observer keeps the field's cell data with their sign
+        flipped, so that a point's row is log r = -a: the cell mean -0.5
+        (mean[:-1] + mean[1:]) and the scaled cell columns -0.5 (W[:-1] +
         W[1:]), W = V diag(sqrt(lambda)), in Fortran order and built from a
         C-ordered copy of V, so that the bits do not depend on the field's
-        layout.  A point copies the cell mean into its row of one block U,
-        adds one axpy per nonzero coordinate, and ``_pressure`` turns the row
-        into the point's pressure; no nodal m is formed, so ``qoi`` reads
-        the state alone (it is called with m = None).  U B^T then observes
-        every row, so ``B`` is streamed once per batch instead of once per
-        point.  The pressures stay per point: as one block they measured
-        slower and need P x n temporaries beside U.  A coordinate outside
-        the truncation is refused as ``kl_map`` refuses it."""
+        layout.  A point copies the cell mean into its row of one block R
+        and adds one axpy per nonzero coordinate.  One in-place exp turns
+        the block into r, and one product R C^T with the folded operator
+        (``_folded_operator``) gives every point's T B u, T Q and T; the
+        potentials are then one expression over the batch.
+
+        ``qoi`` must be a ``PressureFunctional`` (from ``qoi``), whose
+        functional is folded into C; any other QoI is refused.  A coordinate outside
+        the truncation is refused as ``kl_map`` refuses it, and a batch with
+        conductivities that ``_pressure`` would refuse raises its error for
+        the first such point."""
+        if not isinstance(qoi, PressureFunctional):
+            raise ValueError("a Darcy quadrature point needs a QoI linear in the "
+                             f"pressure (DarcyProblem.qoi), got {qoi!r}")
         J, n = field.truncation, self.mesh.n_nodes
         W = _scaled_columns(field)
-        cell_mean = 0.5 * (field.mean[:-1] + field.mean[1:])
+        cell_mean = -0.5 * (field.mean[:-1] + field.mean[1:])
         cell_cols = np.add(W[:-1], W[1:], out=np.empty((n - 1, J), order="F"))
-        cell_cols *= 0.5
+        cell_cols *= -0.5
+        C_T = self._folded_operator(qoi.functional).T
+        scale = 0.5 / self.sigma**2
+
+        def log_resistivity(xi, row):
+            row[:] = cell_mean
+            for j, x in xi.items():
+                if not 1 <= j <= J:
+                    raise ValueError(f"coordinate dimension {j} outside truncation {J}")
+                row += x * cell_cols[:, j - 1]
+            return row
 
         def observe(points):
-            U = np.empty((len(points), n))
-            states = []
-            with np.errstate(all="ignore"):  # _pressure refuses every bad case
-                for xi, u in zip(points, U):
-                    a = u[:-1]
-                    a[:] = cell_mean
-                    for j, x in xi.items():
-                        if not 1 <= j <= J:
-                            raise ValueError(
-                                f"coordinate dimension {j} outside truncation {J}"
-                            )
-                        a += x * cell_cols[:, j - 1]
-                    states.append(self._State(self._pressure(a, u), u, None))
-            return [(qoi(None, state), self._potential(bu))
-                    for state, bu in zip(states, U @ self.B.T)]
+            R = np.empty((len(points), n - 1))
+            for xi, row in zip(points, R):
+                log_resistivity(xi, row)
+            lowest = R.min(axis=1)  # -max(a) of each point
+            with np.errstate(over="ignore", invalid="ignore"):  # refused below
+                np.exp(R, out=R)
+                folded = R @ C_T  # per point: T B u, T Q, T
+            T = folded[:, -1]
+            fine = (lowest >= -_LOG_DBL_MAX) & np.isfinite(T)  # False on nan too
+            if not fine.all():
+                first = points[int(fine.argmin())]
+                self._refuse(-log_resistivity(first, np.empty(n - 1)))
+            r = self.y - folded[:, :-2] / T[:, None]
+            potentials = scale * np.einsum("ij,ij->i", r, r)
+            return list(zip((folded[:, -2] / T).tolist(), potentials.tolist()))
 
         return observe
 
@@ -663,10 +703,7 @@ class DarcyProblem(BayesProblem):
         return self._forward_state(m).Bu
 
     def potential_of_state(self, state) -> float:
-        return self._potential(state.Bu)
-
-    def _potential(self, Bu: np.ndarray) -> float:
-        r = self.y - Bu
+        r = self.y - state.Bu
         return 0.5 / self.sigma**2 * float(np.dot(r, r))
 
     def _slopes(self, state) -> tuple[np.ndarray, np.ndarray]:
@@ -710,19 +747,15 @@ class DarcyProblem(BayesProblem):
             q += state.k * du_hat * dp + mhat_c * state.k * du * dp
         return scatter_mass(q, self.mesh)
 
-    def qoi(self, kind: str = "u_center") -> Callable[..., float]:
-        """``qoi(m, state=None)``: u(0.5) read off the forward state at ``m``,
-        solved for when not given.  It reads the state alone, which is all
-        that the Darcy integrands pass (with m = None)."""
+    def qoi(self, kind: str = "u_center") -> "PressureFunctional":
+        """The QoI as a ``PressureFunctional`` with its nodal functional l:
+        u_center is u(0.5), with l the indicator of the node x = 0.5.  An
+        unknown kind is refused."""
         if kind != "u_center":
             raise ValueError(f"unknown QoI {kind!r}")
-        idx = self.mesh.n_cells // 2
-
-        def q(m: np.ndarray, state=None) -> float:
-            state = state if state is not None else self._forward_state(m)
-            return float(state.u[idx])
-
-        return q
+        l = np.zeros(self.mesh.n_nodes)
+        l[self.mesh.n_cells // 2] = 1.0
+        return PressureFunctional(self, l)
 
     def prior_pairs(
         self, J: int | None = None, rng: np.random.Generator | None = None,
@@ -733,6 +766,20 @@ class DarcyProblem(BayesProblem):
             self.A_prior, self.M, self.alpha, J,
             oversampling=oversampling, power_iters=power_iters, rng=rng,
         )
+
+
+@dataclass(frozen=True, eq=False)
+class PressureFunctional:
+    """A Darcy QoI linear in the pressure, Q(m) = l.u(m), that keeps its
+    nodal functional l (``functional``): the quadrature points fold l into
+    their one observation product (``DarcyProblem._point_observer``).
+    Called with a nodal m it computes u(m) by ``_forward_state``."""
+
+    problem: DarcyProblem
+    functional: np.ndarray
+
+    def __call__(self, m: np.ndarray) -> float:
+        return float(np.dot(self.functional, self.problem._forward_state(m).u))
 
 
 # ---------------------------------------------------------------------------
@@ -821,19 +868,20 @@ def make_darcy_problem(
 def prior_weighted_integrand(
     problem: BayesProblem,
     prior_field: GaussianField,
-    qoi: Callable[..., float],
+    qoi: Callable[[np.ndarray], float],
 ) -> Integrand:
     """Prior-based path: xi -> (exp(-Phi), Q * exp(-Phi)) at m0(xi); the
-    posterior expectation is the ratio of the two integrals.  Each point of
-    a batch builds one forward state, which ``qoi(m, state)`` reads, and its
-    potential (``_point_observer``, built once with the integrand).  On the
-    Darcy problem a point works in KL coordinates: its cell
-    log-conductivities are the field's cell mean plus one axpy of a
-    pre-averaged cell column per nonzero coordinate, its pressure is the
-    closed form (no KL map, stiffness assembly or factorization), its QoI
-    reads the state alone, and the batch is observed in one product.  No
-    slopes or adjoints.  A single mapping in place of the list returns its
-    one output."""
+    posterior expectation is the ratio of the two integrals.  The QoI and
+    the potential of each point of a batch come from ``_point_observer``,
+    built once with the integrand: one forward solve per point on the
+    linear problem.  On the Darcy problem a point works in KL coordinates:
+    its cell log-conductivities are the field's cell mean plus one axpy of
+    a pre-averaged cell column per nonzero coordinate, and one product of
+    the batch's exp(-a) rows with the folded operator [B S; l S; 1^T] gives
+    every point's observation, QoI and T, with no KL map, pressure,
+    assembly or factorization per point (``qoi`` must then be the
+    problem's ``PressureFunctional``).  No slopes or adjoints.  A single
+    mapping in place of the list returns its one output."""
     observe = problem._point_observer(prior_field, qoi)
 
     def fn(points):
@@ -889,7 +937,7 @@ def hessian_reweighted_integrand(
     problem: BayesProblem,
     posterior_field: GaussianField,
     cost_at_map: float,
-    qoi: Callable[..., float],
+    qoi: Callable[[np.ndarray], float],
 ) -> Integrand:
     """Hessian-based path: xi -> (exp(-J1), Q * exp(-J1)) at m1(xi), with
     J1(m) = J(m) - J(m1) - 0.5 * ||m - m1||^2_{C1}.
@@ -898,10 +946,10 @@ def hessian_reweighted_integrand(
     exactly sum_j xi_j^2, and the prior cost is a quadratic form in the
     point's nonzero coordinates whose coefficients are computed once, when
     the integrand is built (``_kl_quadratic_terms``).  The QoI and the
-    potential come from one forward state per point, as on
-    ``prior_weighted_integrand`` (in KL coordinates on the Darcy problem,
-    with no nodal m); no slopes or adjoints.  A single mapping returns its
-    one output.
+    potential come from ``_point_observer``, as on
+    ``prior_weighted_integrand`` (on the Darcy problem, one product per
+    batch with the folded operator, with no nodal m or pressure); no slopes
+    or adjoints.  A single mapping returns its one output.
     """
     terms = _kl_quadratic_terms(problem, posterior_field)
     observe = problem._point_observer(posterior_field, qoi)

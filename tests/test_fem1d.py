@@ -9,7 +9,6 @@ from hessquad.fem1d import (
     apply_A_alpha_inv,
     assemble,
     cell_slopes,
-    darcy_cell_coeffs,
     darcy_stiffness,
     laplace_operator,
     mass_operator,
@@ -264,13 +263,6 @@ class TestDarcy:
         m[3] = np.inf
         with pytest.raises(ValueError):
             darcy_problem(mesh).forward(m)
-
-    def test_cell_coeffs_midpoint(self):
-        mesh = Mesh1D(4)
-        m = np.array([0.0, 1.0, 0.0, 2.0, 0.0])
-        np.testing.assert_allclose(
-            darcy_cell_coeffs(m), np.exp([0.5, 0.5, 1.0, 1.0])
-        )
 
 
 class TestScatterHelpers:

@@ -281,30 +281,34 @@ def test_quadrature_points_factor_nothing(darcy6_setup, path, monkeypatch):
         g = prior_weighted_integrand(problem, setup.prior_field, problem.qoi())
     counts = {}
 
-    def counted(owner, name):
+    def counted(owner, name, label=None):
         fn = getattr(owner, name)
-        counts[name] = 0
+        label = label or name
+        counts[label] = 0
 
         def wrapper(*args):
-            counts[name] += 1
+            counts[label] += 1
             return fn(*args)
 
         monkeypatch.setattr(owner, name, wrapper)
 
     # a point works in KL coordinates: no KL map and no prior operator (the
-    # Hessian path's prior cost is a quadratic form in xi), and no stiffness,
-    # factorization, solve or slopes: the pressure is closed-form, and only
-    # gradient and Hessian actions build the operator and read the slopes
+    # Hessian path's prior cost is a quadratic form in xi); a step's points
+    # are observed with one product, so no point forms a pressure or a
+    # state; and no stiffness, factorization, solve or slopes, which only
+    # gradient and Hessian actions build and read
     counted(fem1d, "dpttrf")
     counted(fem1d.TriDiagOperator, "solve")
     counted(inverse_problem, "darcy_stiffness")
     counted(inverse_problem, "kl_map")
     counted(inverse_problem.BayesProblem, "prior_cost")
     counted(inverse_problem, "cell_slopes")
+    counted(inverse_problem.DarcyProblem, "_pressure")
+    counted(inverse_problem.DarcyProblem._State, "__init__", label="_State")
     res = adapt(g, Construction.APOSTERIORI, AdaptConfig(max_points=300))
     assert res.n_points >= 300
     assert counts == {"dpttrf": 0, "solve": 0, "darcy_stiffness": 0, "kl_map": 0,
-                      "prior_cost": 0, "cell_slopes": 0}
+                      "prior_cost": 0, "cell_slopes": 0, "_pressure": 0, "_State": 0}
 
 
 def _parent_forward_state(problem, m):
@@ -316,7 +320,7 @@ def _parent_forward_state(problem, m):
     if not np.all(np.isfinite(m)):
         raise ValueError("parameter field must be finite")
     mesh = problem.mesh
-    k = fem1d.darcy_cell_coeffs(m)
+    k = np.exp(0.5 * (m[:-1] + m[1:]))
     op = fem1d.darcy_stiffness(k, mesh)
     rhs = np.zeros(mesh.n_interior)
     rhs[0] += k[0] / mesh.h
@@ -374,7 +378,7 @@ class TestDarcyForward:
             assert state.u[0] == 1.0 and state.u[-1] == 0.0
             assert state.op is None  # built only when an adjoint needs it
             problem.misfit_gradient_of_state(state)
-            ref = fem1d.darcy_stiffness(fem1d.darcy_cell_coeffs(m), mesh)
+            ref = fem1d.darcy_stiffness(np.exp(0.5 * (m[:-1] + m[1:])), mesh)
             np.testing.assert_array_equal(state.op.diag, ref.diag)
             np.testing.assert_array_equal(state.op.off, ref.off)
 
@@ -387,7 +391,7 @@ class TestDarcyForward:
         # 2^10), where the LDL^T solve errs by up to 1.3e-14 and 6.8e-13
         problem = make_darcy_problem(mesh_exp=mesh_exp, seed=0)
         for m in _rough_fields(mesh_exp):
-            k = fem1d.darcy_cell_coeffs(m)
+            k = np.exp(0.5 * (m[:-1] + m[1:]))
             err = np.max(np.abs(problem._forward_state(m).u
                                 - _extended_precision_pressure(k, problem.mesh)))
             assert err <= 1e-14
@@ -395,11 +399,14 @@ class TestDarcyForward:
     @pytest.mark.parametrize("value, refused", [
         (800.0, "overflows"),
         (-800.0, "underflows"),
+        (720.0, "overflows"),
+        (-720.0, "underflows"),
     ])
     def test_refuses_a_conductivity_out_of_range(self, darcy6, value, refused):
         # exp(m) = inf would carry no pressure drop and exp(m) = 0 none of
         # the flux; the LDL^T factor that the closed form replaced refused
-        # both (non-finite entries, not positive definite)
+        # both (non-finite entries, not positive definite).  At |m| = 720,
+        # exp(-|m|) is subnormal but not 0
         n = darcy6.mesh.n_nodes
         spike = np.r_[np.zeros(n // 2), 2 * value, np.zeros(n // 2)]
         for m in (np.full(n, value), spike):
@@ -408,9 +415,16 @@ class TestDarcyForward:
         with pytest.raises(ValueError, match="parameter field must be finite"):
             darcy6._forward_state(np.r_[np.nan, np.zeros(n - 1)])
 
-    @pytest.mark.parametrize("x, refused", [(2.0, "overflows"), (-2.0, "underflows")])
+    @pytest.mark.parametrize("x, refused", [
+        (2.0, "overflows"), (-2.0, "underflows"),
+        (1.8, "overflows"), (-1.8, "underflows"),
+    ])
     def test_refused_conductivity_names_the_point(self, darcy6, x, refused):
-        # m(xi) = 400 xi_1: finite at xi = 0, out of range at |xi_1| = 2
+        # m(xi) = 400 xi_1: finite at xi = 0, out of range at |xi_1| = 2,
+        # where exp(-800) is 0, and at |xi_1| = 1.8, where exp(-720) = 2e-313
+        # is subnormal but not 0: exp(a) overflows for a > 709.78 while
+        # exp(-a) only reaches 0 near a = 745, so a refusal that looked for
+        # a zero reciprocal conductivity would pass a = 720
         n = darcy6.mesh.n_nodes
         field = GaussianField(np.zeros(n), gaussian_measure.EigenPairs(
             np.array([400.0**2]), np.ones((n, 1))))
@@ -552,6 +566,12 @@ def _longdouble_prior_cost(problem, field, xi):
     return 0.5 * np.dot(d, Ad)
 
 
+@pytest.fixture(scope="module")
+def darcy10_setup():
+    """The benchmark's Darcy setup: mesh 2^10, 200 KL dimensions."""
+    return darcy_setup(ExperimentConfig.darcy_default(mesh_exp=10, seed=0, kl_dims=200))
+
+
 class TestPriorCostInKLCoordinates:
     @pytest.mark.parametrize("alpha", [1, 2])
     def test_matches_the_nodal_prior_cost(self, alpha):
@@ -580,14 +600,12 @@ class TestPriorCostInKLCoordinates:
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
                         reason="np.longdouble has no extra precision here")
-    def test_is_as_accurate_as_the_nodal_form(self):
+    def test_is_as_accurate_as_the_nodal_form(self, darcy10_setup):
         # on the posterior field of the benchmark (mesh 2^10, 200 dims) the
         # quadratic form errs no more than the nodal prior cost against an
         # extended-precision evaluation (measured: at most 4.1e-13 against
         # 5.2e-13 relative)
-        cfg = ExperimentConfig.darcy_default(mesh_exp=10, seed=0, kl_dims=200)
-        setup = darcy_setup(cfg)
-        problem, field = setup.problem, setup.posterior_field
+        problem, field = darcy10_setup.problem, darcy10_setup.posterior_field
         terms = inverse_problem._kl_quadratic_terms(problem, field)
         kl_err = nodal_err = 0.0
         for xi in _sparse_points(rng_stream(10, 0), 200, 300):
@@ -600,15 +618,70 @@ class TestPriorCostInKLCoordinates:
 
 @pytest.mark.parametrize("path", ["hessian", "prior"])
 def test_darcy_batch_matches_pointwise(darcy6_setup, path):
-    # a batch observes its pressures with one product U B^T where a single
-    # point is a batch of one: only the last bits of B u may move (measured
-    # on these points: at most 8.5e-14 relative, 7.1e-14 at mesh 2^10)
+    # a batch is observed with one product R C^T where a single point is a
+    # batch of one: only the last bits of the products may move, which the
+    # potential (up to ~300 on the prior path) amplifies in exp(-Phi)
+    # (measured on these points: at most 1.1e-13 relative on the Hessian
+    # path and 3.6e-13 on the prior path; 2.0e-13 and 7.3e-13 at mesh 2^10)
     setup = darcy6_setup
     g = _darcy_integrand(setup, path)
     points = [{}] + _sparse_points(rng_stream(10, 3), setup.kl_dims, 200)
     batch = g.fn(points)
     assert type(batch) is list and len(batch) == len(points)
     np.testing.assert_allclose(batch, [g.fn([xi])[0] for xi in points], rtol=1e-12, atol=0)
+
+
+class TestFoldedObservation:
+    def test_refuses_a_qoi_it_cannot_fold(self, darcy6_setup):
+        # the points fold the QoI's nodal functional into their one product,
+        # so a QoI that carries none is refused when the integrand is built,
+        # and an unknown kind by name
+        setup = darcy6_setup
+        problem = setup.problem
+        with pytest.raises(ValueError, match="unknown QoI 'q1'"):
+            problem.qoi("q1")
+        for build in (
+            lambda q: prior_weighted_integrand(problem, setup.prior_field, q),
+            lambda q: hessian_reweighted_integrand(
+                problem, setup.posterior_field, setup.map_result.cost_at_map, q),
+        ):
+            with pytest.raises(ValueError, match="QoI linear in the pressure"):
+                build(lambda m: problem.qoi()(m))
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="np.longdouble has no extra precision here")
+    def test_is_as_accurate_as_the_pressure_form(self, darcy10_setup):
+        # on cell rows of the benchmark posterior field, exp(-a) C^T gives
+        # B u, u(0.5) and T = sum exp(-a) no less accurately than the
+        # per-point closed-form pressure (_pressure, then B @ u) against an
+        # extended-precision evaluation of the same rows (measured over 300
+        # points, largest relative error, folded against pressure form:
+        # B u 1.9e-15 against 2.9e-15, u(0.5) 1.1e-15 against 2.3e-15, T
+        # 9.2e-16 against 2.5e-15)
+        problem, field = darcy10_setup.problem, darcy10_setup.posterior_field
+        mid = problem.mesh.n_cells // 2
+        C = problem._folded_operator(problem.qoi().functional)
+        B = problem.B.astype(np.longdouble)
+        points = _sparse_points(rng_stream(10, 0), 200, 300)
+        fields = [kl_map(field, xi) for xi in points]
+        rows = np.array([0.5 * (m[:-1] + m[1:]) for m in fields])
+        folded = np.exp(-rows) @ C.T
+        worst = {}
+        for a, (*TBu, TQ, T) in zip(rows, folded):
+            r = np.exp(-a.astype(np.longdouble))
+            u = np.zeros(len(a) + 1, dtype=np.longdouble)
+            u[:-1] = r[::-1].cumsum()[::-1] / r.sum()
+            u_p = np.empty(len(a) + 1)
+            k = problem._pressure(a, u_p)
+            for form, got in (
+                ("folded", (np.array(TBu) / T, TQ / T, T)),
+                ("pressure", (problem.B @ u_p, u_p[mid], (1.0 / k[::-1]).cumsum()[-1])),
+            ):
+                for name, x, ref in zip(("Bu", "q", "T"), got, (B @ u, u[mid], r.sum())):
+                    err = float(np.max(np.abs(x - ref) / np.abs(ref)))
+                    worst[form, name] = max(worst.get((form, name), 0.0), err)
+        for name in ("Bu", "q", "T"):
+            assert worst["folded", name] <= worst["pressure", name]
 
 
 def test_darcy_derivatives_do_not_depend_on_what_read_the_state_first(darcy6_setup):
