@@ -20,13 +20,17 @@ The benchmark configurations are read from ``perfbench/run.py`` (seed 0), and
 BLAS runs on one thread, as in the benchmark, because the last bits of the
 setup depend on the thread count.
 
-``--dump DIR`` also writes each trace's CSV to ``DIR/<name>.csv``.
+``--dump DIR`` also writes each trace's CSV to ``DIR/<name>.csv``, and each
+setup spectrum's eigenvalues, one per row, to ``DIR/<name>.csv`` beside them.
 ``--against DIR`` compares each trace with the CSV of the same name in DIR
 (written by ``--dump``, say at the parent commit) and prints, after the
 trace's two digest lines, one line ``against  <name>``: whether the
 selection columns match, and the largest relative difference of the values
-and of the indicators over the rows both traces have.  A change that moves
-only the last bits of the values shows how far they moved.
+and of the indicators over the rows both traces have.  After each spectrum's
+digest line it prints one ``against  <name>`` line too: the largest relative
+eigenvalue difference over all the modes both spectra have, over modes 1-10
+and over the last 10.  A change that moves only the last bits of the values
+shows how far they moved.
 """
 
 import os
@@ -118,10 +122,26 @@ def _show(name, out, args):
         print(_compare(name, trace, args.against / f"{name}.csv"), flush=True)
 
 
-def _show_field(name, field):
+def _compare_spectrum(name, values, path):
+    """The ``against`` line of one spectrum against its CSV at ``path``."""
+    if not path.is_file():
+        return f"against  {name}: no {path.name} to compare with"
+    old = [r["eigenvalue"] for r in csv.DictReader(io.StringIO(path.read_text()))]
+    diffs = [_rel_diff(a, b) for a, b in zip(values, old)]
+    top, last = max(diffs[:10], default=0.0), max(diffs[-10:], default=0.0)
+    return (f"against  {name}: {len(values)} eigenvalues, {len(old)} there; max rel "
+            f"{max(diffs, default=0.0):.3g}, modes 1-10 {top:.3g}, last 10 {last:.3g}")
+
+
+def _show_field(name, field, args):
     pairs = field.pairs
     digest = hashlib.sha256(pairs.values.tobytes() + pairs.vectors.tobytes()).hexdigest()
     print(f"{digest}  {name}", flush=True)
+    values = [repr(float(v)) for v in pairs.values]
+    if args.dump is not None:
+        (args.dump / f"{name}.csv").write_text("\n".join(["eigenvalue", *values]) + "\n")
+    if args.against is not None:
+        print(_compare_spectrum(name, values, args.against / f"{name}.csv"), flush=True)
 
 
 def _show_problem(name, setup):
@@ -136,9 +156,11 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--dump", type=Path, metavar="DIR",
-                    help="write each trace's CSV to DIR/<name>.csv")
+                    help="write each trace's CSV and each setup spectrum's "
+                         "eigenvalues to DIR/<name>.csv")
     ap.add_argument("--against", type=Path, metavar="DIR",
-                    help="compare each trace with DIR/<name>.csv")
+                    help="compare each trace and setup spectrum with "
+                         "DIR/<name>.csv")
     args = ap.parse_args(argv)
     if args.dump is not None:
         args.dump.mkdir(parents=True, exist_ok=True)
@@ -162,8 +184,8 @@ def main(argv=None):
         mesh_exp=10, seed=0, kl_dims=200, max_points=10_000, mode="prior",
     )
     _show("acceptance-darcy-prior-10k", run_darcy(prior_cfg, setup), args)
-    _show_field("acceptance-darcy-setup-prior-field", setup.prior_field)
-    _show_field("acceptance-darcy-setup-posterior-field", setup.posterior_field)
+    _show_field("acceptance-darcy-setup-prior-field", setup.prior_field, args)
+    _show_field("acceptance-darcy-setup-posterior-field", setup.posterior_field, args)
     _show_problem("acceptance-darcy-problem", setup)
 
 

@@ -369,7 +369,12 @@ class BayesProblem:
         sketches ``J + oversampling`` columns.  Step one targets the fixed
         rank ``j1`` and sketches ``j1`` plus ``misfit_eigen``'s default
         margin of 10 (Halko, Martinsson & Tropp 2011); ``power_iters``
-        applies to both steps.
+        applies to both steps.  Step one's power steps B-orthonormalize the
+        sketch, because the misfit spectrum can span a dozen decades and an
+        LU basis loses its lower decades in rounding.  Step two's re-base it
+        by LU (``randomized_eigen``'s ``lu_steps``) at about a third of the
+        cost, since the wanted part of a covariance spectrum spans a few
+        decades.  Both steps' final bases are B-orthonormal.
 
         The full misfit Hessian is mildly indefinite at a finite-residual MAP
         point; by default only positive modes are retained, which keeps the
@@ -400,7 +405,7 @@ class BayesProblem:
 
         return randomized_eigen(
             op, self.M, J, oversampling=oversampling, power_iters=power_iters,
-            rng=rng,
+            rng=rng, lu_steps=True,
         )
 
 

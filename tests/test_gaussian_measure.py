@@ -310,25 +310,47 @@ class TestRandomizedEigen:
         cont = (5e-2 * (np.arange(1, 21) * np.pi) ** 2) ** -1.0
         np.testing.assert_allclose(num.values, cont, rtol=6e-3)
 
+    def test_each_vector_peaks_positive(self):
+        # the sign convention, checked column by column: the entry of largest
+        # magnitude (the first, on ties) of each returned vector is positive
+        mesh = Mesh1D.from_exponent(6)
+        A = assemble(mesh, beta=5e-2, gamma=0.0, dirichlet=True)
+        M = mass_operator(mesh, dirichlet=True)
+        pairs = prior_eigen_numeric(A, M, 1, 20, oversampling=10, power_iters=2,
+                                    rng=rng_stream(3, 1))
+        for v in pairs.vectors.T:
+            assert v[np.argmax(np.abs(v))] > 0
+
+    # Deficient sketches go through both kinds of power step: a sketch as
+    # wide as the space (oversampling 10) takes none, a narrower one
+    # (oversampling 1) takes them.  The final B-orthonormalization cuts the
+    # rank; an LU step never does, its P L factor has full column rank.
+
     def test_low_rank_operator_returns_its_rank(self):
         rng = rng_stream(0, 6)
         u = rng.standard_normal((8, 2))
         low = u @ u.T  # rank 2
-        pairs = randomized_eigen(
-            lambda X: low @ X, TriDiagOperator(np.ones(8), np.zeros(7)), 5,
-            rng=rng_stream(0, 7),
-        )
-        assert len(pairs) == 2
+        for lu_steps in (False, True):
+            for J, oversampling in ((5, 10), (3, 1)):
+                pairs = randomized_eigen(
+                    lambda X: low @ X, TriDiagOperator(np.ones(8), np.zeros(7)),
+                    J, oversampling=oversampling, power_iters=2,
+                    rng=rng_stream(0, 7), lu_steps=lu_steps,
+                )
+                assert len(pairs) == 2
 
     def test_zero_operator_returns_no_pairs(self):
         B = TriDiagOperator(np.full(8, 2.0), np.full(7, -0.5))
-        for power_iters in (0, 2):
-            pairs = randomized_eigen(
-                lambda X: 0.0 * X, B, 3, power_iters=power_iters,
-                rng=rng_stream(0, 8),
-            )
-            assert len(pairs) == 0
-            assert pairs.vectors.shape == (8, 0)
+        for lu_steps in (False, True):
+            for oversampling in (10, 1):
+                for power_iters in (0, 2):
+                    pairs = randomized_eigen(
+                        lambda X: 0.0 * X, B, 3, oversampling=oversampling,
+                        power_iters=power_iters, rng=rng_stream(0, 8),
+                        lu_steps=lu_steps,
+                    )
+                    assert len(pairs) == 0
+                    assert pairs.vectors.shape == (8, 0)
 
     def test_descending_enforced(self):
         with pytest.raises(ValueError):

@@ -241,7 +241,9 @@ class TestDarcyData:
         # forcing every B-orthonormalization down the pivoted fallback (an
         # unpivoted R with a zero diagonal reads as deficient) leaves the data
         # bit for bit, and the small runs choose the same indices with values
-        # that move only in their last bits
+        # that move only in their last bits.  The covariance sketches' power
+        # steps re-base by LU, not QR, so the fallback is forced on each
+        # eigensolve's final basis and on the misfit step's power steps
         cfg = ExperimentConfig.darcy_default(mesh_exp=6, seed=0, kl_dims=20,
                                              max_points=600, mode=mode)
         fast = run_darcy(cfg, darcy_setup(cfg))
@@ -861,6 +863,75 @@ class TestPosteriorEigen:
                               rng=rng_stream(0, 4))
         k = min(len(post), len(prior))
         assert np.all(post.values[:k] <= prior.values[:k] * (1 + 1e-7))
+
+
+class TestCovarianceSketchSteps:
+    """The two covariance sketches (the prior's and the posterior step's)
+    re-base their power steps by LU; the misfit step B-orthonormalizes."""
+
+    def test_only_the_covariance_sketches_take_lu_steps(self, darcy6, monkeypatch):
+        calls = []
+        lu = scipy.linalg.lu
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return lu(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "lu", counted)
+        res = darcy6.find_map()
+        darcy6.misfit_eigen(res, j1=16, power_iters=3, rng=rng_stream(0, 1))
+        assert len(calls) == 0
+        darcy6.prior_pairs(10, rng=rng_stream(0, 2), oversampling=10, power_iters=3)
+        assert len(calls) == 3
+        # a sketch as wide as the space (65 nodes) takes no power step
+        darcy6.prior_pairs(40, rng=rng_stream(0, 2), oversampling=40, power_iters=3)
+        assert len(calls) == 3
+
+        per_call = []  # LU calls made inside each of the two eigensolves
+        eigen = inverse_problem.randomized_eigen
+
+        def spy(*args, **kwargs):
+            before = len(calls)
+            out = eigen(*args, **kwargs)
+            per_call.append(len(calls) - before)
+            return out
+
+        monkeypatch.setattr(inverse_problem, "randomized_eigen", spy)
+        darcy6.posterior_eigen(res, 10, j1=16, oversampling=10, power_iters=3,
+                               rng=rng_stream(0, 3))
+        assert per_call == [0, 3]
+
+    def test_lu_steps_are_as_accurate_as_b_orthonormal_ones(self):
+        # the benchmark's prior eigensolve (mesh 2^10, J = 200, oversampling
+        # 200, 3 power steps, the setup's rng stream) against a dense
+        # generalized eigh.  In exact arithmetic both step kinds give the same
+        # span, so the errors agree up to rounding.  Measured (one BLAS
+        # thread), LU against B-orthonormal steps: 9.8e-15 against 1.0e-14 on
+        # modes 1-10, and 4.4598488203e-6 against 4.4598488262e-6 on modes
+        # 191-200, where the randomized range finder's error dominates
+        p = make_darcy_problem(mesh_exp=10, seed=0)
+        A, M, alpha = p.A_prior, p.M, p.alpha
+        Md = M.dense()
+        K = Md @ fem1d.apply_A_alpha_inv(Md, alpha, A, M)
+        n = K.shape[0]
+        dense = scipy.linalg.eigh(0.5 * (K + K.T), Md, eigvals_only=True,
+                                  subset_by_index=[n - 200, n - 1])[::-1]
+
+        def op(X):
+            return fem1d.apply_A_alpha_inv(M.matvec(X), alpha, A, M)
+
+        errors = {}
+        for lu_steps in (True, False):
+            pairs = gaussian_measure.randomized_eigen(
+                op, M, 200, oversampling=200, power_iters=3,
+                rng=rng_stream(0, 10), lu_steps=lu_steps,
+            )
+            err = np.abs(pairs.values - dense) / dense
+            errors[lu_steps] = (err[:10].max(), err[190:].max())
+        for lu_err, qr_err in zip(errors[True], errors[False]):
+            # no larger, up to rounding in the errors themselves
+            assert lu_err <= qr_err * (1 + 1e-6) + 1e-13
+        assert errors[True][0] < 1e-12 and errors[True][1] < 1e-5
 
 
 class TestReweightedIntegrands:
