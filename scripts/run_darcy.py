@@ -66,8 +66,10 @@ def main():
         (mdir / "dim2_dim3.csv").write_text(text)
     print(f"hessian: rates {tuple(round(r, 3) for r in hessian.record.rates)}, "
           f"posterior mean QoI {hessian.summary['posterior_mean_qoi']:.5f}")
+    # None when the prior path's weight integral Z underflows to 0
+    ratio = prior.summary["posterior_mean_qoi"]
     print(f"prior:   rates {tuple(round(r, 3) if r == r else r for r in prior.record.rates)}, "
-          f"ratio estimate {prior.summary['posterior_mean_qoi']:.5f}")
+          f"ratio estimate {'undefined' if ratio is None else f'{ratio:.5f}'}")
 
 
 if __name__ == "__main__":

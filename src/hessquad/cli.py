@@ -62,16 +62,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace, problem: str) -> ExperimentConfig:
-    if args.config is not None:
-        cfg = ExperimentConfig.from_json(args.config.read_text(), problem)
-        if cfg.problem != problem:
-            raise ValueError(
-                f"{args.config} configures the {cfg.problem} problem, not {problem}"
-            )
-    elif problem == "darcy":
-        cfg = ExperimentConfig.darcy_default()
-    else:
-        cfg = ExperimentConfig.linear_default()
+    text = args.config.read_text() if args.config is not None else "{}"
+    cfg = ExperimentConfig.from_json(text, problem)
+    if cfg.problem != problem:
+        raise ValueError(
+            f"{args.config} configures the {cfg.problem} problem, not {problem}"
+        )
     overrides = {}
     for name in ("mode", "construction", "qoi", "alpha", "seed", "max_points"):
         val = getattr(args, name, None)
@@ -86,7 +82,8 @@ def write_outputs(out_dir: Path, run: RunOutput) -> None:
     (out_dir / "spectrum.csv").write_text(spectrum_to_csv(run.spectrum))
     (out_dir / "trace.csv").write_text(trace_to_csv(run.quadrature.trace))
     summary = {**run.summary, "blas_threads": {k: os.environ[k] for k in _BLAS_THREADS}}
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    text = json.dumps(summary, indent=2, allow_nan=False)
+    (out_dir / "summary.json").write_text(text + "\n")
 
 
 def _run_command(args: argparse.Namespace, problem: str) -> int:

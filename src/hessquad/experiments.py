@@ -1,10 +1,12 @@
 """Convergence studies for the linear (Poisson) and nonlinear (Darcy) benchmarks.
 
-A run builds the seeded problem, computes the MAP point and the spectral
-posterior data, assembles the requested integrand (prior-based weighting,
-Hessian-based reweighting, or the plain Gaussian path for the linear
-problem), drives the adaptive sparse quadrature to a point budget, and
-extracts checkpointed errors against a reference: closed-form for the linear
+One ``Setup`` serves both problems: it holds the seeded problem and
+computes the MAP point and each Gaussian field (prior or posterior spectral
+data) on first read, so a prior-mode Darcy study solves no MAP problem.  A
+run assembles the requested integrand (prior-based weighting, Hessian-based
+reweighting, or the plain Gaussian path for the linear problem), and one
+tail drives the adaptive sparse quadrature to a point budget and extracts
+checkpointed errors against a reference: closed-form for the linear
 problem, the same estimator at a 10x budget for Darcy.  Asymptotic rates are
 least-squares slopes over the trailing half of the checkpoints in log space.
 
@@ -25,14 +27,13 @@ import math
 import numbers
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .gaussian_measure import GaussianField, kl_map, rng_stream
+from .gaussian_measure import EigenPairs, GaussianField, kl_map, rng_stream
 from .inverse_problem import (
-    DarcyProblem,
-    LinearPoissonProblem,
+    BayesProblem,
     MapResult,
     NewtonConfig,
     hessian_reweighted_integrand,
@@ -261,10 +262,11 @@ def point_ladder(lo: int, hi: int) -> list[int]:
 def estimate_rate(n_points: Sequence[float], errors: Sequence[float]) -> float:
     """Least-squares slope of log(error) vs log(n_points); returns -slope.
 
-    Requires at least 5 checkpoints spanning at least one decade and two
-    nonzero errors.  Zero errors (exact hits) are floored at the smallest
-    positive error to keep the fit defined; with one positive error the
-    floor would make the line flat by construction, so that is refused.
+    Requires at least 5 checkpoints spanning at least one decade, finite
+    errors and two nonzero errors.  Zero errors (exact hits) are floored at
+    the smallest positive error to keep the fit defined; with one positive
+    error the floor would make the line flat by construction, so that is
+    refused.
     """
     n = np.asarray(n_points, dtype=float)
     e = np.abs(np.asarray(errors, dtype=float))
@@ -272,6 +274,9 @@ def estimate_rate(n_points: Sequence[float], errors: Sequence[float]) -> float:
         raise ValueError("need at least 5 checkpoints")
     if n.max() < 10.0 * n.min():
         raise ValueError("checkpoints must span at least one decade")
+    if not np.isfinite(e).all():
+        raise ValueError(f"{np.count_nonzero(~np.isfinite(e))} of the {len(e)} errors are "
+                         "not finite (inf or nan), so no rate can be fitted")
     positive = e[e > 0]
     if len(positive) == 0:
         raise ValueError(
@@ -301,35 +306,101 @@ def trailing_window(n_points: Sequence[float]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# linear problem: spectral setup, the Hessian-path integrand, closed-form
-# references
+# study setups: the problem, its MAP point and its two Gaussian fields
 # ---------------------------------------------------------------------------
 
 
 @dataclass
-class LinearSetup:
-    """Everything the linear benchmark derives from (config, seed)."""
+class Setup:
+    """A study's problem and its recipes for the MAP point and the prior and
+    posterior pairs.  ``map_result`` and the two fields are computed on first
+    read and kept, so a study pays only for what it reads.  The fields keep
+    the eigensolvers' arrays as they are: the integrands build the cell data
+    their points read (``DarcyProblem._point_observer``)."""
 
-    problem: LinearPoissonProblem
-    map_result: MapResult
-    prior_field: GaussianField
-    posterior_field: GaussianField
+    problem: BayesProblem
+    kl_dims: int
+    solve_map: Callable[[], MapResult]
+    prior_pairs: Callable[[], EigenPairs]
+    posterior_pairs: Callable[[MapResult], EigenPairs]
+
+    @cached_property
+    def map_result(self) -> MapResult:
+        result = self.solve_map()
+        if not result.converged:
+            raise RuntimeError("MAP solve did not converge")
+        return result
+
+    @cached_property
+    def prior_field(self) -> GaussianField:
+        return GaussianField(self.problem.prior_mean, self.prior_pairs())
+
+    @cached_property
+    def posterior_field(self) -> GaussianField:
+        return GaussianField(self.map_result.map_point,
+                             self.posterior_pairs(self.map_result))
+
+    def field(self, mode: str) -> GaussianField:
+        """The field a run of this mode integrates over."""
+        return self.prior_field if mode == "prior" else self.posterior_field
 
 
-def linear_setup(cfg: ExperimentConfig) -> LinearSetup:
+def linear_setup(cfg: ExperimentConfig) -> Setup:
+    """The linear problem with its closed-form spectra, its MAP point and
+    the field that ``cfg.mode`` integrates over."""
     problem = make_linear_problem(
         alpha=cfg.alpha, beta=cfg.beta, sigma=cfg.sigma,
         mesh_exp=cfg.mesh_exp, seed=cfg.seed,
     )
-    map_result = problem.find_map(cfg=NewtonConfig(tol=1e-12, max_newton=60))
-    if not map_result.converged:
-        raise RuntimeError("MAP solve did not converge")
     J = cfg.kl_dims if cfg.kl_dims is not None else problem.mesh.n_interior
-    prior_field = GaussianField(problem.prior_mean, problem.prior_pairs(J))
-    posterior_field = GaussianField(
-        map_result.map_point, problem.posterior_pairs_analytic(J)
+    setup = Setup(
+        problem, J,
+        solve_map=lambda: problem.find_map(cfg=NewtonConfig(tol=1e-12, max_newton=60)),
+        prior_pairs=lambda: problem.prior_pairs(J),
+        posterior_pairs=lambda map_result: problem.posterior_pairs_analytic(J),
     )
-    return LinearSetup(problem, map_result, prior_field, posterior_field)
+    # the closed-form reference reads the posterior field, and so the MAP
+    # point, in either mode
+    setup.posterior_field
+    setup.field(cfg.mode)
+    return setup
+
+
+def darcy_setup(cfg: ExperimentConfig) -> Setup:
+    """The Darcy problem and the field that ``cfg.mode`` integrates over:
+    the prior spectrum in prior mode, the posterior spectrum (and so the MAP
+    point) in Hessian mode.  Each field draws from its own rng stream (10
+    prior, 12 posterior), so the order of the reads changes neither."""
+    problem = make_darcy_problem(
+        alpha=cfg.alpha, beta=cfg.beta, gamma=cfg.gamma, kappa=cfg.kappa,
+        sigma=cfg.sigma, mesh_exp=cfg.mesh_exp, obs_count=cfg.obs_count,
+        seed=cfg.seed,
+    )
+    J = cfg.kl_dims if cfg.kl_dims is not None else problem.mesh.n_nodes
+    # Sketch size margin of the prior eigensolve and of the posterior step of
+    # ``posterior_eigen``; its misfit step keeps its own margin of 10 over
+    # ``j1``.  The trailing computed pairs must be accurate out to the KL
+    # truncation (inaccurate pairs inject spurious curvature into the
+    # reweighting), so the margin is as wide as the truncation itself.
+    oversampling = max(10, J)
+    setup = Setup(
+        problem, J,
+        solve_map=lambda: problem.find_map(),
+        prior_pairs=lambda: problem.prior_pairs(
+            J, rng=rng_stream(cfg.seed, 10), oversampling=oversampling, power_iters=3,
+        ),
+        posterior_pairs=lambda map_result: problem.posterior_eigen(
+            map_result, J, oversampling=oversampling, power_iters=3,
+            rng=rng_stream(cfg.seed, 12),
+        ),
+    )
+    setup.field(cfg.mode)
+    return setup
+
+
+# ---------------------------------------------------------------------------
+# linear problem: the Hessian-path integrand and closed-form references
+# ---------------------------------------------------------------------------
 
 
 def functional_coefficients(
@@ -347,7 +418,7 @@ def _affine(base: float, coefs: np.ndarray, xi: Mapping[int, float]) -> float:
     return s
 
 
-def linear_gaussian_integrand(setup: LinearSetup, qoi: str) -> Integrand:
+def linear_gaussian_integrand(setup: Setup, qoi: str) -> Integrand:
     """Fast xi -> Q(m1(xi)) under the Hessian (exact posterior)
     parametrization, per point of the list it is given; identical values to
     the generic KL-map path."""
@@ -362,7 +433,7 @@ def linear_gaussian_integrand(setup: LinearSetup, qoi: str) -> Integrand:
     return Integrand(fn=fn, n_outputs=1, dim_hint=fld.truncation)
 
 
-def linear_reference(setup: LinearSetup, qoi: str) -> float:
+def linear_reference(setup: Setup, qoi: str) -> float:
     """Closed-form posterior mean of the QoI from the spectral data.
 
     Under the posterior, l^T m is Gaussian with mean l^T m1 and variance
@@ -440,100 +511,44 @@ def _convergence_record(
     return ConvergenceRecord(cps, tuple(rates), reference, label, tuple(notes))
 
 
-def run_linear(cfg: ExperimentConfig, setup: LinearSetup | None = None) -> RunOutput:
+def _run(cfg: ExperimentConfig, setup: Setup, integrand: Integrand, estimate: Callable,
+         reference: Callable, cap: int, label: str) -> RunOutput:
+    """The tail both problems share: adapt, map each step's value to its
+    estimate, checkpoint the estimates up to ``cap`` points against the
+    reference (a function of the list of estimates), fit the rates."""
+    result = adapt(integrand, Construction(cfg.construction), cfg.adapt_config())
+    estimates = [estimate(rec.value) for rec in result.trace]
+    ref = reference(estimates)
+    cps = _checkpoints_from_trace(result.trace, estimates, ref, cap)
+    record = _convergence_record(cps, ref, label)
+    return RunOutput(
+        config=cfg,
+        record=record,
+        quadrature=result,
+        reference=ref,
+        estimate=estimates[-1],
+        spectrum=setup.field(cfg.mode).pairs.values,
+        summary=_summary(cfg, record, result, ref, estimates[-1]),
+    )
+
+
+def run_linear(cfg: ExperimentConfig, setup: Setup | None = None) -> RunOutput:
     """Linear benchmark: adaptive quadrature against the closed-form reference."""
     setup = setup if setup is not None else linear_setup(cfg)
     reference = (linear_reference(setup, cfg.qoi),)
     if cfg.mode == "hessian":
         integrand = linear_gaussian_integrand(setup, cfg.qoi)
-        post = lambda v: (v[0],)
-        spectrum = setup.posterior_field.pairs.values
+        estimate = lambda v: (v[0],)
     else:
         integrand = prior_weighted_integrand(
             setup.problem, setup.prior_field, setup.problem.qoi(cfg.qoi)
         )
-        post = lambda v: (v[1] / v[0] if v[0] != 0.0 else math.inf,)
-        spectrum = setup.prior_field.pairs.values
-    construction = Construction(cfg.construction)
-    result = adapt(integrand, construction, cfg.adapt_config())
-    estimates = [post(rec.value) for rec in result.trace]
-    cps = _checkpoints_from_trace(result.trace, estimates, reference, cfg.max_points)
-    record = _convergence_record(
-        cps, reference, f"linear-{cfg.mode}-{cfg.qoi}-alpha{cfg.alpha}"
-    )
-    return RunOutput(
-        config=cfg,
-        record=record,
-        quadrature=result,
-        reference=reference,
-        estimate=estimates[-1],
-        spectrum=spectrum,
-        summary=_summary(cfg, record, result, reference, estimates[-1]),
-    )
+        estimate = lambda v: (v[1] / v[0] if v[0] != 0.0 else math.inf,)
+    return _run(cfg, setup, integrand, estimate, lambda _: reference, cfg.max_points,
+                f"linear-{cfg.mode}-{cfg.qoi}-alpha{cfg.alpha}")
 
 
-@dataclass
-class DarcySetup:
-    """The Darcy problem, its MAP point and the settings of its two Gaussian
-    fields.  Each field is computed on first read from its own rng stream
-    (10 prior, 12 posterior), so the order of the reads changes neither.
-    The integrands build the cell data their points read from a field
-    (``DarcyProblem._point_observer``), so the fields keep the eigensolvers'
-    arrays as they are."""
-
-    problem: DarcyProblem
-    map_result: MapResult
-    kl_dims: int
-    seed: int
-
-    @property
-    def oversampling(self) -> int:
-        """Sketch size margin of the prior eigensolve and of the posterior
-        step of ``posterior_eigen``; its misfit step keeps its own margin of
-        10 over ``j1``.  The trailing computed pairs must be accurate out to
-        the KL truncation (inaccurate pairs inject spurious curvature into
-        the reweighting), so the margin is as wide as the truncation
-        itself."""
-        return max(10, self.kl_dims)
-
-    @cached_property
-    def prior_field(self) -> GaussianField:
-        pairs = self.problem.prior_pairs(
-            self.kl_dims, rng=rng_stream(self.seed, 10),
-            oversampling=self.oversampling, power_iters=3,
-        )
-        return GaussianField(self.problem.prior_mean, pairs)
-
-    @cached_property
-    def posterior_field(self) -> GaussianField:
-        pairs = self.problem.posterior_eigen(
-            self.map_result, self.kl_dims, oversampling=self.oversampling,
-            power_iters=3, rng=rng_stream(self.seed, 12),
-        )
-        return GaussianField(self.map_result.map_point, pairs)
-
-
-def darcy_setup(cfg: ExperimentConfig) -> DarcySetup:
-    """Build the problem, solve for the MAP point and compute the field that
-    ``cfg.mode`` integrates over: the prior spectrum in prior mode, the
-    posterior spectrum in Hessian mode.  The other field is computed on
-    first read."""
-    problem = make_darcy_problem(
-        alpha=cfg.alpha, beta=cfg.beta, gamma=cfg.gamma, kappa=cfg.kappa,
-        sigma=cfg.sigma, mesh_exp=cfg.mesh_exp, obs_count=cfg.obs_count,
-        seed=cfg.seed,
-    )
-    map_result = problem.find_map()
-    if not map_result.converged:
-        raise RuntimeError("MAP solve did not converge")
-    J = cfg.kl_dims if cfg.kl_dims is not None else problem.mesh.n_nodes
-    setup = DarcySetup(problem, map_result, kl_dims=J, seed=cfg.seed)
-    # read the field this mode integrates over, so that its cost is setup's
-    getattr(setup, "prior_field" if cfg.mode == "prior" else "posterior_field")
-    return setup
-
-
-def run_darcy(cfg: ExperimentConfig, setup: DarcySetup | None = None) -> RunOutput:
+def run_darcy(cfg: ExperimentConfig, setup: Setup | None = None) -> RunOutput:
     """Darcy benchmark with the self-convergence protocol: the run's final
     value at the full budget is the reference; checkpointed errors stop at a
     tenth of the budget."""
@@ -544,28 +559,12 @@ def run_darcy(cfg: ExperimentConfig, setup: DarcySetup | None = None) -> RunOutp
         integrand = hessian_reweighted_integrand(
             problem, setup.posterior_field, setup.map_result.cost_at_map, qoi
         )
-        spectrum = setup.posterior_field.pairs.values
     else:
         integrand = prior_weighted_integrand(problem, setup.prior_field, qoi)
-        spectrum = setup.prior_field.pairs.values
-    construction = Construction(cfg.construction)
-    result = adapt(integrand, construction, cfg.adapt_config())
-    estimates = [rec.value for rec in result.trace]
-    reference = estimates[-1]
-    cap = max(10, cfg.max_points // _SELF_REFERENCE_MARGIN)
-    cps = _checkpoints_from_trace(result.trace, estimates, reference, cap)
-    record = _convergence_record(cps, reference, f"darcy-{cfg.mode}")
-    ratio = reference[1] / reference[0] if reference[0] != 0 else math.nan
-    out = RunOutput(
-        config=cfg,
-        record=record,
-        quadrature=result,
-        reference=reference,
-        estimate=reference,
-        spectrum=spectrum,
-        summary=_summary(cfg, record, result, reference, reference),
-    )
-    out.summary["posterior_mean_qoi"] = ratio
+    out = _run(cfg, setup, integrand, lambda v: v, lambda estimates: estimates[-1],
+               max(10, cfg.max_points // _SELF_REFERENCE_MARGIN), f"darcy-{cfg.mode}")
+    z, zq = out.reference
+    out.summary["posterior_mean_qoi"] = _finite_or_none(zq / z if z != 0 else math.nan)
     return out
 
 
@@ -676,7 +675,7 @@ def anchored_marginal_csv(
 def mc_baseline(
     cfg: ExperimentConfig,
     n_trials: int = 100,
-    setup: LinearSetup | None = None,
+    setup: Setup | None = None,
 ) -> ConvergenceRecord:
     """Plain Monte Carlo under the Hessian parametrization of the linear
     problem, averaged absolute error over repeated trials per budget.

@@ -121,6 +121,23 @@ def test_darcy_prior_run_counts_tie_break_steps(tmp_path):
     assert summary["tie_break_steps"] == tie_break_rows(out_dir) > 0
 
 
+def test_undefined_posterior_mean_is_written_as_null(tmp_path):
+    # at this sigma the prior path's weight integral underflows to 0, so the
+    # posterior mean Zq/Z is undefined; summary.json stays strict JSON
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"mesh_exp": 6, "kl_dims": 12, "max_points": 300, '
+                        '"sigma": 5e-4, "mode": "prior"}')
+    out_dir = tmp_path / "out"
+    assert main(["darcy", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    summary = json.loads((out_dir / "summary.json").read_text(), parse_constant=refuse)
+    assert summary["reference"] == [0.0, 0.0]
+    assert summary["posterior_mean_qoi"] is None
+
+
 def test_darcy_config_file_takes_darcy_defaults(tmp_path, capsys):
     # only the fields a file gives override the Darcy defaults
     cfg_path = tmp_path / "cfg.json"

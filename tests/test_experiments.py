@@ -62,6 +62,12 @@ class TestEstimateRate:
         with pytest.raises(ValueError, match="only 1 of the 6 errors is positive"):
             estimate_rate(n, np.r_[1e-3, np.zeros(len(n) - 1)])
 
+    def test_non_finite_errors_have_no_rate(self):
+        n = np.logspace(1, 3, 6)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="2 of the 6 errors are not finite"):
+                estimate_rate(n, np.r_[1.0, 0.5, 0.2, 0.1, bad, bad])
+
     def test_trailing_window_log_midpoint(self):
         n = np.logspace(1, 3, 9)
         mask = trailing_window(n)
@@ -194,7 +200,7 @@ def test_convergence_record_csv_roundtrip():
 
 
 def _reference_setup(problem, map_point, pairs):
-    """The parts of a ``LinearSetup`` that ``linear_reference`` reads."""
+    """The parts of a linear ``Setup`` that ``linear_reference`` reads."""
     return SimpleNamespace(
         problem=problem,
         map_result=SimpleNamespace(map_point=map_point),
@@ -336,6 +342,17 @@ class TestRunLinear:
             > hess.record.checkpoints[-1].abs_error[0]
         )
 
+    def test_underflowed_weight_integral_says_why_there_is_no_rate(self):
+        # at this sigma the prior path's weight integral underflows to 0, so
+        # every estimate Zq/Z, and so every error, is inf
+        cfg = ExperimentConfig.linear_default(
+            mesh_exp=6, seed=0, max_points=2000, mode="prior", sigma=1e-4
+        )
+        out = run_linear(cfg)
+        assert all(math.isinf(c.abs_error[0]) for c in out.record.checkpoints)
+        assert out.summary["rates"] == [None]
+        assert "errors are not finite" in out.summary["rate_notes"][0]
+
     def test_dispatch(self):
         cfg = ExperimentConfig.linear_default(mesh_exp=6, seed=0, max_points=300)
         out = run_convergence(cfg)
@@ -413,7 +430,8 @@ class TestDarcySetup:
     def test_setup_computes_only_the_spectrum_its_mode_reads(self, monkeypatch):
         calls = []
         for owner, name in ((DarcyProblem, "prior_pairs"),
-                            (BayesProblem, "posterior_eigen")):
+                            (BayesProblem, "posterior_eigen"),
+                            (BayesProblem, "find_map")):
             def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
                 calls.append(_name)
                 return _fn(*args, **kwargs)
@@ -424,21 +442,49 @@ class TestDarcySetup:
             return darcy_setup(cfg)
 
         prior = setup("prior")
-        assert calls == ["prior_pairs"]
+        assert calls == ["prior_pairs"]  # no MAP solve
         hessian = setup("hessian")
-        assert calls == ["prior_pairs", "posterior_eigen"]
+        assert calls == ["prior_pairs", "find_map", "posterior_eigen"]
         # the other field is computed on first read, once, and equals the
-        # one the other mode computes in its setup
+        # one the other mode computes in its setup; the prior setup solves
+        # its MAP point then, once, to the same bits
         lazy_posterior = prior.posterior_field
         lazy_prior = hessian.prior_field
         assert prior.posterior_field is lazy_posterior
         assert hessian.prior_field is lazy_prior
-        assert calls == ["prior_pairs", "posterior_eigen", "posterior_eigen", "prior_pairs"]
+        assert prior.map_result is prior.map_result
+        assert calls == ["prior_pairs", "find_map", "posterior_eigen",
+                         "find_map", "posterior_eigen", "prior_pairs"]
+        assert prior.map_result.cost_at_map == hessian.map_result.cost_at_map
+        np.testing.assert_array_equal(prior.map_result.map_point,
+                                      hessian.map_result.map_point)
         for a, b in ((lazy_posterior, hessian.posterior_field),
                      (lazy_prior, prior.prior_field)):
             np.testing.assert_array_equal(a.mean, b.mean)
             np.testing.assert_array_equal(a.pairs.values, b.pairs.values)
             np.testing.assert_array_equal(a.pairs.vectors, b.pairs.vectors)
+
+    @staticmethod
+    def _unconverged_map(monkeypatch):
+        find_map = BayesProblem.find_map
+        monkeypatch.setattr(BayesProblem, "find_map", lambda self, *args, **kwargs:
+                            replace(find_map(self, *args, **kwargs), converged=False))
+
+    def test_a_prior_setup_does_not_depend_on_the_map_solve(self, monkeypatch):
+        # a prior-mode run reads no MAP point, so a MAP solve that does not
+        # converge refuses only the reads that need it
+        self._unconverged_map(monkeypatch)
+        setup = darcy_setup(
+            ExperimentConfig.darcy_default(mesh_exp=6, seed=0, kl_dims=12, mode="prior")
+        )
+        for name in ("map_result", "posterior_field"):
+            with pytest.raises(RuntimeError, match="MAP solve did not converge"):
+                getattr(setup, name)
+
+    def test_a_map_solve_that_does_not_converge_raises_on_first_read(self, monkeypatch):
+        self._unconverged_map(monkeypatch)
+        with pytest.raises(RuntimeError, match="MAP solve did not converge"):
+            darcy_setup(ExperimentConfig.darcy_default(mesh_exp=6, seed=0, kl_dims=12))
 
 
 class TestMcBaseline:
