@@ -15,12 +15,9 @@ os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS
 import argparse  # noqa: E402
 from pathlib import Path  # noqa: E402
 
-import numpy as np  # noqa: E402
-
-from hessquad.cli import write_outputs  # noqa: E402
+from hessquad.cli import write_marginals, write_outputs  # noqa: E402
 from hessquad.experiments import (  # noqa: E402
     ExperimentConfig,
-    anchored_marginal_csv,
     darcy_setup,
     run_darcy,
 )
@@ -52,18 +49,7 @@ def main():
     write_outputs(args.out / "prior_aposteriori", prior)
 
     if args.marginals:
-        mdir = args.out / "marginals"
-        mdir.mkdir(parents=True, exist_ok=True)
-        coords = np.linspace(-4.0, 4.0, 81)
-        for d in range(1, 7):
-            text = anchored_marginal_csv(
-                setup.problem, setup.prior_field, (d,), coords
-            )
-            (mdir / f"dim{d}.csv").write_text(text)
-        text = anchored_marginal_csv(
-            setup.problem, setup.prior_field, (2, 3), np.linspace(-4.0, 4.0, 41)
-        )
-        (mdir / "dim2_dim3.csv").write_text(text)
+        write_marginals(args.out / "marginals", setup, (2, 3))
     print(f"hessian: rates {tuple(round(r, 3) for r in hessian.record.rates)}, "
           f"posterior mean QoI {hessian.summary['posterior_mean_qoi']:.5f}")
     # None when the prior path's weight integral Z underflows to 0

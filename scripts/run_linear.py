@@ -16,12 +16,9 @@ os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS
 import argparse  # noqa: E402
 from pathlib import Path  # noqa: E402
 
-import numpy as np  # noqa: E402
-
-from hessquad.cli import write_outputs  # noqa: E402
+from hessquad.cli import write_marginals, write_outputs  # noqa: E402
 from hessquad.experiments import (  # noqa: E402
     ExperimentConfig,
-    anchored_marginal_csv,
     linear_setup,
     mc_baseline,
     run_linear,
@@ -44,18 +41,7 @@ def main():
         setup = linear_setup(
             ExperimentConfig.linear_default(alpha=1, seed=args.seed)
         )
-        mdir = args.out / "marginals"
-        mdir.mkdir(parents=True, exist_ok=True)
-        coords = np.linspace(-4.0, 4.0, 81)
-        for d in range(1, 7):
-            (mdir / f"dim{d}.csv").write_text(
-                anchored_marginal_csv(setup.problem, setup.prior_field, (d,), coords)
-            )
-        (mdir / "dim1_dim2.csv").write_text(
-            anchored_marginal_csv(
-                setup.problem, setup.prior_field, (1, 2), np.linspace(-4.0, 4.0, 41)
-            )
-        )
+        write_marginals(args.out / "marginals", setup, (1, 2))
 
     for qoi in ("q1", "q2"):
         for alpha in (1, 2):

@@ -22,7 +22,15 @@ import sys  # noqa: E402
 from dataclasses import replace  # noqa: E402
 from pathlib import Path  # noqa: E402
 
-from .experiments import ExperimentConfig, RunOutput, run_convergence  # noqa: E402
+import numpy as np  # noqa: E402
+
+from .experiments import (  # noqa: E402
+    ExperimentConfig,
+    RunOutput,
+    Setup,
+    anchored_marginal_csv,
+    run_convergence,
+)
 from .gaussian_measure import spectrum_to_csv  # noqa: E402
 from .quad1d import hermite_rule  # noqa: E402
 from .sparse_quad import trace_to_csv  # noqa: E402
@@ -84,6 +92,17 @@ def write_outputs(out_dir: Path, run: RunOutput) -> None:
     summary = {**run.summary, "blas_threads": {k: os.environ[k] for k in _BLAS_THREADS}}
     text = json.dumps(summary, indent=2, allow_nan=False)
     (out_dir / "summary.json").write_text(text + "\n")
+
+
+def write_marginals(out_dir: Path, setup: Setup, pair: tuple[int, int]) -> None:
+    """Anchored marginal density grids of the setup's prior field:
+    ``dim<d>.csv`` on 81 points for each of dimensions 1-6, and
+    ``dim<a>_dim<b>.csv`` on 41 x 41 points for the two dimensions of ``pair``."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for dims, n in [((d,), 81) for d in range(1, 7)] + [(pair, 41)]:
+        text = anchored_marginal_csv(setup.problem, setup.prior_field, dims,
+                                     np.linspace(-4.0, 4.0, n))
+        (out_dir / ("_".join(f"dim{d}" for d in dims) + ".csv")).write_text(text)
 
 
 def _run_command(args: argparse.Namespace, problem: str) -> int:

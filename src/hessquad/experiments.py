@@ -20,6 +20,7 @@ per point.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 import json
@@ -27,7 +28,7 @@ import math
 import numbers
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -221,9 +222,6 @@ class ConvergenceRecord:
     def n_points(self) -> np.ndarray:
         return np.array([c.n_points for c in self.checkpoints])
 
-    def errors(self, output: int = 0) -> np.ndarray:
-        return np.array([c.abs_error[output] for c in self.checkpoints])
-
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -319,7 +317,6 @@ class Setup:
     their points read (``DarcyProblem._point_observer``)."""
 
     problem: BayesProblem
-    kl_dims: int
     solve_map: Callable[[], MapResult]
     prior_pairs: Callable[[], EigenPairs]
     posterior_pairs: Callable[[MapResult], EigenPairs]
@@ -354,7 +351,7 @@ def linear_setup(cfg: ExperimentConfig) -> Setup:
     )
     J = cfg.kl_dims if cfg.kl_dims is not None else problem.mesh.n_interior
     setup = Setup(
-        problem, J,
+        problem,
         solve_map=lambda: problem.find_map(cfg=NewtonConfig(tol=1e-12, max_newton=60)),
         prior_pairs=lambda: problem.prior_pairs(J),
         posterior_pairs=lambda map_result: problem.posterior_pairs_analytic(J),
@@ -384,7 +381,7 @@ def darcy_setup(cfg: ExperimentConfig) -> Setup:
     # reweighting), so the margin is as wide as the truncation itself.
     oversampling = max(10, J)
     setup = Setup(
-        problem, J,
+        problem,
         solve_map=lambda: problem.find_map(),
         prior_pairs=lambda: problem.prior_pairs(
             J, rng=rng_stream(cfg.seed, 10), oversampling=oversampling, power_iters=3,
@@ -411,26 +408,30 @@ def functional_coefficients(
     return base, field.sqrt_values * (functional @ field.pairs.vectors)
 
 
-def _affine(base: float, coefs: np.ndarray, xi: Mapping[int, float]) -> float:
-    s = base
-    for j, x in xi.items():
-        s += coefs[j - 1] * x
-    return s
-
-
 def linear_gaussian_integrand(setup: Setup, qoi: str) -> Integrand:
     """Fast xi -> Q(m1(xi)) under the Hessian (exact posterior)
     parametrization, per point of the list it is given; identical values to
-    the generic KL-map path."""
+    the generic KL-map path.  A coordinate outside the truncation is refused
+    as ``kl_map`` refuses it."""
     fld = setup.posterior_field
     base, coefs = functional_coefficients(
         fld, setup.problem.linear_functional(qoi)
     )
+    J = fld.truncation
+
+    def affine(xi):  # l^T m1(xi)
+        s = base
+        for j, x in xi.items():
+            if not 1 <= j <= J:
+                raise ValueError(f"coordinate dimension {j} outside truncation {J}")
+            s += coefs[j - 1] * x
+        return s
+
     if qoi == "q1":
-        fn = lambda points: [math.exp(_affine(base, coefs, xi)) for xi in points]
+        fn = lambda points: [math.exp(affine(xi)) for xi in points]
     else:
-        fn = lambda points: [float(_affine(base, coefs, xi) ** 2) for xi in points]
-    return Integrand(fn=fn, n_outputs=1, dim_hint=fld.truncation)
+        fn = lambda points: [float(affine(xi) ** 2) for xi in points]
+    return Integrand(fn=fn, n_outputs=1, dim_hint=J)
 
 
 def linear_reference(setup: Setup, qoi: str) -> float:
@@ -469,22 +470,15 @@ def _checkpoints_from_trace(
     reference: tuple[float, ...],
     cap: int,
 ) -> list[Checkpoint]:
-    budgets = point_ladder(max(10, trace[0].n_points), cap)
+    counts = [rec.n_points for rec in trace]
     cps: list[Checkpoint] = []
-    seen = set()
-    for b in budgets:
-        best = None
-        for rec, est in zip(trace, estimates):
-            if rec.n_points <= b:
-                best = (rec, est)
-            else:
-                break
-        if best is None:
+    for b in point_ladder(max(10, counts[0]), cap):
+        # the last step within the budget (the counts never decrease),
+        # unless that step already has its checkpoint
+        i = bisect.bisect_right(counts, b) - 1
+        if i < 0 or (cps and cps[-1].n_points == counts[i]):
             continue
-        rec, est = best
-        if rec.n_points in seen:
-            continue
-        seen.add(rec.n_points)
+        rec, est = trace[i], estimates[i]
         abse = tuple(abs(e - r) for e, r in zip(est, reference))
         rele = tuple(a / max(abs(r), 1e-300) for a, r in zip(abse, reference))
         cps.append(Checkpoint(rec.n_points, rec.n_indices, est, abse, rele))

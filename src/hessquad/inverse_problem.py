@@ -870,35 +870,44 @@ def make_darcy_problem(
 # ---------------------------------------------------------------------------
 
 
+def _reweighted_integrand(
+    problem: BayesProblem,
+    field: GaussianField,
+    qoi: Callable[[np.ndarray], float],
+    exponent: Callable[[float, Mapping[int, float]], float],
+) -> Integrand:
+    """xi -> (w, Q * w) with w = exp(-exponent(phi, xi)), the body of both
+    reweighted paths.  The QoI Q and the potential phi of each point of a
+    batch come from ``_point_observer``, built once with the integrand: one
+    forward solve per point on the linear problem, one product per batch in
+    KL coordinates on the Darcy problem (``qoi`` must then be the problem's
+    ``PressureFunctional``).  No slopes or adjoints."""
+    observe = problem._point_observer(field, qoi)
+
+    def fn(points):
+        # a single mapping returns its one output: only perfbench/test_checks.py
+        # (test_laplace_weights_match_the_program_integrand) passes one
+        if isinstance(points, Mapping):
+            return fn([points])[0]
+        out = []
+        for xi, (q, phi) in zip(points, observe(points)):
+            w = math.exp(-exponent(phi, xi))
+            out.append((w, q * w))
+        return out
+
+    return Integrand(fn=fn, n_outputs=2, dim_hint=field.truncation)
+
+
 def prior_weighted_integrand(
     problem: BayesProblem,
     prior_field: GaussianField,
     qoi: Callable[[np.ndarray], float],
 ) -> Integrand:
     """Prior-based path: xi -> (exp(-Phi), Q * exp(-Phi)) at m0(xi); the
-    posterior expectation is the ratio of the two integrals.  The QoI and
-    the potential of each point of a batch come from ``_point_observer``,
-    built once with the integrand: one forward solve per point on the
-    linear problem.  On the Darcy problem a point works in KL coordinates:
-    its cell log-conductivities are the field's cell mean plus one axpy of
-    a pre-averaged cell column per nonzero coordinate, and one product of
-    the batch's exp(-a) rows with the folded operator [B S; l S; 1^T] gives
-    every point's observation, QoI and T, with no KL map, pressure,
-    assembly or factorization per point (``qoi`` must then be the
-    problem's ``PressureFunctional``).  No slopes or adjoints.  A single
-    mapping in place of the list returns its one output."""
-    observe = problem._point_observer(prior_field, qoi)
-
-    def fn(points):
-        if isinstance(points, Mapping):
-            return fn([points])[0]
-        out = []
-        for q, phi in observe(points):
-            w = math.exp(-phi)
-            out.append((w, q * w))
-        return out
-
-    return Integrand(fn=fn, n_outputs=2, dim_hint=prior_field.truncation)
+    posterior expectation is the ratio of the two integrals.  A Darcy point
+    works in KL coordinates, with no KL map, pressure, assembly or
+    factorization (``DarcyProblem._point_observer``)."""
+    return _reweighted_integrand(problem, prior_field, qoi, lambda phi, xi: phi)
 
 
 def _kl_quadratic_terms(
@@ -951,23 +960,13 @@ def hessian_reweighted_integrand(
     exactly sum_j xi_j^2, and the prior cost is a quadratic form in the
     point's nonzero coordinates whose coefficients are computed once, when
     the integrand is built (``_kl_quadratic_terms``).  The QoI and the
-    potential come from ``_point_observer``, as on
-    ``prior_weighted_integrand`` (on the Darcy problem, one product per
-    batch with the folded operator, with no nodal m or pressure); no slopes
-    or adjoints.  A single mapping returns its one output.
+    potential come as on ``prior_weighted_integrand``
+    (``_reweighted_integrand``).
     """
     terms = _kl_quadratic_terms(problem, posterior_field)
-    observe = problem._point_observer(posterior_field, qoi)
 
-    def fn(points):
-        if isinstance(points, Mapping):
-            return fn([points])[0]
-        out = []
-        for xi, (q, phi) in zip(points, observe(points)):
-            half_sq, prior = terms(xi)
-            j1 = phi + prior - cost_at_map - half_sq
-            w = math.exp(-j1)
-            out.append((w, q * w))
-        return out
+    def j1(phi, xi):
+        half_sq, prior = terms(xi)
+        return phi + prior - cost_at_map - half_sq
 
-    return Integrand(fn=fn, n_outputs=2, dim_hint=posterior_field.truncation)
+    return _reweighted_integrand(problem, posterior_field, qoi, j1)

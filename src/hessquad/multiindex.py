@@ -6,7 +6,7 @@ one per parameter dimension (dimensions are 1-based).  Downward-closed
 neighbors are the frontier the adaptive loop explores (``sparse_quad``), one
 new dimension at a time.  The a priori construction ranks candidate indices
 by a closed-form coefficient built from a nondecreasing weight sequence
-tau_j = c * j**beta.
+tau_j = 0.5 * j**beta.
 """
 
 from __future__ import annotations
@@ -187,27 +187,26 @@ class IndexSet:
 
 _BETA_MARGIN = 0.05
 
+# Scale of the weight sequence tau_j = _TAU_SCALE * j**beta.
+_TAU_SCALE = 0.5
+
+# Largest level of the inner sum of b_nu.
+_B_LEVEL_CAP = 2
+
 
 @dataclass(frozen=True)
 class BNuConfig:
     """Parameters of the a priori priority coefficient.
 
-    The weight sequence is tau_j = c * j**beta; beta >= 0 keeps it
-    nondecreasing, which the monotone a priori search requires.  ``r_cap``
-    bounds the max level of the inner sum.
+    The weight sequence is tau_j = 0.5 * j**beta (``_TAU_SCALE``); beta >= 0
+    keeps it nondecreasing, which the monotone a priori search requires.
     """
 
-    c: float = 0.5
     beta: float = 0.45
-    r_cap: int = 2
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError("c must be positive")
         if self.beta < 0:
             raise ValueError("beta must be >= 0 so that tau is nondecreasing")
-        if self.r_cap < 1:
-            raise ValueError("r_cap must be >= 1")
 
     @classmethod
     def from_smoothness(cls, alpha: float) -> "BNuConfig":
@@ -220,13 +219,13 @@ class BNuConfig:
         return cls(beta=beta)
 
     def tau(self, j: int) -> float:
-        return self.c * j**self.beta
+        return _TAU_SCALE * j**self.beta
 
 
 def b_coefficient(nu: MultiIndex, cfg: BNuConfig) -> float:
     """Priority coefficient b_nu.
 
-    b_nu = sum over mu <= nu with |mu|_inf <= r_cap of
+    b_nu = sum over mu <= nu with |mu|_inf <= 2 (``_B_LEVEL_CAP``) of
            prod_j  C(nu_j, mu_j) * tau_j**(2*mu_j),
     which factorizes across dimensions since both constraints do.  Monotone
     nondecreasing in nu for any nondecreasing tau.
@@ -235,7 +234,7 @@ def b_coefficient(nu: MultiIndex, cfg: BNuConfig) -> float:
     for j, v in nu.entries:
         t2 = cfg.tau(j) ** 2
         s = 0.0
-        for k in range(0, min(v, cfg.r_cap) + 1):
+        for k in range(0, min(v, _B_LEVEL_CAP) + 1):
             s += math.comb(v, k) * t2**k
         out *= s
         if math.isinf(out):

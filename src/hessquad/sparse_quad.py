@@ -9,7 +9,8 @@ is adopted.  All point evaluations go through a cache keyed by the nonzero
 coordinates, so each distinct quadrature point is evaluated exactly once.
 Each step builds the difference grids of the candidates it admits; the
 integrand then receives all their uncached points in one call, in the order
-the grids meet them, before the differences are summed from the cache.
+the grids meet them, before the differences are summed from the cache,
+which then only reads: every point a difference sums is cached by then.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ class PointCache:
     difference rules share is the same float in both (tested), so a point
     that recurs across tensor grids hits its cache entry.  ``fill``
     evaluates the points it lacks in one call of the integrand; ``value``
-    looks a point up, filling a miss as a batch of one.
+    reads a point that ``fill`` has cached.
     """
 
     def __init__(self, integrand: Integrand):
@@ -82,11 +83,7 @@ class PointCache:
         return len(self._data)
 
     def value(self, items: tuple[tuple[int, float], ...]) -> tuple[float, ...]:
-        out = self._data.get(items)
-        if out is None:
-            self.fill((items,))
-            out = self._data[items]
-        return out
+        return self._data[items]
 
     def fill(self, keys: Iterable[tuple[tuple[int, float], ...]]) -> None:
         """Evaluate each point of ``keys`` that is not cached yet, once and

@@ -6,11 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hessquad
-from hessquad.cli import main
-from hessquad.experiments import ExperimentConfig
+from hessquad.cli import main, write_marginals
+from hessquad.experiments import ExperimentConfig, anchored_marginal_csv, linear_setup
 from hessquad.multiindex import MultiIndex
 from hessquad.quad1d import MAX_LEVEL
 from hessquad.sparse_quad import TIE_FLOOR
@@ -260,3 +261,18 @@ def test_cli_trace_does_not_depend_on_blas_threads(tmp_path):
         )
         traces.append((out_dir / "trace.csv").read_bytes())
     assert traces[0] == traces[1]
+
+
+def test_write_marginals(tmp_path):
+    # dimensions 1-6 on 81 points and one pair on 41 x 41, each file the
+    # setup's prior-field grid as anchored_marginal_csv writes it
+    setup = linear_setup(ExperimentConfig.linear_default(mesh_exp=6, seed=0))
+    write_marginals(tmp_path / "m", setup, (2, 3))
+    expected = {f"dim{d}.csv": ((d,), 81) for d in range(1, 7)}
+    expected["dim2_dim3.csv"] = ((2, 3), 41)
+    assert sorted(p.name for p in (tmp_path / "m").iterdir()) == sorted(expected)
+    for name, (dims, n) in expected.items():
+        text = anchored_marginal_csv(setup.problem, setup.prior_field, dims,
+                                     np.linspace(-4.0, 4.0, n))
+        assert (tmp_path / "m" / name).read_text() == text
+        assert len(text.splitlines()) == 1 + n ** len(dims)

@@ -13,6 +13,7 @@ from hessquad.experiments import (
     Checkpoint,
     ConvergenceRecord,
     ExperimentConfig,
+    _checkpoints_from_trace,
     _convergence_record,
     darcy_setup,
     estimate_rate,
@@ -302,6 +303,16 @@ class TestLinearIntegrands:
         assert len(fills) > 10 and sum(calls) == res.n_points
         assert all(n_calls == (added > 0) for added, n_calls in fills)
 
+    @pytest.mark.parametrize("qoi", ["q1", "q2"])
+    @pytest.mark.parametrize("dim", [0, 9])
+    def test_refuses_a_coordinate_outside_the_truncation(self, qoi, dim):
+        # as kl_map refuses it: dimension 0 must not read coefs[-1], the
+        # coefficient of dimension 8, and dimension 9 must not index past it
+        s = linear_setup(ExperimentConfig.linear_default(mesh_exp=5, seed=0, kl_dims=8))
+        g = linear_gaussian_integrand(s, qoi)
+        with pytest.raises(ValueError, match=f"coordinate dimension {dim} outside truncation 8"):
+            g.fn([{8: 1.0}, {dim: 1.0}])
+
     def test_functional_coefficients_affine(self, small_linear_setup):
         s = small_linear_setup
         w = s.problem.linear_functional("q2")
@@ -375,7 +386,7 @@ class TestRunLinear:
             setup,
         )
         assert out.record.rates[0] > 0.2
-        errs = out.record.errors()
+        errs = [c.abs_error[0] for c in out.record.checkpoints]
         assert errs[-1] < 0.2 * errs[0]
         # a posteriori reaches at least comparable accuracy at equal budget
         assert post.record.checkpoints[-1].abs_error[0] <= 3 * errs[-1]
@@ -503,7 +514,7 @@ class TestMcBaseline:
             mesh_exp=6, seed=1, max_points=10_000, qoi="q2"
         )
         rec = mc_baseline(cfg, n_trials=30)
-        errs = rec.errors()
+        errs = np.array([c.abs_error[0] for c in rec.checkpoints])
         assert np.all(errs > 0)
         assert errs[-1] < errs[0]
 
@@ -550,6 +561,20 @@ class TestAnchoredMarginals:
         assert set(grid) == {"xi_1", "xi_2", "reference", "prior", "posterior"}
         with pytest.raises(ValueError):
             anchored_marginal_grid(s.problem, s.prior_field, (1, 2, 3), coords)
+
+
+@pytest.mark.parametrize("counts, cap, expected", [
+    # budgets 10, 20, 30: the last step at each repeated count
+    ([1, 5, 5, 12, 12, 12, 30], 30, [(5, 2), (12, 5), (30, 6)]),
+    # budgets 10, 20, 25: budget 20 picks step 2 again and adds nothing
+    ([1, 5, 5, 25], 25, [(5, 2), (25, 3)]),
+])
+def test_checkpoints_at_repeated_point_counts(counts, cap, expected):
+    trace = [sparse_quad.TraceRecord(step, None, 0.0, step, n, (float(step),))
+             for step, n in enumerate(counts)]
+    cps = _checkpoints_from_trace(trace, [rec.value for rec in trace], (0.0,), cap)
+    assert [(c.n_points, c.n_indices) for c in cps] == expected
+    assert [c.value for c in cps] == [(float(step),) for _, step in expected]
 
 
 def test_fitted_rate_uses_trailing_window():

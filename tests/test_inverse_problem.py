@@ -432,9 +432,10 @@ class TestDarcyForward:
             np.array([400.0**2]), np.ones((n, 1))))
         g = prior_weighted_integrand(darcy6, field, darcy6.qoi())
         cache = PointCache(g)
+        cache.fill([()])
         assert all(map(math.isfinite, cache.value(())))
         with pytest.raises(IntegrandError, match=rf"conductivity exp\(m\) {refused}") as err:
-            cache.value(((1, x),))
+            cache.fill([((1, x),)])
         assert err.value.point == {1: x}
         # in the middle of a batch the point named is the refused one, not
         # the batch's first, with the refusal chained
@@ -525,7 +526,7 @@ def test_lean_darcy_point_matches_parent_evaluation(darcy6_setup, path):
         for layout in (np.asfortranarray, np.ascontiguousarray)
     )
     cost_at_map = setup.map_result.cost_at_map if path == "hessian" else None
-    points = [{}] + _sparse_points(rng_stream(10, 1), setup.kl_dims, 500)
+    points = [{}] + _sparse_points(rng_stream(10, 1), built.truncation, 500)
     values = {}
     for name, field in (("f_order", f_order), ("c_order", c_order)):
         g = _darcy_integrand(setup, path, field)
@@ -541,7 +542,7 @@ def test_darcy_point_refuses_a_coordinate_outside_the_truncation(darcy6_setup, p
     # the cell log-conductivities are read off the field's cell columns,
     # which refuse what kl_map refused: the point named is the refused one,
     # not the batch's first, with the refusal chained
-    assert darcy6_setup.kl_dims == 12
+    assert darcy6_setup.field(path).truncation == 12
     g = _darcy_integrand(darcy6_setup, path)
     with pytest.raises(IntegrandError,
                        match=rf"coordinate dimension {dim} outside truncation 12") as err:
@@ -627,7 +628,7 @@ def test_darcy_batch_matches_pointwise(darcy6_setup, path):
     # path and 3.6e-13 on the prior path; 2.0e-13 and 7.3e-13 at mesh 2^10)
     setup = darcy6_setup
     g = _darcy_integrand(setup, path)
-    points = [{}] + _sparse_points(rng_stream(10, 3), setup.kl_dims, 200)
+    points = [{}] + _sparse_points(rng_stream(10, 3), setup.field(path).truncation, 200)
     batch = g.fn(points)
     assert type(batch) is list and len(batch) == len(points)
     np.testing.assert_allclose(batch, [g.fn([xi])[0] for xi in points], rtol=1e-12, atol=0)

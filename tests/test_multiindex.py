@@ -205,17 +205,18 @@ def test_forward_neighbors_contract(max_level, dim_cap, picks):
             frontier.adopt(expect[pick % len(expect)])
 
 
-def brute_force_b(nu, cfg):
-    """Oracle: enumerate mu <= nu with |mu|_inf <= r_cap directly."""
+def brute_force_b(nu, beta):
+    """Oracle: enumerate mu <= nu with |mu|_inf <= 2 directly, with tau_j =
+    0.5 * j**beta."""
     import itertools
 
     dims = nu.support
     total = 0.0
-    ranges = [range(0, min(nu.level(j), cfg.r_cap) + 1) for j in dims]
+    ranges = [range(0, min(nu.level(j), 2) + 1) for j in dims]
     for combo in itertools.product(*ranges):
         term = 1.0
         for j, k in zip(dims, combo):
-            term *= math.comb(nu.level(j), k) * cfg.tau(j) ** (2 * k)
+            term *= math.comb(nu.level(j), k) * (0.5 * j**beta) ** (2 * k)
         total += term
     return total
 
@@ -225,49 +226,45 @@ class TestBCoefficient:
         assert b_coefficient(ZERO_INDEX, BNuConfig()) == 1.0
 
     def test_hand_expansions(self):
-        cfg = BNuConfig(c=2.0, beta=0.0, r_cap=2)  # tau_j = 2 for all j
-        assert b_coefficient(e1, cfg) == pytest.approx(5.0)  # 1 + 4
-        assert b_coefficient(idx((1, 2)), cfg) == pytest.approx(25.0)  # 1 + 8 + 16
+        cfg = BNuConfig(beta=0.0)  # tau_j = 0.5 for all j
+        assert b_coefficient(e1, cfg) == pytest.approx(1.25)  # 1 + 0.25
+        assert b_coefficient(idx((1, 2)), cfg) == pytest.approx(1.5625)  # 1 + 0.5 + 0.0625
+        # the inner sum stops at level 2: no 0.25**3 term
+        assert b_coefficient(idx((1, 3)), cfg) == pytest.approx(1.9375)  # 1 + 0.75 + 0.1875
 
     def test_overflow_reported(self):
-        cfg = BNuConfig(c=1e200, beta=1.0, r_cap=2)
-        with pytest.raises(OverflowError):
-            b_coefficient(idx((5, 100)), cfg)
+        # each factor is finite (tau_4 = 5.3e64, tau_5 = 1.5e75), their product is not
+        cfg = BNuConfig(beta=108.0)
+        with pytest.raises(OverflowError, match="b coefficient overflow"):
+            b_coefficient(idx((4, 100), (5, 100)), cfg)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            BNuConfig(c=-1.0)
-        with pytest.raises(ValueError):
             BNuConfig(beta=-0.1)
-        with pytest.raises(ValueError):
-            BNuConfig(r_cap=0)
         with pytest.raises(ValueError):
             BNuConfig.from_smoothness(alpha=0.4)
 
     @settings(max_examples=80, deadline=None)
     @given(
         st.lists(st.tuples(st.integers(1, 5), st.integers(1, 4)), max_size=3),
-        st.floats(0.1, 3.0),
         st.floats(0.0, 1.5),
     )
-    def test_matches_brute_force(self, pairs, c, beta):
+    def test_matches_brute_force(self, pairs, beta):
         nu = MultiIndex({j: v for j, v in pairs}.items())
-        cfg = BNuConfig(c=c, beta=beta, r_cap=2)
-        assert b_coefficient(nu, cfg) == pytest.approx(
-            brute_force_b(nu, cfg), rel=1e-12
+        assert b_coefficient(nu, BNuConfig(beta=beta)) == pytest.approx(
+            brute_force_b(nu, beta), rel=1e-12
         )
 
     @settings(max_examples=80, deadline=None)
     @given(
         st.lists(st.tuples(st.integers(1, 5), st.integers(1, 4)), max_size=3),
-        st.floats(0.1, 3.0),
         st.floats(0.0, 1.5),
         st.randoms(use_true_random=False),
     )
-    def test_monotone_under_partial_order(self, pairs, c, beta, rnd):
+    def test_monotone_under_partial_order(self, pairs, beta, rnd):
         nu = MultiIndex({j: v for j, v in pairs}.items())
         mu = MultiIndex(
             [(j, rnd.randint(0, v)) for j, v in nu.entries]
         )
-        cfg = BNuConfig(c=c, beta=beta, r_cap=2)
+        cfg = BNuConfig(beta=beta)
         assert b_coefficient(mu, cfg) <= b_coefficient(nu, cfg) * (1 + 1e-12)

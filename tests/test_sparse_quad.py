@@ -433,6 +433,7 @@ class TestIntegrandErrors:
     def test_miss_caches_the_floats_of_the_numpy_path(self, n_outputs, raw):
         cache = PointCache(integrand(lambda xi: raw, n_outputs=n_outputs))
         point = ((1, 0.5), (3, -1.25))
+        cache.fill([point])
         got = cache.value(point)
         assert got == tuple(np.atleast_1d(np.asarray(raw, dtype=float)).tolist())
         assert all(type(v) is float for v in got)
