@@ -3,7 +3,7 @@
 The package covers the full pipeline on 1D PDE benchmarks: multi-index sets
 and Gauss-Hermite difference rules, the adaptive sparse quadrature loop,
 P1 finite elements, Gaussian priors and Laplace posteriors as spectral data,
-adjoint-based MAP estimation, and the convergence experiments comparing
+MAP estimation by Newton-CG, and the convergence experiments comparing
 prior-based and Hessian-based parametrizations.
 
 The package itself imports nothing; callers import its submodules

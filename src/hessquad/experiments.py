@@ -308,13 +308,24 @@ def trailing_window(n_points: Sequence[float]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _in_phase(phase: str, recipe: Callable, *args):
+    """``recipe(*args)``; an exception it raises is raised again, of the same
+    type, with ``phase`` leading its message and the original chained."""
+    try:
+        return recipe(*args)
+    except Exception as exc:
+        raise type(exc)(f"{phase}: {exc}") from exc
+
+
 @dataclass
 class Setup:
     """A study's problem and its recipes for the MAP point and the prior and
     posterior pairs.  ``map_result`` and the two fields are computed on first
-    read and kept, so a study pays only for what it reads.  The fields keep
-    the eigensolvers' arrays as they are: the integrands build the cell data
-    their points read (``DarcyProblem._point_observer``)."""
+    read and kept, so a study pays only for what it reads; an error in a
+    recipe names its phase ("MAP solve", "prior eigensolve", "posterior
+    eigensolve").  The fields keep the eigensolvers' arrays as they are: the
+    integrands build the cell data their points read
+    (``DarcyProblem._point_observer``)."""
 
     problem: BayesProblem
     solve_map: Callable[[], MapResult]
@@ -323,19 +334,21 @@ class Setup:
 
     @cached_property
     def map_result(self) -> MapResult:
-        result = self.solve_map()
+        result = _in_phase("MAP solve", self.solve_map)
         if not result.converged:
             raise RuntimeError("MAP solve did not converge")
         return result
 
     @cached_property
     def prior_field(self) -> GaussianField:
-        return GaussianField(self.problem.prior_mean, self.prior_pairs())
+        return GaussianField(self.problem.prior_mean,
+                             _in_phase("prior eigensolve", self.prior_pairs))
 
     @cached_property
     def posterior_field(self) -> GaussianField:
-        return GaussianField(self.map_result.map_point,
-                             self.posterior_pairs(self.map_result))
+        map_result = self.map_result
+        return GaussianField(map_result.map_point, _in_phase(
+            "posterior eigensolve", self.posterior_pairs, map_result))
 
     def field(self, mode: str) -> GaussianField:
         """The field a run of this mode integrates over."""
@@ -439,13 +452,20 @@ def linear_reference(setup: Setup, qoi: str) -> float:
 
     Under the posterior, l^T m is Gaussian with mean l^T m1 and variance
     sum_j lambda_j (l^T psi_j)^2, so E[Q1] = exp(mean + var/2) (the lognormal
-    identity) and E[Q2] = mean^2 + var.
+    identity) and E[Q2] = mean^2 + var.  A Q1 reference that overflows is
+    refused.
     """
     l = setup.problem.linear_functional(qoi)
     pairs = setup.posterior_field.pairs
     mean = float(np.dot(setup.map_result.map_point, l))
     var = float(np.sum(pairs.values * (l @ pairs.vectors) ** 2))
-    return math.exp(mean + 0.5 * var) if qoi == "q1" else mean**2 + var
+    if qoi != "q1":
+        return mean**2 + var
+    try:
+        return math.exp(mean + 0.5 * var)
+    except OverflowError:
+        raise ValueError(f"the Q1 reference exp(mean + var/2) overflows: its exponent "
+                         f"is {mean + 0.5 * var:.6g}") from None
 
 
 # ---------------------------------------------------------------------------

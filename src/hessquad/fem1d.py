@@ -1,11 +1,11 @@
 """Piecewise-linear finite elements on a uniform mesh of (0, 1).
 
-Everything is symmetric tridiagonal: mass and stiffness matrices, the
+Everything is symmetric tridiagonal: mass and stiffness matrices and the
 elliptic operator A = -beta * Laplacian + gamma * I (plus optional weighted
-mass terms), and the Darcy operator with a cell-midpoint coefficient.
-Operators are immutable after assembly and cache their LAPACK tridiagonal
-LDL^T factor (``dpttrf``), so repeated solves against the same operator are
-cheap; the prior and the misfit-Hessian actions rely on that.
+mass terms).  Operators are immutable after assembly and cache their LAPACK
+tridiagonal LDL^T factor (``dpttrf``), so repeated solves against the same
+operator are cheap; the prior and the linear misfit-Hessian actions rely on
+that.
 
 Dirichlet operators own the interior degrees of freedom only; their vectors
 have length ``n_cells - 1``.  Natural (Neumann) operators own all
@@ -225,33 +225,3 @@ def apply_A_alpha_inv(
         out = A.solve(M.matvec(out))
     return out
 
-
-def darcy_stiffness(k_cells: np.ndarray, mesh: Mesh1D) -> TriDiagOperator:
-    """Interior stiffness of -d/dx(k du/dx) with cell-constant coefficient."""
-    a = k_cells / mesh.h
-    diag = a[:-1] + a[1:]
-    off = -a[1:-1]
-    return TriDiagOperator(diag, off)
-
-
-def cell_slopes(u: np.ndarray, mesh: Mesh1D) -> np.ndarray:
-    """Per-cell derivative of a nodal field."""
-    return np.diff(np.asarray(u, dtype=float)) / mesh.h
-
-
-def scatter_mass(q_cells: np.ndarray, mesh: Mesh1D) -> np.ndarray:
-    """Nodal vector of <q, phi_i> for cell-constant q: h/2 to each endpoint."""
-    out = np.zeros(mesh.n_nodes)
-    half = 0.5 * mesh.h * np.asarray(q_cells, dtype=float)
-    out[:-1] += half
-    out[1:] += half
-    return out
-
-
-def scatter_grad(q_cells: np.ndarray, mesh: Mesh1D) -> np.ndarray:
-    """Nodal vector of <q, phi_i'> for cell-constant q: q_left - q_right."""
-    q = np.asarray(q_cells, dtype=float)
-    out = np.zeros(mesh.n_nodes)
-    out[1:] += q
-    out[:-1] -= q
-    return out

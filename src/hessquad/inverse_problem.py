@@ -3,7 +3,7 @@
 Both problems share the same structure: a Gaussian prior with covariance
 given by a negative integer power of an assembled elliptic operator, a
 least-squares data misfit with iid Gaussian noise, a MAP point found by
-inexact Newton-CG with adjoint-based gradients and Hessian actions, a
+inexact Newton-CG with closed-form gradients and Hessian actions, a
 Gaussian (Laplace) posterior carried as spectral data from a two-step
 generalized eigendecomposition, and reweighted integrands that turn posterior
 expectations into parametric integrals over iid standard Gaussian
@@ -31,12 +31,8 @@ from .fem1d import (
     apply_A_alpha_inv,
     assemble,
     cell_gauss_rule,
-    cell_slopes,
-    darcy_stiffness,
     laplace_operator,
     mass_operator,
-    scatter_grad,
-    scatter_mass,
     weighted_mass_operator,
 )
 from .gaussian_measure import (
@@ -169,6 +165,8 @@ class BayesProblem:
     def misfit_hessian_action(
         self, state, mhat: np.ndarray, gauss_newton: bool = False
     ) -> np.ndarray:
+        """The misfit Hessian at ``state`` applied to a vector or to a block
+        of column vectors."""
         raise NotImplementedError
 
     def _point_observer(
@@ -219,9 +217,13 @@ class BayesProblem:
         Gauss-Newton Hessian for the first few iterations, then the full
         Hessian; CG inner solves preconditioned by the prior covariance with
         an Eisenstat-Walker forcing term and Steihaug termination on negative
-        curvature; Armijo backtracking line search.  Terminates on the
-        prior-preconditioned gradient norm, or when the Newton decrement
-        -g.step falls to the roundoff floor of the cost.
+        curvature; Armijo backtracking line search, in which a trial point
+        that ``_forward_state`` refuses (a ValueError) fails the test like a
+        point that does not decrease the cost enough (Nocedal & Wright 2006,
+        sec. 3.5).  Terminates on the prior-preconditioned gradient norm, or
+        when the Newton decrement -g.step falls to the roundoff floor of the
+        cost; a step that fails ``_MAX_BACKTRACKS`` trials ends the solve
+        unconverged at the last accepted point.
         """
         cfg = cfg if cfg is not None else NewtonConfig()
         m = self.prior_mean.copy()
@@ -249,11 +251,17 @@ class BayesProblem:
             t = 1.0
             for _ in range(_MAX_BACKTRACKS):
                 m_trial = m + t * step
-                trial_state = self._forward_state(m_trial)
+                try:
+                    trial_state = self._forward_state(m_trial)
+                except ValueError:  # outside the domain: back off
+                    t *= 0.5
+                    continue
                 trial_cost = self.potential_of_state(trial_state) + self.prior_cost(m_trial)
                 if trial_cost <= cost_m + _ARMIJO_C * t * g_dot_step:
                     break
                 t *= 0.5
+            else:
+                break  # no acceptable trial point: not converged
             m, state, cost_m = m_trial, trial_state, trial_cost
             history.append(cost_m)
             g = self.gradient(m, state)
@@ -328,14 +336,10 @@ class BayesProblem:
             return X
 
         def op(X: np.ndarray) -> np.ndarray:
-            X = R(X)
-            out = np.empty_like(X)
-            for k in range(X.shape[1]):
-                hx = self.misfit_hessian_action(state, X[:, k])
-                for _ in range(self.alpha // 2):
-                    hx = M.matvec(A.solve(hx))  # R^T
-                out[:, k] = B.solve(hx)
-            return out
+            HX = self.misfit_hessian_action(state, R(X))
+            for _ in range(self.alpha // 2):
+                HX = M.matvec(A.solve(HX))  # R^T
+            return B.solve(HX)
 
         pairs = randomized_eigen(
             op, B, j1, oversampling=oversampling, power_iters=power_iters, rng=rng,
@@ -537,11 +541,11 @@ class DarcyProblem(BayesProblem):
     xi through the field's pre-averaged cell columns, with no nodal m, and a
     batch of points is observed with one product of its r rows against the
     folded operator ``_folded_operator``, with no pressure formed
-    (``_point_observer``).  Gradients and Hessian actions come from the
-    Lagrangian: one adjoint solve for the gradient, incremental state and
-    adjoint solves for each Hessian action, all against the tridiagonal
-    stiffness factor.  The constructor refuses operators and data whose
-    sizes do not match the mesh and B.
+    (``_point_observer``).  B u = F r / T with F = B S, S the
+    upper-triangular ones matrix (``_F``, built once), so the misfit's
+    gradient and Hessian actions are closed forms in r and F, with no
+    factorization (``misfit_gradient_of_state``).  The constructor refuses
+    operators and data whose sizes do not match the mesh and B.
     """
 
     def __init__(
@@ -573,13 +577,15 @@ class DarcyProblem(BayesProblem):
         self.y = np.asarray(y, dtype=float)
         self.M = mass_operator(mesh, dirichlet=False)
         self.prior_mean = np.asarray(prior_mean, dtype=float)
+        # F = B S: row k is the prefix sum of row k of B over the nodes
+        # 0..n-2; the last node drops out, as u is 0 there
+        self._F = np.cumsum(B[:, :-1], axis=1)
 
     class _State:
-        __slots__ = ("k", "op", "u", "Bu", "du", "dp")
+        __slots__ = ("k", "u", "Bu")
 
         def __init__(self, k, u, Bu):
             self.k, self.u, self.Bu = k, u, Bu
-            self.op = self.du = self.dp = None  # set by _slopes
 
     @staticmethod
     def _refuse(a: np.ndarray) -> NoReturn:
@@ -619,9 +625,8 @@ class DarcyProblem(BayesProblem):
         """Forward state at ``m``: the cell coefficients k, u and B u, for
         one parameter at a time (``forward``, the potential, the MAP solve,
         the eigensolves); quadrature points go through ``_point_observer``,
-        which forms no pressure.  The stiffness operator, the slopes of u
-        and the adjoint are left to ``_slopes``, which only gradient and
-        Hessian actions call."""
+        which forms no pressure.  Gradient and Hessian actions read k and
+        B u."""
         m = np.asarray(m, dtype=float)
         u = np.empty(self.mesh.n_nodes)
         with np.errstate(all="ignore"):  # _pressure refuses every bad case
@@ -633,13 +638,12 @@ class DarcyProblem(BayesProblem):
         """C = [B S; l S; 1^T] for the nodal functional l, one column per
         cell, with S the upper-triangular ones matrix: r C^T = T (B u, l.u,
         1) for the reciprocal conductivities r and T = sum_c r_c, because
-        u_i = sum_{c>=i} r_c / T.  Row k of B S is the prefix sum of row k
-        of B over the nodes 0..n-2; the last node drops out, as u is 0
-        there.  The benchmark's B and l have no negative entries, and
-        neither has r, so r C^T has no cancellation."""
+        u_i = sum_{c>=i} r_c / T.  B S is ``_F``, and l S is built the same
+        way.  The benchmark's B and l have no negative entries, and neither
+        has r, so r C^T has no cancellation."""
         n_obs = self.B.shape[0]
         C = np.empty((n_obs + 2, self.mesh.n_cells))
-        np.cumsum(self.B[:, :-1], axis=1, out=C[:n_obs])
+        C[:n_obs] = self._F
         np.cumsum(functional[:-1], out=C[n_obs])
         C[-1] = 1.0
         return C
@@ -711,46 +715,50 @@ class DarcyProblem(BayesProblem):
         r = self.y - state.Bu
         return 0.5 / self.sigma**2 * float(np.dot(r, r))
 
-    def _slopes(self, state) -> tuple[np.ndarray, np.ndarray]:
-        """Cell slopes of the state and of its adjoint, computed once per
-        state when a gradient or Hessian action first needs them; this
-        assembles the stiffness operator ``state.op`` (the adjoint and the
-        incremental solves of the Hessian action share its factor) and makes
-        the adjoint solve."""
-        if state.dp is None:
-            state.op = darcy_stiffness(state.k, self.mesh)
-            rhs = (self.B.T @ (self.y - state.Bu)) / self.sigma**2
-            p = np.zeros(self.mesh.n_nodes)
-            p[1:-1] = state.op.solve(rhs[1:-1])
-            state.du = cell_slopes(state.u, self.mesh)
-            state.dp = cell_slopes(p, self.mesh)
-        return state.du, state.dp
+    def _gradient_in_cells(self, state) -> tuple[np.ndarray, float, np.ndarray]:
+        """r = exp(-a) and T = sum_c r_c at the state's cell
+        log-conductivities a, and s = r * e / T (entrywise), e = F^T res -
+        res.d with res = y - d and d = B u = F r / T: the misfit gradient in
+        a is s / sigma^2."""
+        r = 1.0 / state.k
+        T = r.sum()
+        res = self.y - state.Bu
+        return r, T, r * (self._F.T @ res - res @ state.Bu) / T
+
+    @staticmethod
+    def _to_nodes(q: np.ndarray) -> np.ndarray:
+        """P^T q for the cell average (P m)_c = (m_c + m_{c+1}) / 2, on a
+        vector or a block of columns."""
+        out = np.zeros((len(q) + 1,) + q.shape[1:])
+        out[:-1] += 0.5 * q
+        out[1:] += 0.5 * q
+        return out
 
     def misfit_gradient_of_state(self, state) -> np.ndarray:
-        du, dp = self._slopes(state)
-        return scatter_mass(state.k * du * dp, self.mesh)
+        return self._to_nodes(self._gradient_in_cells(state)[2] / self.sigma**2)
 
     def misfit_hessian_action(
         self, state, mhat: np.ndarray, gauss_newton: bool = False
     ) -> np.ndarray:
-        du, dp = self._slopes(state)
-        mhat_c = 0.5 * (mhat[:-1] + mhat[1:])
-        # incremental state
-        rhs_u = -scatter_grad(mhat_c * state.k * du, self.mesh)
-        u_hat = np.zeros(self.mesh.n_nodes)
-        u_hat[1:-1] = state.op.solve(rhs_u[1:-1])
-        du_hat = cell_slopes(u_hat, self.mesh)
-        # incremental adjoint
-        rhs_p = -(self.B.T @ (self.B @ u_hat)) / self.sigma**2
+        """P^T H_a P mhat / sigma^2 for a vector or a block mhat, with the
+        misfit Hessian in the cell log-conductivities
+
+            H_a = G^T G + (s r^T + r s^T) / T - diag(s),
+            G = (F - d 1^T) diag(r) / T,
+
+        (r, T, s and d as in ``_gradient_in_cells``), or its Gauss-Newton
+        part G^T G alone."""
+        mhat = np.asarray(mhat, dtype=float)
+        X = 0.5 * (mhat[:-1] + mhat[1:])
+        X = X.reshape(len(X), -1)  # a vector as one column
+        r, T, s = self._gradient_in_cells(state)
+        d = state.Bu
+        Z = r[:, None] * X
+        GX = (self._F @ Z - np.outer(d, Z.sum(axis=0))) / T
+        HX = r[:, None] * (self._F.T @ GX - d @ GX) / T
         if not gauss_newton:
-            rhs_p -= scatter_grad(mhat_c * state.k * dp, self.mesh)
-        p_hat = np.zeros(self.mesh.n_nodes)
-        p_hat[1:-1] = state.op.solve(rhs_p[1:-1])
-        dp_hat = cell_slopes(p_hat, self.mesh)
-        q = state.k * du * dp_hat
-        if not gauss_newton:
-            q += state.k * du_hat * dp + mhat_c * state.k * du * dp
-        return scatter_mass(q, self.mesh)
+            HX += (np.outer(s, r @ X) + np.outer(r, s @ X)) / T - s[:, None] * X
+        return self._to_nodes(HX / self.sigma**2).reshape(mhat.shape)
 
     def qoi(self, kind: str = "u_center") -> "PressureFunctional":
         """The QoI as a ``PressureFunctional`` with its nodal functional l:
@@ -881,7 +889,7 @@ def _reweighted_integrand(
     batch come from ``_point_observer``, built once with the integrand: one
     forward solve per point on the linear problem, one product per batch in
     KL coordinates on the Darcy problem (``qoi`` must then be the problem's
-    ``PressureFunctional``).  No slopes or adjoints."""
+    ``PressureFunctional``).  No derivatives."""
     observe = problem._point_observer(field, qoi)
 
     def fn(points):

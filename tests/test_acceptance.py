@@ -333,7 +333,7 @@ def test_criterion_8c_gradient_fd(darcy_small):
             for h in (1e-3, 1e-4, 1e-5, 1e-6)
         )
         worst = max(worst, best)
-    check("criterion 8c (adjoint gradient vs FD, 1e-5)", worst < 1e-5,
+    check("criterion 8c (gradient vs FD, 1e-5)", worst < 1e-5,
           f"worst rel {worst:.2e}")
 
 

@@ -12,6 +12,7 @@ import pytest
 import hessquad
 from hessquad.cli import main, write_marginals
 from hessquad.experiments import ExperimentConfig, anchored_marginal_csv, linear_setup
+from hessquad.inverse_problem import BayesProblem
 from hessquad.multiindex import MultiIndex
 from hessquad.quad1d import MAX_LEVEL
 from hessquad.sparse_quad import TIE_FLOOR
@@ -184,6 +185,17 @@ def test_error_exit_code(tmp_path, capsys):
     code = main(["linear", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_setup_error_names_its_phase(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("operator is not positive definite")
+
+    monkeypatch.setattr(BayesProblem, "posterior_eigen", fail)
+    code = main(["darcy", "--max-points", "50", "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: posterior eigensolve: operator is not positive definite\n"
 
 
 @pytest.mark.parametrize("budget", ["0", "-5"])

@@ -232,6 +232,19 @@ class TestReferences:
         assert oracle == pytest.approx(math.exp(0.3 + v / 2), rel=1e-12)
         assert got == pytest.approx(oracle, rel=1e-12)
 
+    def test_q1_overflow_is_refused_by_name(self):
+        # exp(mean + var/2) overflows past log(DBL_MAX) = 709.78: the
+        # reference is refused with its exponent, not a bare math range error
+        class FakeProblem:
+            def linear_functional(self, kind):
+                return np.ones(1)
+
+        pairs = EigenPairs(values=np.array([1400.0]), vectors=np.ones((1, 1)))
+        setup = _reference_setup(FakeProblem(), np.array([10.0]), pairs)
+        with pytest.raises(ValueError, match=r"Q1 reference .* exponent is 710$"):
+            linear_reference(setup, "q1")
+        assert linear_reference(setup, "q2") == 1500.0
+
     def test_q2_degenerate_covariance(self):
         # C1 = 0: the symmetric constant-load solution has u'(0.5) = 0
         from hessquad.inverse_problem import LinearPoissonProblem
@@ -496,6 +509,33 @@ class TestDarcySetup:
         self._unconverged_map(monkeypatch)
         with pytest.raises(RuntimeError, match="MAP solve did not converge"):
             darcy_setup(ExperimentConfig.darcy_default(mesh_exp=6, seed=0, kl_dims=12))
+
+    def test_a_map_solve_that_leaves_the_domain_does_not_converge(self):
+        # at this config the Newton steps run out of the range of exp(m)
+        # (19 of 97 trial points refused, measured): the solve backs off
+        # from them and ends unconverged, which the setup reports by phase
+        cfg = ExperimentConfig.darcy_default(mesh_exp=6, sigma=3.8e-5, beta=1.6e-4,
+                                             seed=0, obs_count=48, kl_dims=12)
+        with pytest.raises(RuntimeError, match="^MAP solve did not converge$"):
+            darcy_setup(cfg)
+
+    @pytest.mark.parametrize("mode, owner, name, phase", [
+        ("hessian", BayesProblem, "find_map", "MAP solve"),
+        ("prior", DarcyProblem, "prior_pairs", "prior eigensolve"),
+        ("hessian", BayesProblem, "posterior_eigen", "posterior eigensolve"),
+    ])
+    def test_a_setup_error_names_its_phase(self, monkeypatch, mode, owner, name, phase):
+        # the error is raised again with its type, the phase leading its
+        # message and the original chained
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("operator is not positive definite")
+
+        monkeypatch.setattr(owner, name, fail)
+        cfg = ExperimentConfig.darcy_default(mesh_exp=6, seed=0, kl_dims=12, mode=mode)
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=f"^{phase}: operator is not positive definite$") as err:
+            darcy_setup(cfg)
+        assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
 
 
 class TestMcBaseline:

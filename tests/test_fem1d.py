@@ -5,15 +5,12 @@ import pytest
 
 from hessquad.fem1d import (
     Mesh1D,
+    TriDiagOperator,
     apply_A_alpha,
     apply_A_alpha_inv,
     assemble,
-    cell_slopes,
-    darcy_stiffness,
     laplace_operator,
     mass_operator,
-    scatter_grad,
-    scatter_mass,
     weighted_mass_operator,
 )
 from hessquad.inverse_problem import (
@@ -104,7 +101,9 @@ class TestAssembly:
     @pytest.mark.parametrize("n_cells", [2, 64])  # 2 cells: a single dof
     def test_solve_matches_dense(self, n_cells):
         mesh = Mesh1D(n_cells)
-        op = darcy_stiffness(np.exp(np.sin(np.arange(n_cells))), mesh)
+        # the interior stiffness of -(k u')' with a cell coefficient k
+        a = np.exp(np.sin(np.arange(n_cells))) / mesh.h
+        op = TriDiagOperator(a[:-1] + a[1:], -a[1:-1])
         rng = np.random.default_rng(4)
         dense = op.dense()
         v = rng.standard_normal(op.n_dof)
@@ -263,31 +262,6 @@ class TestDarcy:
         m[3] = np.inf
         with pytest.raises(ValueError):
             darcy_problem(mesh).forward(m)
-
-
-class TestScatterHelpers:
-    def test_scatter_mass_is_phi_integral(self):
-        # <q, phi_i> for cell-constant q; interior hats integrate to h
-        mesh = Mesh1D(4)
-        out = scatter_mass(np.ones(mesh.n_cells), mesh)
-        h = mesh.h
-        np.testing.assert_allclose(out, [h / 2, h, h, h, h / 2])
-
-    def test_scatter_grad_telescopes(self):
-        mesh = Mesh1D(8)
-        rng = np.random.default_rng(3)
-        q = rng.standard_normal(mesh.n_cells)
-        v = rng.standard_normal(mesh.n_nodes)
-        # <q, v'> = sum_c q_c (v_right - v_left) = scatter_grad(q) . v
-        direct = float(np.sum(q * np.diff(v)))
-        assert float(scatter_grad(q, mesh) @ v) == pytest.approx(direct)
-
-    def test_cell_slopes(self):
-        mesh = Mesh1D(4)
-        u = mesh.nodes() ** 2
-        np.testing.assert_allclose(
-            cell_slopes(u, mesh), np.diff(mesh.nodes() ** 2) / mesh.h
-        )
 
 
 def test_mesh_validation():

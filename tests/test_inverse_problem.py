@@ -225,6 +225,57 @@ class TestFindMap:
                 assert res.newton_iters == 6
 
 
+class _Refusing(LinearPoissonProblem):
+    """A linear problem whose forward state is refused, as the Darcy one
+    refuses a conductivity out of range, at any m farther than ``radius``
+    from 0; it records the norm of every m it is asked for, and with
+    ``penalty`` it adds that to the potential of every m but 0."""
+
+    def __init__(self, base, radius, penalty=0.0):
+        super().__init__(base.mesh, base.alpha, base.beta, base.sigma, y=base.y)
+        self.radius, self.penalty, self.norms = radius, penalty, []
+
+    def _forward_state(self, m):
+        self.norms.append(float(np.linalg.norm(m)))
+        if self.norms[-1] > self.radius:
+            raise ValueError("conductivity exp(m) overflows to inf")
+        return super()._forward_state(m)
+
+    def potential_of_state(self, state):
+        return super().potential_of_state(state) + self.penalty * bool(state.any())
+
+
+class TestLineSearch:
+    def test_a_refused_trial_point_halves_the_step(self, linear6):
+        # the first Newton step from 0 leaves the ball where the forward
+        # state is defined: the solve backs off into it, never raises, and
+        # accepts only points inside it
+        radius = 0.6 * np.linalg.norm(linear6.find_map().map_point)
+        p = _Refusing(linear6, radius)
+        res = p.find_map(NewtonConfig(max_newton=3))
+        assert p.norms[0] == 0.0 and p.norms[1] > radius
+        assert p.norms[2] == pytest.approx(p.norms[1] / 2, rel=1e-14)
+        assert res.newton_iters == 3 and not res.converged
+        assert np.linalg.norm(res.map_point) <= radius
+        costs = res.cost_history
+        assert all(b < a for a, b in zip(costs, costs[1:]))
+
+    @pytest.mark.parametrize("radius, penalty", [(0.0, 0.0), (math.inf, 1e6)],
+                             ids=["refused", "no-decrease"])
+    def test_a_step_with_no_acceptable_trial_ends_the_solve(self, linear6, radius,
+                                                            penalty):
+        # every trial point is refused, or raises the cost: after
+        # _MAX_BACKTRACKS halvings the solve stops unconverged at its last
+        # accepted point, not at the last trial point
+        p = _Refusing(linear6, radius, penalty)
+        res = p.find_map()
+        trials = p.norms[1:]
+        assert len(trials) == inverse_problem._MAX_BACKTRACKS
+        np.testing.assert_allclose(trials[1:], np.array(trials[:-1]) / 2, rtol=1e-14)
+        assert not res.converged and res.newton_iters == 0
+        assert not res.map_point.any() and res.cost_history == [res.cost_at_map]
+
+
 class TestDarcyData:
     def test_true_field_needs_no_eigensolve(self, monkeypatch):
         # the true field is drawn from the closed-form cosine modes
@@ -297,39 +348,83 @@ def test_quadrature_points_factor_nothing(darcy6_setup, path, monkeypatch):
     # a point works in KL coordinates: no KL map and no prior operator (the
     # Hessian path's prior cost is a quadratic form in xi); a step's points
     # are observed with one product, so no point forms a pressure or a
-    # state; and no stiffness, factorization, solve or slopes, which only
-    # gradient and Hessian actions build and read
+    # state; and no factorization or solve
     counted(fem1d, "dpttrf")
     counted(fem1d.TriDiagOperator, "solve")
-    counted(inverse_problem, "darcy_stiffness")
     counted(inverse_problem, "kl_map")
     counted(inverse_problem.BayesProblem, "prior_cost")
-    counted(inverse_problem, "cell_slopes")
     counted(inverse_problem.DarcyProblem, "_pressure")
     counted(inverse_problem.DarcyProblem._State, "__init__", label="_State")
     res = adapt(g, Construction.APOSTERIORI, AdaptConfig(max_points=300))
     assert res.n_points >= 300
-    assert counts == {"dpttrf": 0, "solve": 0, "darcy_stiffness": 0, "kl_map": 0,
-                      "prior_cost": 0, "cell_slopes": 0, "_pressure": 0, "_State": 0}
+    assert counts == {"dpttrf": 0, "solve": 0, "kl_map": 0, "prior_cost": 0,
+                      "_pressure": 0, "_State": 0}
+
+
+def _stiffness(k, mesh):
+    """Diagonal and off-diagonal of the interior P1 stiffness of -(k u')'
+    for the cell coefficients ``k``."""
+    a = k / mesh.h
+    return a[:-1] + a[1:], -a[1:-1]
 
 
 def _parent_forward_state(problem, m):
     """Oracle for ``DarcyProblem._forward_state``: the forward state from a
     tridiagonal LDL^T factor-and-solve of the assembled stiffness, as every
-    point computed it before the closed form (adjoint solves still take this
-    path), returning u, B u and the slopes of u."""
+    point computed it before the closed form, returning u, B u and the
+    stiffness operator."""
     m = np.asarray(m, dtype=float)
     if not np.all(np.isfinite(m)):
         raise ValueError("parameter field must be finite")
     mesh = problem.mesh
     k = np.exp(0.5 * (m[:-1] + m[1:]))
-    op = fem1d.darcy_stiffness(k, mesh)
+    op = fem1d.TriDiagOperator(*_stiffness(k, mesh))
     rhs = np.zeros(mesh.n_interior)
     rhs[0] += k[0] / mesh.h
     u = np.empty(mesh.n_nodes)
     u[0], u[-1] = 1.0, 0.0
     u[1:-1] = op.solve(rhs)
-    return u, problem.B @ u, fem1d.cell_slopes(u, mesh)
+    return u, problem.B @ u, op
+
+
+def _lagrangian_derivatives(problem, m, mhat, gauss_newton):
+    """Oracle for the Darcy misfit gradient and Hessian action at ``m``:
+    the Lagrangian path, with one adjoint solve, and incremental state and
+    adjoint solves for the action on the vector ``mhat``, all against the
+    LDL^T factor of the stiffness."""
+    mesh, sigma2 = problem.mesh, problem.sigma**2
+    k = np.exp(0.5 * (m[:-1] + m[1:]))
+    u, Bu, op = _parent_forward_state(problem, m)
+
+    def solve(rhs):  # homogeneous Dirichlet values at both ends
+        out = np.zeros(mesh.n_nodes)
+        out[1:-1] = op.solve(rhs[1:-1])
+        return out
+
+    def mass(q):  # <q, phi_i> for cell-constant q
+        out = np.zeros(mesh.n_nodes)
+        out[:-1] += 0.5 * mesh.h * q
+        out[1:] += 0.5 * mesh.h * q
+        return out
+
+    def grad(q):  # <q, phi_i'> for cell-constant q
+        out = np.zeros(mesh.n_nodes)
+        out[1:] += q
+        out[:-1] -= q
+        return out
+
+    du = np.diff(u) / mesh.h
+    dp = np.diff(solve(problem.B.T @ (problem.y - Bu) / sigma2)) / mesh.h
+    mhat_c = 0.5 * (mhat[:-1] + mhat[1:])
+    u_hat = solve(-grad(mhat_c * k * du))
+    du_hat = np.diff(u_hat) / mesh.h
+    rhs_p = -(problem.B.T @ (problem.B @ u_hat)) / sigma2
+    if not gauss_newton:
+        rhs_p -= grad(mhat_c * k * dp)
+    q = k * du * np.diff(solve(rhs_p)) / mesh.h
+    if not gauss_newton:
+        q += k * du_hat * dp + mhat_c * k * du * dp
+    return mass(k * du * dp), mass(q)
 
 
 # Largest nodal difference between the closed-form pressure and the LDL^T
@@ -343,8 +438,7 @@ def _extended_precision_pressure(k, mesh):
     """Oracle: the P1 Darcy system for cell coefficients ``k`` assembled and
     solved by Thomas elimination in ``np.longdouble``."""
     k = k.astype(np.longdouble)
-    op = fem1d.darcy_stiffness(k, mesh)
-    d, e = op.diag.copy(), op.off
+    d, e = _stiffness(k, mesh)
     b = np.zeros(len(d), dtype=np.longdouble)
     b[0] = k[0] / mesh.h  # u(0) = 1 lifting
     for i in range(1, len(d)):
@@ -372,17 +466,11 @@ class TestDarcyForward:
         # the LDL^T solve of the assembled stiffness is the oracle, at its
         # own rounding
         problem = make_darcy_problem(mesh_exp=mesh_exp, seed=0)
-        mesh = problem.mesh
         for m in _rough_fields(mesh_exp):
             state = problem._forward_state(m)
             np.testing.assert_allclose(state.u, _parent_forward_state(problem, m)[0],
                                        rtol=0, atol=_LDLT_ATOL[mesh_exp])
             assert state.u[0] == 1.0 and state.u[-1] == 0.0
-            assert state.op is None  # built only when an adjoint needs it
-            problem.misfit_gradient_of_state(state)
-            ref = fem1d.darcy_stiffness(np.exp(0.5 * (m[:-1] + m[1:])), mesh)
-            np.testing.assert_array_equal(state.op.diag, ref.diag)
-            np.testing.assert_array_equal(state.op.off, ref.off)
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
                         reason="np.longdouble has no extra precision here")
@@ -687,31 +775,31 @@ class TestFoldedObservation:
             assert worst["folded", name] <= worst["pressure", name]
 
 
-def test_darcy_derivatives_do_not_depend_on_what_read_the_state_first(darcy6_setup):
-    # the operator and the slopes are built when a gradient or Hessian action
-    # first needs them; both actions are the same whether the state is fresh
-    # or was first read by the potential alone, and the slopes of u are the
-    # parent's up to the LDL^T rounding of u
-    problem = darcy6_setup.problem
+def test_closed_form_darcy_derivatives_match_the_lagrangian(darcy6):
+    # the closed-form gradient and the full and Gauss-Newton Hessian actions
+    # on a block agree with the adjoint path of the Lagrangian, and a block
+    # action is the column-by-column action (measured, largest difference
+    # over the largest entry: 2.8e-13 on the gradient, 9.0e-14 on the
+    # actions, 8.8e-16 between a block and its columns)
+    def close(a, b, tol):
+        return np.abs(a - b).max() <= tol * np.abs(b).max()
+
+    problem = darcy6
     rng = rng_stream(10, 2)
     n = problem.mesh.n_nodes
     for _ in range(5):
-        m = darcy6_setup.map_result.map_point + 0.3 * rng.standard_normal(n)
-        mhat = rng.standard_normal(n)
-        fresh = problem._forward_state(m)
-        grad = problem.misfit_gradient_of_state(fresh)
-        hess = [problem.misfit_hessian_action(fresh, mhat, gauss_newton=gn)
-                for gn in (False, True)]
-        read = problem._forward_state(m)
-        problem.potential_of_state(read)
-        assert read.op is None and read.du is None and read.dp is None
-        hess_read = [problem.misfit_hessian_action(read, mhat, gauss_newton=gn)
-                     for gn in (False, True)]
-        np.testing.assert_array_equal(problem.misfit_gradient_of_state(read), grad)
-        for a, b in zip(hess_read, hess):
-            np.testing.assert_array_equal(a, b)
-        np.testing.assert_allclose(read.du, _parent_forward_state(problem, m)[2],
-                                   rtol=0, atol=2 * _LDLT_ATOL[6] / problem.mesh.h)
+        m = problem.prior_mean + 0.3 * rng.standard_normal(n)
+        X = rng.standard_normal((n, 4))
+        state = problem._forward_state(m)
+        grad = problem.misfit_gradient_of_state(state)
+        for gauss_newton in (False, True):
+            oracle = [_lagrangian_derivatives(problem, m, x, gauss_newton) for x in X.T]
+            assert close(grad, oracle[0][0], 1e-11)
+            HX = problem.misfit_hessian_action(state, X, gauss_newton=gauss_newton)
+            assert close(HX, np.column_stack([hx for _, hx in oracle]), 1e-11)
+            columns = [problem.misfit_hessian_action(state, x, gauss_newton=gauss_newton)
+                       for x in X.T]
+            assert close(HX, np.column_stack(columns), 1e-13)
 
 
 def test_linear_prior_run_solves_once_per_quadrature_point(monkeypatch):
@@ -820,9 +908,10 @@ class TestPosteriorEigen:
     @pytest.mark.parametrize("oversampling", [10, 60])
     def test_misfit_step_sketches_j1_plus_ten(self, oversampling, monkeypatch):
         # the misfit step targets the fixed rank j1 with its own margin of 10
-        # whatever the posterior step's oversampling: j1 + 10 misfit Hessian
-        # column applies per sketch pass, and power_iters + 2 passes (the
-        # range, each power iteration, the Rayleigh-Ritz projection)
+        # whatever the posterior step's oversampling: the misfit Hessian is
+        # applied to j1 + 10 columns per sketch pass, and power_iters + 2
+        # passes (the range, each power iteration, the Rayleigh-Ritz
+        # projection)
         p = make_darcy_problem(mesh_exp=7, seed=0)
         res = p.find_map()
         j1, J, power_iters = 24, 30, 2
@@ -831,7 +920,7 @@ class TestPosteriorEigen:
 
         def counted(state, mhat):
             nonlocal applies
-            applies += 1
+            applies += mhat.shape[1]
             return hessian_action(state, mhat)
 
         monkeypatch.setattr(p, "misfit_hessian_action", counted)
