@@ -20,17 +20,27 @@ The benchmark configurations are read from ``perfbench/run.py`` (seed 0), and
 BLAS runs on one thread, as in the benchmark, because the last bits of the
 setup depend on the thread count.
 
-``--dump DIR`` also writes each trace's CSV to ``DIR/<name>.csv``, and each
-setup spectrum's eigenvalues, one per row, to ``DIR/<name>.csv`` beside them.
-``--against DIR`` compares each trace with the CSV of the same name in DIR
-(written by ``--dump``, say at the parent commit) and prints, after the
-trace's two digest lines, one line ``against  <name>``: whether the
-selection columns match, and the largest relative difference of the values
-and of the indicators over the rows both traces have.  After each spectrum's
-digest line it prints one ``against  <name>`` line too: the largest relative
-eigenvalue difference over all the modes both spectra have, over modes 1-10
-and over the last 10.  A change that moves only the last bits of the values
-shows how far they moved.
+``--dump DIR`` also writes each trace's CSV to ``DIR/<name>.csv``, each
+setup spectrum's eigenvalues, one per row, to ``DIR/<name>.csv`` beside them,
+and the digest lines to ``DIR/digests.txt``.  ``--against DIR`` compares each
+trace with the CSV of the same name in DIR (written by ``--dump``, say at the
+parent commit) and prints, after the trace's two digest lines, one line
+``against  <name>``: whether the selection columns match, and the largest
+relative difference of the values and of the indicators over the rows both
+traces have.  After each spectrum's digest line it prints one ``against
+<name>`` line too: the largest relative eigenvalue difference over all the
+modes both spectra have, over modes 1-10 and over the last 10.  A change that
+moves only the last bits of the values shows how far they moved.
+
+``--against`` is also a check.  Its last line is one summary,
+
+    summary: 11 of 11 selections same, 0 of 25 lines moved
+
+counting the traces whose selection columns match and the digest lines that
+differ from those in ``DIR/digests.txt``, and the script exits 1 when a
+selection differs or a file to compare with is missing (the summary then
+names it).  A pure-speed change cites that one line: every selection the
+same and no line moved.
 """
 
 import os
@@ -89,9 +99,10 @@ def _rel_diff(a, b):
 
 
 def _compare(name, trace, path):
-    """The ``against`` line of one trace against its CSV at ``path``."""
+    """The ``against`` line of one trace against its CSV at ``path``, and
+    whether the selection columns match (None when there is no CSV)."""
     if not path.is_file():
-        return f"against  {name}: no {path.name} to compare with"
+        return f"against  {name}: no {path.name} to compare with", None
     rows = list(csv.DictReader(io.StringIO(trace)))
     old = list(csv.DictReader(io.StringIO(path.read_text())))
     same = len(rows) == len(old) and all(
@@ -104,7 +115,13 @@ def _compare(name, trace, path):
                           for r, o in zip(rows, old)), default=0.0)
     return (f"against  {name}: selection {'same' if same else 'DIFFERENT'} "
             f"({len(rows)} rows, {len(old)} there), values max rel "
-            f"{value_diff:.3g}, indicators max rel {indicator_diff:.3g}")
+            f"{value_diff:.3g}, indicators max rel {indicator_diff:.3g}"), same
+
+
+def _print_digest(digest, name, args):
+    line = f"{digest}  {name}"
+    print(line, flush=True)
+    args.lines.append(line)
 
 
 def _show(name, out, args):
@@ -114,12 +131,16 @@ def _show(name, out, args):
                             lineterminator="\n")
     writer.writeheader()
     writer.writerows(csv.DictReader(io.StringIO(trace)))
-    print(f"{_sha(trace)}  {name}", flush=True)
-    print(f"{_sha(selection.getvalue())}  {name} selection", flush=True)
+    _print_digest(_sha(trace), name, args)
+    _print_digest(_sha(selection.getvalue()), f"{name} selection", args)
     if args.dump is not None:
         (args.dump / f"{name}.csv").write_text(trace)
     if args.against is not None:
-        print(_compare(name, trace, args.against / f"{name}.csv"), flush=True)
+        line, same = _compare(name, trace, args.against / f"{name}.csv")
+        print(line, flush=True)
+        args.selections.append(same)
+        if same is None:
+            args.missing.append(f"{name}.csv")
 
 
 def _compare_spectrum(name, values, path):
@@ -136,20 +157,42 @@ def _compare_spectrum(name, values, path):
 def _show_field(name, field, args):
     pairs = field.pairs
     digest = hashlib.sha256(pairs.values.tobytes() + pairs.vectors.tobytes()).hexdigest()
-    print(f"{digest}  {name}", flush=True)
+    _print_digest(digest, name, args)
     values = [repr(float(v)) for v in pairs.values]
     if args.dump is not None:
         (args.dump / f"{name}.csv").write_text("\n".join(["eigenvalue", *values]) + "\n")
     if args.against is not None:
-        print(_compare_spectrum(name, values, args.against / f"{name}.csv"), flush=True)
+        path = args.against / f"{name}.csv"
+        print(_compare_spectrum(name, values, path), flush=True)
+        if not path.is_file():
+            args.missing.append(path.name)
 
 
-def _show_problem(name, setup):
+def _show_problem(name, setup, args):
     p = setup.problem
     arrays = (p.y, p.prior_mean, p.A_prior.diag, p.A_prior.off, p.M.diag, p.M.off,
               p.B, setup.map_result.map_point)
     digest = hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
-    print(f"{digest}  {name}", flush=True)
+    _print_digest(digest, name, args)
+
+
+def _summary(args) -> int:
+    """Print the ``--against`` summary line; 1 if a selection differs or a
+    file to compare with is missing, else 0."""
+    path = args.against / "digests.txt"
+    if path.is_file():
+        old = set(path.read_text().splitlines())
+        moved = (f"{sum(line not in old for line in args.lines)} of "
+                 f"{len(args.lines)} lines moved")
+    else:
+        args.missing.append(path.name)
+        moved = "lines not compared"
+    same = sum(s is True for s in args.selections)
+    text = f"summary: {same} of {len(args.selections)} selections same, {moved}"
+    if args.missing:
+        text += f", no {', '.join(args.missing)} to compare with"
+    print(text, flush=True)
+    return int(bool(args.missing) or same < len(args.selections))
 
 
 def main(argv=None):
@@ -157,11 +200,15 @@ def main(argv=None):
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--dump", type=Path, metavar="DIR",
                     help="write each trace's CSV and each setup spectrum's "
-                         "eigenvalues to DIR/<name>.csv")
+                         "eigenvalues to DIR/<name>.csv, and the digest lines "
+                         "to DIR/digests.txt")
     ap.add_argument("--against", type=Path, metavar="DIR",
                     help="compare each trace and setup spectrum with "
-                         "DIR/<name>.csv")
+                         "DIR/<name>.csv and the digest lines with "
+                         "DIR/digests.txt; exit 1 if a selection differs or a "
+                         "file is missing")
     args = ap.parse_args(argv)
+    args.lines, args.selections, args.missing = [], [], []
     if args.dump is not None:
         args.dump.mkdir(parents=True, exist_ok=True)
     for name, wl in WORKLOADS.items():
@@ -186,8 +233,11 @@ def main(argv=None):
     _show("acceptance-darcy-prior-10k", run_darcy(prior_cfg, setup), args)
     _show_field("acceptance-darcy-setup-prior-field", setup.prior_field, args)
     _show_field("acceptance-darcy-setup-posterior-field", setup.posterior_field, args)
-    _show_problem("acceptance-darcy-problem", setup)
+    _show_problem("acceptance-darcy-problem", setup, args)
+    if args.dump is not None:
+        (args.dump / "digests.txt").write_text("".join(f"{line}\n" for line in args.lines))
+    return _summary(args) if args.against is not None else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

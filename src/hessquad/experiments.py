@@ -336,7 +336,9 @@ class Setup:
     def map_result(self) -> MapResult:
         result = _in_phase("MAP solve", self.solve_map)
         if not result.converged:
-            raise RuntimeError("MAP solve did not converge")
+            raise RuntimeError(f"MAP solve did not converge: stopped on "
+                               f"{result.stopped_on} at Newton iteration "
+                               f"{result.newton_iters}")
         return result
 
     @cached_property

@@ -23,6 +23,7 @@ from functools import cached_property
 from typing import Callable, Mapping, NoReturn
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .fem1d import (
     Mesh1D,
@@ -95,10 +96,15 @@ def _scaled_columns(field: GaussianField) -> np.ndarray:
 
 @dataclass
 class MapResult:
+    """``stopped_on`` says why the Newton loop ended: "gradient" or
+    "decrement" when it converged, "max_newton" or "line_search" (no
+    acceptable trial point) when it did not."""
+
     map_point: np.ndarray
     cost_at_map: float
     newton_iters: int
     converged: bool
+    stopped_on: str
     cost_history: list[float] = field(default_factory=list)
 
 
@@ -176,7 +182,7 @@ class BayesProblem:
         batch, in order, at m = kl_map(field, xi), which is what the
         reweighted integrands evaluate.  One forward solve per point here;
         the Darcy problem works in KL coordinates and observes the whole
-        batch in one product."""
+        batch with one sparse and one dense product."""
 
         def observe(points):
             return [(qoi(m), self.potential(m))
@@ -223,7 +229,8 @@ class BayesProblem:
         sec. 3.5).  Terminates on the prior-preconditioned gradient norm, or
         when the Newton decrement -g.step falls to the roundoff floor of the
         cost; a step that fails ``_MAX_BACKTRACKS`` trials ends the solve
-        unconverged at the last accepted point.
+        unconverged at the last accepted point.  ``stopped_on`` of the result
+        names which of these ended it, or ``max_newton``.
         """
         cfg = cfg if cfg is not None else NewtonConfig()
         m = self.prior_mean.copy()
@@ -234,6 +241,7 @@ class BayesProblem:
         g0_norm = math.sqrt(max(np.dot(g, self.apply_prior_precision_inv(g)), 0.0))
         g_norm = g0_norm
         converged = g_norm <= cfg.abs_tol
+        stopped_on = "gradient" if converged else "max_newton"
         it = 0
         while not converged and it < cfg.max_newton:
             gauss_newton = it < _GAUSS_NEWTON_ITERS
@@ -246,7 +254,7 @@ class BayesProblem:
             if -g_dot_step <= _DECREMENT_FLOOR * max(1.0, abs(cost_m)):
                 # the predicted decrease is below the roundoff of J itself:
                 # no line search can make progress from here
-                converged = True
+                converged, stopped_on = True, "decrement"
                 break
             t = 1.0
             for _ in range(_MAX_BACKTRACKS):
@@ -260,19 +268,23 @@ class BayesProblem:
                 if trial_cost <= cost_m + _ARMIJO_C * t * g_dot_step:
                     break
                 t *= 0.5
-            else:
-                break  # no acceptable trial point: not converged
+            else:  # no acceptable trial point: not converged
+                stopped_on = "line_search"
+                break
             m, state, cost_m = m_trial, trial_state, trial_cost
             history.append(cost_m)
             g = self.gradient(m, state)
             g_norm = math.sqrt(max(np.dot(g, self.apply_prior_precision_inv(g)), 0.0))
             it += 1
             converged = g_norm <= max(cfg.tol * g0_norm, cfg.abs_tol)
+            if converged:
+                stopped_on = "gradient"
         return MapResult(
             map_point=m,
             cost_at_map=cost_m,
             newton_iters=it,
             converged=converged,
+            stopped_on=stopped_on,
             cost_history=history,
         )
 
@@ -537,15 +549,16 @@ class DarcyProblem(BayesProblem):
     reciprocal conductivity of cell c, the nodal P1 pressure is u_i =
     sum_{c>=i} r_c / T with T = sum_c r_c (``_pressure``), so B u, a QoI
     linear in u and T are all linear functionals of r.  A quadrature point
-    works in KL coordinates: its cell log-conductivities come straight from
-    xi through the field's pre-averaged cell columns, with no nodal m, and a
-    batch of points is observed with one product of its r rows against the
-    folded operator ``_folded_operator``, with no pressure formed
-    (``_point_observer``).  B u = F r / T with F = B S, S the
-    upper-triangular ones matrix (``_F``, built once), so the misfit's
-    gradient and Hessian actions are closed forms in r and F, with no
-    factorization (``misfit_gradient_of_state``).  The constructor refuses
-    operators and data whose sizes do not match the mesh and B.
+    works in KL coordinates: a batch's cell log-conductivities come from xi
+    by one sparse product over the field's cell mean and pre-averaged cell
+    columns, with no nodal m, and the batch is observed with one product of
+    its r rows against the folded operator ``_folded_operator``, with no
+    pressure formed (``_point_observer``).  B u = F r / T with F = B S, S
+    the upper-triangular ones matrix (``_F``, built once, its subnormal
+    entries set to 0), so the misfit's gradient and Hessian actions are
+    closed forms in r and F, with no factorization
+    (``misfit_gradient_of_state``).  The constructor refuses operators and
+    data whose sizes do not match the mesh and B.
     """
 
     def __init__(
@@ -580,6 +593,8 @@ class DarcyProblem(BayesProblem):
         # F = B S: row k is the prefix sum of row k of B over the nodes
         # 0..n-2; the last node drops out, as u is 0 there
         self._F = np.cumsum(B[:, :-1], axis=1)
+        # a subnormal operand takes the CPU's slow path and adds nothing here
+        self._F[np.abs(self._F) < np.finfo(float).tiny] = 0.0
 
     class _State:
         __slots__ = ("k", "u", "Bu")
@@ -650,19 +665,23 @@ class DarcyProblem(BayesProblem):
 
     def _point_observer(self, field, qoi):
         """``BayesProblem._point_observer`` in KL coordinates, with one
-        product per batch and no pressure formed.
+        sparse and one dense product per batch and no pressure formed.
 
         m(xi) is affine in xi, and so is the log-conductivity a at each cell
         midpoint.  The observer keeps the field's cell data with their sign
-        flipped, so that a point's row is log r = -a: the cell mean -0.5
-        (mean[:-1] + mean[1:]) and the scaled cell columns -0.5 (W[:-1] +
-        W[1:]), W = V diag(sqrt(lambda)), in Fortran order and built from a
-        C-ordered copy of V, so that the bits do not depend on the field's
-        layout.  A point copies the cell mean into its row of one block R
-        and adds one axpy per nonzero coordinate.  One in-place exp turns
-        the block into r, and one product R C^T with the folded operator
-        (``_folded_operator``) gives every point's T B u, T Q and T; the
-        potentials are then one expression over the batch.
+        flipped, so that a point's row is log r = -a, in one C-ordered
+        ``basis`` of J + 1 rows: row 0 is the cell mean -0.5 (mean[:-1] +
+        mean[1:]), and row j the scaled cell column -0.5 (W[:-1] + W[1:]) of
+        dimension j, W = V diag(sqrt(lambda)) built from a C-ordered copy of
+        V, so that the bits do not depend on the field's layout.  A batch is
+        one sparse matrix X with a row per point: the entry 1.0 in column 0,
+        then the point's coordinates in its order.  The rows of log r are
+        the one sparse product R = X @ basis, which scipy fills as 0 + 1.0
+        mean and then one axpy x * column per coordinate, in order.  One
+        in-place exp turns the block into r, and one product R C^T with the
+        folded operator (``_folded_operator``, with no subnormal entry)
+        gives every point's T B u, T Q and T; the potentials are then one
+        expression over the batch.
 
         ``qoi`` must be a ``PressureFunctional`` (from ``qoi``), whose
         functional is folded into C; any other QoI is refused.  A coordinate outside
@@ -674,24 +693,26 @@ class DarcyProblem(BayesProblem):
                              f"pressure (DarcyProblem.qoi), got {qoi!r}")
         J, n = field.truncation, self.mesh.n_nodes
         W = _scaled_columns(field)
-        cell_mean = -0.5 * (field.mean[:-1] + field.mean[1:])
-        cell_cols = np.add(W[:-1], W[1:], out=np.empty((n - 1, J), order="F"))
-        cell_cols *= -0.5
+        basis = np.empty((J + 1, n - 1))
+        np.add(field.mean[:-1], field.mean[1:], out=basis[0])
+        np.add(W[:-1].T, W[1:].T, out=basis[1:])
+        basis *= -0.5
         C_T = self._folded_operator(qoi.functional).T
         scale = 0.5 / self.sigma**2
 
-        def log_resistivity(xi, row):
-            row[:] = cell_mean
-            for j, x in xi.items():
-                if not 1 <= j <= J:
-                    raise ValueError(f"coordinate dimension {j} outside truncation {J}")
-                row += x * cell_cols[:, j - 1]
-            return row
-
         def observe(points):
-            R = np.empty((len(points), n - 1))
-            for xi, row in zip(points, R):
-                log_resistivity(xi, row)
+            indptr, indices, data = [0], [], []
+            for xi in points:
+                for j in xi:  # checked here: scipy does not check the indices
+                    if not 1 <= j <= J:
+                        raise ValueError(f"coordinate dimension {j} outside truncation {J}")
+                indices.append(0)
+                indices.extend(xi)
+                data.append(1.0)
+                data.extend(xi.values())
+                indptr.append(len(indices))
+            X = csr_array((data, indices, indptr), shape=(len(points), J + 1))
+            R = X @ basis
             lowest = R.min(axis=1)  # -max(a) of each point
             with np.errstate(over="ignore", invalid="ignore"):  # refused below
                 np.exp(R, out=R)
@@ -699,8 +720,7 @@ class DarcyProblem(BayesProblem):
             T = folded[:, -1]
             fine = (lowest >= -_LOG_DBL_MAX) & np.isfinite(T)  # False on nan too
             if not fine.all():
-                first = points[int(fine.argmin())]
-                self._refuse(-log_resistivity(first, np.empty(n - 1)))
+                self._refuse(-(X[[int(fine.argmin())]] @ basis)[0])
             r = self.y - folded[:, :-2] / T[:, None]
             potentials = scale * np.einsum("ij,ij->i", r, r)
             return list(zip((folded[:, -2] / T).tolist(), potentials.tolist()))
@@ -887,9 +907,9 @@ def _reweighted_integrand(
     """xi -> (w, Q * w) with w = exp(-exponent(phi, xi)), the body of both
     reweighted paths.  The QoI Q and the potential phi of each point of a
     batch come from ``_point_observer``, built once with the integrand: one
-    forward solve per point on the linear problem, one product per batch in
-    KL coordinates on the Darcy problem (``qoi`` must then be the problem's
-    ``PressureFunctional``).  No derivatives."""
+    forward solve per point on the linear problem, one sparse and one dense
+    product per batch in KL coordinates on the Darcy problem (``qoi`` must
+    then be the problem's ``PressureFunctional``).  No derivatives."""
     observe = problem._point_observer(field, qoi)
 
     def fn(points):

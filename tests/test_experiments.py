@@ -513,10 +513,12 @@ class TestDarcySetup:
     def test_a_map_solve_that_leaves_the_domain_does_not_converge(self):
         # at this config the Newton steps run out of the range of exp(m)
         # (19 of 97 trial points refused, measured): the solve backs off
-        # from them and ends unconverged, which the setup reports by phase
+        # from them and ends unconverged after max_newton (50) iterations,
+        # which the setup reports by phase, with the reason and the iteration
         cfg = ExperimentConfig.darcy_default(mesh_exp=6, sigma=3.8e-5, beta=1.6e-4,
                                              seed=0, obs_count=48, kl_dims=12)
-        with pytest.raises(RuntimeError, match="^MAP solve did not converge$"):
+        with pytest.raises(RuntimeError, match="^MAP solve did not converge: stopped "
+                                               "on max_newton at Newton iteration 50$"):
             darcy_setup(cfg)
 
     @pytest.mark.parametrize("mode, owner, name, phase", [

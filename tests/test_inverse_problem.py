@@ -9,6 +9,7 @@ import scipy.linalg
 from hessquad import fem1d, gaussian_measure, inverse_problem
 from hessquad.experiments import (
     ExperimentConfig,
+    Setup,
     darcy_setup,
     linear_setup,
     run_darcy,
@@ -200,7 +201,7 @@ class TestFindMap:
 
     def test_darcy_converges_within_budget(self, darcy6):
         res = darcy6.find_map()
-        assert res.converged
+        assert res.converged and res.stopped_on in ("gradient", "decrement")
         assert res.newton_iters <= 30
         # Newton decrease: accepted steps strictly reduce the cost
         costs = res.cost_history
@@ -256,6 +257,7 @@ class TestLineSearch:
         assert p.norms[0] == 0.0 and p.norms[1] > radius
         assert p.norms[2] == pytest.approx(p.norms[1] / 2, rel=1e-14)
         assert res.newton_iters == 3 and not res.converged
+        assert res.stopped_on == "max_newton"
         assert np.linalg.norm(res.map_point) <= radius
         costs = res.cost_history
         assert all(b < a for a, b in zip(costs, costs[1:]))
@@ -266,14 +268,19 @@ class TestLineSearch:
                                                             penalty):
         # every trial point is refused, or raises the cost: after
         # _MAX_BACKTRACKS halvings the solve stops unconverged at its last
-        # accepted point, not at the last trial point
+        # accepted point, not at the last trial point, and a setup says so
         p = _Refusing(linear6, radius, penalty)
         res = p.find_map()
         trials = p.norms[1:]
         assert len(trials) == inverse_problem._MAX_BACKTRACKS
         np.testing.assert_allclose(trials[1:], np.array(trials[:-1]) / 2, rtol=1e-14)
         assert not res.converged and res.newton_iters == 0
+        assert res.stopped_on == "line_search"
         assert not res.map_point.any() and res.cost_history == [res.cost_at_map]
+        setup = Setup(p, solve_map=lambda: res, prior_pairs=None, posterior_pairs=None)
+        with pytest.raises(RuntimeError, match="^MAP solve did not converge: stopped "
+                                               "on line_search at Newton iteration 0$"):
+            setup.map_result
 
 
 class TestDarcyData:
@@ -579,11 +586,13 @@ def _parent_darcy_point(problem, field, xi, cost_at_map=None):
     return (w, float(u[problem.mesh.n_cells // 2]) * w)
 
 
-def _sparse_points(rng, dims, count):
-    """``count`` KL coordinate dicts with 1-4 nonzero coordinates each."""
+def _sparse_points(rng, dims, count, nonzeros=(1, 4)):
+    """``count`` KL coordinate dicts with ``nonzeros`` (least, most) nonzero
+    coordinates each."""
     points = []
     for _ in range(count):
-        support = rng.choice(np.arange(1, dims + 1), rng.integers(1, 5), replace=False)
+        k = rng.integers(nonzeros[0], nonzeros[1] + 1)
+        support = rng.choice(np.arange(1, dims + 1), k, replace=False)
         points.append({int(j): float(2.0 * rng.standard_normal()) for j in support})
     return points
 
@@ -709,11 +718,14 @@ class TestPriorCostInKLCoordinates:
 
 @pytest.mark.parametrize("path", ["hessian", "prior"])
 def test_darcy_batch_matches_pointwise(darcy6_setup, path):
-    # a batch is observed with one product R C^T where a single point is a
-    # batch of one: only the last bits of the products may move, which the
-    # potential (up to ~300 on the prior path) amplifies in exp(-Phi)
-    # (measured on these points: at most 1.1e-13 relative on the Hessian
-    # path and 3.6e-13 on the prior path; 2.0e-13 and 7.3e-13 at mesh 2^10)
+    # a point's row of log r does not depend on its batch (one sparse
+    # product, row by row), but the batch's r rows meet C in one dense
+    # product R C^T where a single point is a batch of one, and the two
+    # products may sum in another order: only their last bits may move,
+    # which the potential (up to ~300 on the prior path) amplifies in
+    # exp(-Phi) (measured on these points: at most 1.1e-13 relative on the
+    # Hessian path and 3.6e-13 on the prior path; 2.0e-13 and 7.3e-13 at
+    # mesh 2^10)
     setup = darcy6_setup
     g = _darcy_integrand(setup, path)
     points = [{}] + _sparse_points(rng_stream(10, 3), setup.field(path).truncation, 200)
@@ -722,7 +734,52 @@ def test_darcy_batch_matches_pointwise(darcy6_setup, path):
     np.testing.assert_allclose(batch, [g.fn([xi])[0] for xi in points], rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("path", ["hessian", "prior"])
+def test_darcy_batch_rows_are_the_per_point_axpys(darcy6_setup, path):
+    # the sparse product X @ basis fills each row as 0 + 1.0 * mean and
+    # then adds x * column per coordinate, in the point's order, so a batch
+    # gives bit for bit what one block filled point by point with those
+    # axpys gives: the guarantee that the traces did not move when the
+    # rows stopped being filled in Python.  A scipy build that contracts
+    # the sparse axpy into a fused multiply-add fails here
+    setup, problem = darcy6_setup, darcy6_setup.problem
+    field = setup.field(path)
+    qoi = problem.qoi()
+    points = _sparse_points(rng_stream(10, 7), field.truncation, 300, nonzeros=(0, 5))
+    W = np.ascontiguousarray(field.pairs.vectors) * field.sqrt_values
+    cell_mean = -0.5 * (field.mean[:-1] + field.mean[1:])
+    cell_cols = -0.5 * (W[:-1] + W[1:])
+    R = np.empty((len(points), problem.mesh.n_cells))
+    for xi, row in zip(points, R):
+        row[:] = cell_mean
+        for j, x in xi.items():
+            row += x * cell_cols[:, j - 1]
+    np.exp(R, out=R)
+    folded = R @ problem._folded_operator(qoi.functional).T
+    T = folded[:, -1]
+    res = problem.y - folded[:, :-2] / T[:, None]
+    potentials = 0.5 / problem.sigma**2 * np.einsum("ij,ij->i", res, res)
+    expected = np.column_stack([folded[:, -2] / T, potentials])
+    got = np.array(problem._point_observer(field, qoi)(points))
+    assert np.array_equal(got, expected)
+
+
 class TestFoldedObservation:
+    def test_holds_no_subnormal_entry(self, darcy6, darcy10_setup):
+        # the underflowed Gaussian tails of the observation bumps leave
+        # subnormal entries in B (52 at mesh 2^6, 124 at 2^10); F = B S and
+        # so C hold none, because a product with a subnormal operand takes
+        # the CPU's slow path, while it adds nothing to a sum of normal terms
+        tiny = np.finfo(float).tiny
+
+        def subnormal(A):
+            return int(((A != 0) & (np.abs(A) < tiny)).sum())
+
+        for problem, in_B in ((darcy6, 52), (darcy10_setup.problem, 124)):
+            assert subnormal(problem.B) == in_B
+            assert subnormal(problem._F) == 0
+            assert subnormal(problem._folded_operator(problem.qoi().functional)) == 0
+
     def test_refuses_a_qoi_it_cannot_fold(self, darcy6_setup):
         # the points fold the QoI's nodal functional into their one product,
         # so a QoI that carries none is refused when the integrand is built,
