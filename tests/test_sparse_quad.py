@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import itertools
 import math
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hessquad import sparse_quad
+from hessquad import experiments, sparse_quad
 from hessquad.experiments import ExperimentConfig, run_darcy, run_linear
 from hessquad.multiindex import ZERO_INDEX, BNuConfig, IndexSet, MultiIndex
 from hessquad.quad1d import MAX_LEVEL, difference_rule, hermite_rule
@@ -475,6 +476,52 @@ class TestBatches:
         assert len(keys) == len(set(keys)) == res.n_points
 
 
+class TestCollectorPause:
+    """``adapt`` runs its loop with the cyclic garbage collector paused and
+    leaves the collector as it found it, however the run ends."""
+
+    @staticmethod
+    def _fn(xi):
+        return math.exp(0.5 * xi.get(1, 0.0) - 0.3 * xi.get(2, 0.0))
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collector(self, request):
+        was_enabled = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was_enabled else gc.disable)()
+
+    def test_paused_while_the_loop_calls_the_integrand(self, collector):
+        seen = []
+
+        def fn(points):
+            seen.append(gc.isenabled())
+            return [self._fn(p) for p in points]
+
+        res = adapt(Integrand(fn=fn, dim_hint=2), Construction.APOSTERIORI,
+                    AdaptConfig(tolerance=1e-10))
+        assert res.stopped_on == "tolerance"
+        assert len(seen) > 5 and not any(seen)
+        assert gc.isenabled() is collector
+
+    @pytest.mark.parametrize("budget", ["max_points", "max_indices"])
+    def test_restored_when_a_budget_ends_the_run(self, collector, budget):
+        res = adapt(integrand(self._fn, dim_hint=2), Construction.APOSTERIORI,
+                    AdaptConfig(**{budget: 20}))
+        assert res.stopped_on == budget
+        assert gc.isenabled() is collector
+
+    def test_restored_when_the_integrand_raises(self, collector):
+        def fn(xi):
+            if xi.get(2, 0.0) > 0:
+                raise RuntimeError("solver blew up")
+            return self._fn(xi)
+
+        with pytest.raises(IntegrandError, match="solver blew up"):
+            adapt(integrand(fn, dim_hint=2), Construction.APOSTERIORI, AdaptConfig())
+        assert gc.isenabled() is collector
+
+
 class TestTraceCsv:
     def test_roundtrip(self):
         g = integrand(
@@ -774,3 +821,31 @@ def test_small_run_matches_pinned_trace(name):
         for col in b:
             if col.startswith(("value_", "indicator")) and b[col] != "nan":
                 assert float(a[col]) == pytest.approx(float(b[col]), rel=1e-9)
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_RUNS))
+def test_adaptive_loop_makes_no_reference_cycles(name, monkeypatch):
+    # the premise of pausing the cyclic collector for the loop: the loop
+    # leaves it nothing to free.  The run's setup and integrand are built
+    # first, by the run itself stopped where it would call ``adapt``.
+    class Called(Exception):
+        pass
+
+    def called(*args):
+        raise Called(*args)
+
+    monkeypatch.setattr(experiments, "adapt", called)
+    with pytest.raises(Called) as info:
+        SMALL_RUNS[name]()
+    args = info.value.args
+    del info
+    gc.collect()
+    flags, garbage = gc.get_debug(), gc.garbage[:]
+    gc.set_debug(flags | gc.DEBUG_SAVEALL)
+    try:
+        adapt(*args)
+        assert gc.collect() == 0
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(flags)
+        gc.garbage[:] = garbage
