@@ -10,12 +10,10 @@ checkpointed errors against a reference: closed-form for the linear
 problem, the same estimator at a 10x budget for Darcy.  Asymptotic rates are
 least-squares slopes over the trailing half of the checkpoints in log space.
 
-The linear problem uses closed forms only on its Hessian path and in its
-references.  There the posterior is exactly Gaussian and each QoI is a
-function of the scalar l^T m1(xi), so an integrand evaluation is a few dot
-products (numerically identical to the KL map, tested).  Its prior path runs
-the prior-weighted integrand that the Darcy problem runs, one forward solve
-per point.
+The linear problem uses closed forms only on its Hessian path, where the
+posterior is exactly Gaussian and each QoI is a function of the affine
+l^T m1(xi) (``NodalFunctional.in_kl``), and in its references.  Its prior
+path runs the prior-weighted integrand that the Darcy problem runs.
 """
 
 from __future__ import annotations
@@ -37,6 +35,7 @@ from .inverse_problem import (
     BayesProblem,
     MapResult,
     NewtonConfig,
+    functional_coefficients,
     hessian_reweighted_integrand,
     make_darcy_problem,
     make_linear_problem,
@@ -324,8 +323,8 @@ class Setup:
     read and kept, so a study pays only for what it reads; an error in a
     recipe names its phase ("MAP solve", "prior eigensolve", "posterior
     eigensolve").  The fields keep the eigensolvers' arrays as they are: the
-    integrands build the cell data their points read
-    (``DarcyProblem._point_observer``)."""
+    integrands build the KL-coordinate data their points read
+    (``_point_observer``)."""
 
     problem: BayesProblem
     solve_map: Callable[[], MapResult]
@@ -415,38 +414,15 @@ def darcy_setup(cfg: ExperimentConfig) -> Setup:
 # ---------------------------------------------------------------------------
 
 
-def functional_coefficients(
-    field: GaussianField, functional: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Affine coefficients of l^T m(xi): base + sum_j coef_j xi_j."""
-    base = float(np.dot(functional, field.mean))
-    return base, field.sqrt_values * (functional @ field.pairs.vectors)
-
-
 def linear_gaussian_integrand(setup: Setup, qoi: str) -> Integrand:
     """Fast xi -> Q(m1(xi)) under the Hessian (exact posterior)
-    parametrization, per point of the list it is given; identical values to
-    the generic KL-map path.  A coordinate outside the truncation is refused
-    as ``kl_map`` refuses it."""
+    parametrization, per point of the list it is given, from the affine
+    l^T m1(xi) (``NodalFunctional.in_kl``, which refuses a coordinate
+    outside the truncation as ``kl_map`` refuses it)."""
     fld = setup.posterior_field
-    base, coefs = functional_coefficients(
-        fld, setup.problem.linear_functional(qoi)
-    )
-    J = fld.truncation
-
-    def affine(xi):  # l^T m1(xi)
-        s = base
-        for j, x in xi.items():
-            if not 1 <= j <= J:
-                raise ValueError(f"coordinate dimension {j} outside truncation {J}")
-            s += coefs[j - 1] * x
-        return s
-
-    if qoi == "q1":
-        fn = lambda points: [math.exp(affine(xi)) for xi in points]
-    else:
-        fn = lambda points: [float(affine(xi) ** 2) for xi in points]
-    return Integrand(fn=fn, n_outputs=1, dim_hint=J)
+    q = setup.problem.qoi(qoi).in_kl(fld)
+    return Integrand(fn=lambda points: [q(xi) for xi in points], n_outputs=1,
+                     dim_hint=fld.truncation)
 
 
 def linear_reference(setup: Setup, qoi: str) -> float:

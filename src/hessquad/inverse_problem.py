@@ -7,7 +7,7 @@ inexact Newton-CG with closed-form gradients and Hessian actions, a
 Gaussian (Laplace) posterior carried as spectral data from a two-step
 generalized eigendecomposition, and reweighted integrands that turn posterior
 expectations into parametric integrals over iid standard Gaussian
-coordinates.
+coordinates, in which each quadrature point is evaluated without a solve.
 
 The linear Poisson problem observes the full solution field and admits
 closed forms for the MAP point and the posterior spectrum, which the generic
@@ -40,7 +40,7 @@ from .gaussian_measure import (
     EigenPairs,
     GaussianField,
     dirichlet_laplacian_eigenvalue,
-    kl_map,
+    kl_map,  # unused here, kept for perfbench/tracing.py, which wraps it by name
     neumann_eigen_analytic,
     prior_eigen_analytic,
     prior_eigen_numeric,
@@ -94,6 +94,38 @@ def _scaled_columns(field: GaussianField) -> np.ndarray:
     return np.ascontiguousarray(field.pairs.vectors) * field.sqrt_values
 
 
+def functional_coefficients(
+    field: GaussianField, functional: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Affine coefficients of l^T m(xi): base + sum_j coef_j xi_j."""
+    base = float(np.dot(functional, field.mean))
+    return base, field.sqrt_values * (functional @ field.pairs.vectors)
+
+
+def _quadratic_form(
+    x0: np.ndarray, X: np.ndarray, apply: Callable[[np.ndarray], np.ndarray]
+) -> Callable[[Mapping[int, float]], tuple[float, float]]:
+    """``terms(xi)``: (0.5 * sum_j xi_j^2, 0.5 ||x0 + X xi||^2_A) over the
+    nonzero coordinates of xi alone, for the symmetric A that ``apply``
+    applies: c0 + g.xi + 0.5 xi^T G xi with c0 = 0.5 x0^T A x0, g = X^T A x0
+    and G = X^T A X, computed here, once.  G stays an array: as nested lists
+    its entries would take about four times the memory."""
+    A_x0 = apply(x0)
+    c0 = 0.5 * float(np.dot(x0, A_x0))
+    g, G_entry = (X.T @ A_x0).tolist(), (X.T @ apply(X)).item
+
+    def terms(xi):
+        sq = lin = quad = 0.0
+        for j, x in xi.items():
+            sq += x * x
+            lin += g[j - 1] * x
+            for k, z in xi.items():
+                quad += G_entry(j - 1, k - 1) * x * z
+        return 0.5 * sq, c0 + lin + 0.5 * quad
+
+    return terms
+
+
 @dataclass
 class MapResult:
     """``stopped_on`` says why the Newton loop ended: "gradient" or
@@ -133,8 +165,9 @@ class BayesProblem:
     """Shared cost/gradient/Hessian/MAP machinery over an abstract misfit.
 
     Subclasses provide ``_forward_state``, ``potential_of_state``,
-    ``misfit_gradient_of_state`` and ``misfit_hessian_action``; everything
-    here works in the problem's degree-of-freedom vectors.
+    ``misfit_gradient_of_state``, ``misfit_hessian_action`` and
+    ``_point_observer`` (the (Q, potential) of each point of a batch, in KL
+    coordinates); everything here works in degree-of-freedom vectors.
     """
 
     mesh: Mesh1D
@@ -174,21 +207,6 @@ class BayesProblem:
         """The misfit Hessian at ``state`` applied to a vector or to a block
         of column vectors."""
         raise NotImplementedError
-
-    def _point_observer(
-        self, field: GaussianField, qoi: Callable[[np.ndarray], float],
-    ) -> Callable[[list[Mapping[int, float]]], list[tuple[float, float]]]:
-        """``observe(points)``: (``qoi(m)``, potential) per point xi of a
-        batch, in order, at m = kl_map(field, xi), which is what the
-        reweighted integrands evaluate.  One forward solve per point here;
-        the Darcy problem works in KL coordinates and observes the whole
-        batch with one sparse and one dense product."""
-
-        def observe(points):
-            return [(qoi(m), self.potential(m))
-                    for m in (kl_map(field, xi) for xi in points)]
-
-        return observe
 
     # -- assembled quantities -------------------------------------------
 
@@ -475,6 +493,22 @@ class LinearPoissonProblem(BayesProblem):
         u_hat = self.K.solve(self.M.matvec(mhat))
         return self.M.matvec(self.K.solve(self.M.matvec(u_hat))) / self.sigma**2
 
+    def _point_observer(self, field, qoi):
+        """``BayesProblem._point_observer`` with no solve per point: the
+        residual at m(xi) = mean + W xi is r0 + Z xi, with r0 = K^{-1} M mean
+        - y and Z = K^{-1} M W (one block solve, here), so the potential is
+        the quadratic form 0.5 ||r0 + Z xi||^2_M / sigma^2, and Q comes from
+        ``NodalFunctional.in_kl``.  ``qoi`` must be a ``NodalFunctional``
+        (from ``qoi``); any other QoI is refused."""
+        if not isinstance(qoi, NodalFunctional):
+            raise ValueError("a linear quadrature point needs a QoI of l^T m "
+                             f"(LinearPoissonProblem.qoi), got {qoi!r}")
+        q = qoi.in_kl(field)
+        terms = _quadratic_form(self.forward(field.mean) - self.y,
+                                self.forward(_scaled_columns(field)),
+                                lambda v: self.M.matvec(v) / self.sigma**2)
+        return lambda points: [(q(xi), terms(xi)[1]) for xi in points]
+
     # -- closed forms ----------------------------------------------------
 
     @cached_property
@@ -528,12 +562,43 @@ class LinearPoissonProblem(BayesProblem):
             return self.M.matvec(self.K.solve(l))
         raise ValueError(f"unknown QoI {kind!r}")
 
-    def qoi(self, kind: str) -> Callable[[np.ndarray], float]:
-        """``qoi(m)`` from ``linear_functional(kind)``."""
-        l = self.linear_functional(kind)
-        if kind == "q1":
-            return lambda m: math.exp(float(np.dot(l, m)))
-        return lambda m: float(np.dot(l, m)) ** 2
+    def qoi(self, kind: str) -> "NodalFunctional":
+        """The QoI as a ``NodalFunctional`` of ``linear_functional(kind)``:
+        Q1 = exp(l^T m), Q2 = (l^T m)^2, where s ** 2 keeps the arithmetic of
+        the type of s (np.float64 multiplies, a Python float calls pow)."""
+        return NodalFunctional(self.linear_functional(kind),
+                               math.exp if kind == "q1" else lambda s: float(s ** 2))
+
+
+@dataclass(frozen=True, eq=False)
+class NodalFunctional:
+    """A linear-problem QoI Q(m) = outer(l^T m) that keeps its nodal
+    functional l (``functional``) and its outer map, so that a quadrature
+    point evaluates it in KL coordinates (``in_kl``)."""
+
+    functional: np.ndarray
+    outer: Callable[[float], float]
+
+    def __call__(self, m: np.ndarray) -> float:
+        return self.outer(float(np.dot(self.functional, m)))
+
+    def in_kl(self, field: GaussianField) -> Callable[[Mapping[int, float]], float]:
+        """``q(xi)`` = outer(s) at s = l^T m(xi) = base + sum_j coef_j xi_j
+        (``functional_coefficients``), summed over the nonzero coordinates
+        of xi in their order, so s is a float base plus np.float64 terms.  A
+        coordinate outside the truncation is refused as ``kl_map`` refuses it."""
+        base, coefs = functional_coefficients(field, self.functional)
+        J, outer = field.truncation, self.outer
+
+        def q(xi):
+            s = base
+            for j, x in xi.items():
+                if not 1 <= j <= J:
+                    raise ValueError(f"coordinate dimension {j} outside truncation {J}")
+                s += coefs[j - 1] * x
+            return outer(s)
+
+        return q
 
 
 # exp(a) overflows to inf exactly when a > log(DBL_MAX) = 709.78...
@@ -549,14 +614,10 @@ class DarcyProblem(BayesProblem):
     reciprocal conductivity of cell c, the nodal P1 pressure is u_i =
     sum_{c>=i} r_c / T with T = sum_c r_c (``_pressure``), so B u, a QoI
     linear in u and T are all linear functionals of r.  A quadrature point
-    works in KL coordinates: a batch's cell log-conductivities come from xi
-    by one sparse product over the field's cell mean and pre-averaged cell
-    columns, with no nodal m, and the batch is observed with one product of
-    its r rows against the folded operator ``_folded_operator``, with no
-    pressure formed (``_point_observer``).  B u = F r / T with F = B S, S
-    the upper-triangular ones matrix (``_F``, built once, its subnormal
-    entries set to 0), so the misfit's gradient and Hessian actions are
-    closed forms in r and F, with no factorization
+    works in KL coordinates, with no pressure formed (``_point_observer``).
+    B u = F r / T with F = B S, S the upper-triangular ones matrix (``_F``,
+    built once, its subnormal entries set to 0), so the misfit's gradient
+    and Hessian actions are closed forms in r and F, with no factorization
     (``misfit_gradient_of_state``).  The constructor refuses operators and
     data whose sizes do not match the mesh and B.
     """
@@ -664,30 +725,26 @@ class DarcyProblem(BayesProblem):
         return C
 
     def _point_observer(self, field, qoi):
-        """``BayesProblem._point_observer`` in KL coordinates, with one
-        sparse and one dense product per batch and no pressure formed.
+        """``BayesProblem._point_observer`` with one sparse and one dense
+        product per batch and no pressure formed.
 
-        m(xi) is affine in xi, and so is the log-conductivity a at each cell
-        midpoint.  The observer keeps the field's cell data with their sign
-        flipped, so that a point's row is log r = -a, in one C-ordered
-        ``basis`` of J + 1 rows: row 0 is the cell mean -0.5 (mean[:-1] +
-        mean[1:]), and row j the scaled cell column -0.5 (W[:-1] + W[1:]) of
-        dimension j, W = V diag(sqrt(lambda)) built from a C-ordered copy of
-        V, so that the bits do not depend on the field's layout.  A batch is
-        one sparse matrix X with a row per point: the entry 1.0 in column 0,
-        then the point's coordinates in its order.  The rows of log r are
-        the one sparse product R = X @ basis, which scipy fills as 0 + 1.0
-        mean and then one axpy x * column per coordinate, in order.  One
-        in-place exp turns the block into r, and one product R C^T with the
-        folded operator (``_folded_operator``, with no subnormal entry)
-        gives every point's T B u, T Q and T; the potentials are then one
-        expression over the batch.
+        The cell log-conductivities a are affine in xi.  The C-ordered
+        ``basis`` holds them with their sign flipped, so that a point's row
+        is log r = -a: row 0 is the cell mean -0.5 (mean[:-1] + mean[1:]),
+        row j the cell column -0.5 (W[:-1] + W[1:]) of dimension j, with W
+        from ``_scaled_columns``, so the bits do not depend on the field's
+        layout.  A batch is one sparse X with a row per point, 1.0 in column
+        0 and then the point's coordinates in its order, and R = X @ basis,
+        which scipy fills as 0 + 1.0 mean and then one axpy x * column per
+        coordinate, in order.  One in-place exp turns R into r, and one
+        product R C^T with the folded operator (``_folded_operator``) gives
+        every point's T B u, T Q and T.
 
         ``qoi`` must be a ``PressureFunctional`` (from ``qoi``), whose
-        functional is folded into C; any other QoI is refused.  A coordinate outside
-        the truncation is refused as ``kl_map`` refuses it, and a batch with
-        conductivities that ``_pressure`` would refuse raises its error for
-        the first such point."""
+        functional is folded into C; any other QoI is refused.  A coordinate
+        outside the truncation is refused as ``kl_map`` refuses it, and a
+        batch with conductivities that ``_pressure`` would refuse raises its
+        error for the first such point."""
         if not isinstance(qoi, PressureFunctional):
             raise ValueError("a Darcy quadrature point needs a QoI linear in the "
                              f"pressure (DarcyProblem.qoi), got {qoi!r}")
@@ -906,10 +963,8 @@ def _reweighted_integrand(
 ) -> Integrand:
     """xi -> (w, Q * w) with w = exp(-exponent(phi, xi)), the body of both
     reweighted paths.  The QoI Q and the potential phi of each point of a
-    batch come from ``_point_observer``, built once with the integrand: one
-    forward solve per point on the linear problem, one sparse and one dense
-    product per batch in KL coordinates on the Darcy problem (``qoi`` must
-    then be the problem's ``PressureFunctional``).  No derivatives."""
+    batch come from the problem's ``_point_observer``, built once with the
+    integrand (``qoi`` must be the problem's own).  No derivatives."""
     observe = problem._point_observer(field, qoi)
 
     def fn(points):
@@ -932,47 +987,20 @@ def prior_weighted_integrand(
     qoi: Callable[[np.ndarray], float],
 ) -> Integrand:
     """Prior-based path: xi -> (exp(-Phi), Q * exp(-Phi)) at m0(xi); the
-    posterior expectation is the ratio of the two integrals.  A Darcy point
-    works in KL coordinates, with no KL map, pressure, assembly or
-    factorization (``DarcyProblem._point_observer``)."""
+    posterior expectation is the ratio of the two integrals.  A point works
+    in KL coordinates, with no KL map, pressure, assembly or solve
+    (``_point_observer``)."""
     return _reweighted_integrand(problem, prior_field, qoi, lambda phi, xi: phi)
 
 
 def _kl_quadratic_terms(
     problem: BayesProblem, field: GaussianField
 ) -> Callable[[Mapping[int, float]], tuple[float, float]]:
-    """``terms(xi)``: (0.5 * sum_j xi_j^2, the prior cost at m(xi)), both
-    summed over the nonzero coordinates of xi alone.
-
-    m(xi) = mean + W xi is affine, with W = V diag(sqrt(lambda)) and d1 =
-    mean - m0, so the prior cost is a quadratic form in xi:
-
-        0.5 ||m - m0||^2_{C0^-1} = c0 + g.xi + 0.5 xi^T G xi,
-        c0 = 0.5 d1^T A_alpha d1,  g = W^T A_alpha d1,  G = W^T A_alpha W.
-
-    All three are computed here, once (G through ``apply_prior_precision``
-    on the block, so every alpha works, and W from a C-ordered copy of V),
-    and a point needs neither its nodal m nor the prior operator.  c0 is
-    ``problem.prior_cost(mean)`` bit for bit.  G stays an array: as nested
-    lists its entries would take about four times the memory.
-    """
-    W = _scaled_columns(field)
-    d1 = field.mean - problem.prior_mean
-    A_d1 = problem.apply_prior_precision(d1)
-    c0 = 0.5 * float(np.dot(d1, A_d1))
-    g = (W.T @ A_d1).tolist()
-    G_entry = (W.T @ problem.apply_prior_precision(W)).item
-
-    def terms(xi):
-        sq = lin = quad = 0.0
-        for j, x in xi.items():
-            sq += x * x
-            lin += g[j - 1] * x
-            for k, z in xi.items():
-                quad += G_entry(j - 1, k - 1) * x * z
-        return 0.5 * sq, c0 + lin + 0.5 * quad
-
-    return terms
+    """``terms(xi)``: (0.5 * sum_j xi_j^2, the prior cost at m(xi)), the
+    ``_quadratic_form`` of m(xi) - m0 = (mean - m0) + W xi with A = A_alpha,
+    whose c0 is ``problem.prior_cost(mean)`` bit for bit."""
+    return _quadratic_form(field.mean - problem.prior_mean, _scaled_columns(field),
+                           problem.apply_prior_precision)
 
 
 def hessian_reweighted_integrand(
@@ -982,15 +1010,10 @@ def hessian_reweighted_integrand(
     qoi: Callable[[np.ndarray], float],
 ) -> Integrand:
     """Hessian-based path: xi -> (exp(-J1), Q * exp(-J1)) at m1(xi), with
-    J1(m) = J(m) - J(m1) - 0.5 * ||m - m1||^2_{C1}.
-
-    Both quadratic terms are evaluated in KL coordinates: the C1-norm is
-    exactly sum_j xi_j^2, and the prior cost is a quadratic form in the
-    point's nonzero coordinates whose coefficients are computed once, when
-    the integrand is built (``_kl_quadratic_terms``).  The QoI and the
-    potential come as on ``prior_weighted_integrand``
-    (``_reweighted_integrand``).
-    """
+    J1(m) = J(m) - J(m1) - 0.5 * ||m - m1||^2_{C1}.  In KL coordinates the
+    C1-norm is exactly sum_j xi_j^2 and the prior cost is a quadratic form
+    (``_kl_quadratic_terms``); Q and the potential come as on
+    ``prior_weighted_integrand`` (``_reweighted_integrand``)."""
     terms = _kl_quadratic_terms(problem, posterior_field)
 
     def j1(phi, xi):

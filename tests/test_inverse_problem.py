@@ -13,7 +13,6 @@ from hessquad.experiments import (
     darcy_setup,
     linear_setup,
     run_darcy,
-    run_linear,
 )
 from hessquad.fem1d import Mesh1D
 from hessquad.gaussian_measure import GaussianField, kl_map, prior_eigen_analytic, rng_stream
@@ -859,17 +858,88 @@ def test_closed_form_darcy_derivatives_match_the_lagrangian(darcy6):
             assert close(HX, np.column_stack(columns), 1e-13)
 
 
-def test_linear_prior_run_solves_once_per_quadrature_point(monkeypatch):
-    # the cost unit of the paper: the linear prior path solves the forward
-    # problem at each point (Q1's functional and reference solve nothing)
+def test_linear_prior_points_solve_nothing(monkeypatch):
+    # the linear potential is a quadratic form in xi whose coefficients are
+    # built with the integrand (one block solve), so once it is built a
+    # point makes no solve, no KL map and no nodal potential
     cfg = ExperimentConfig.linear_default(mesh_exp=6, seed=0, mode="prior", max_points=300)
     setup = linear_setup(cfg)
-    calls = []
-    solve = fem1d.dpttrs
-    monkeypatch.setattr(fem1d, "dpttrs", lambda *a: calls.append(1) or solve(*a))
-    res = run_linear(cfg, setup).quadrature
+    problem = setup.problem
+    g = prior_weighted_integrand(problem, setup.prior_field, problem.qoi("q1"))
+    counts = {}
+    for owner, name in ((fem1d.TriDiagOperator, "solve"), (inverse_problem, "kl_map"),
+                        (inverse_problem.BayesProblem, "potential")):
+        counts[name] = 0
+        fn = getattr(owner, name)
+
+        def wrapper(*args, fn=fn, name=name):
+            counts[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+    res = adapt(g, Construction.APOSTERIORI, cfg.adapt_config())
     assert res.n_points >= 300
-    assert len(calls) == res.n_points
+    assert counts == {"solve": 0, "kl_map": 0, "potential": 0}
+
+
+def _linear_fields(alpha, J=20):
+    """A mesh 2^6 linear problem of smoothness ``alpha`` with its prior and
+    posterior fields, truncated at J."""
+    problem = make_linear_problem(alpha=alpha, mesh_exp=6, seed=0)
+    res = problem.find_map(cfg=NewtonConfig(tol=1e-12))
+    return problem, {
+        "prior": GaussianField(problem.prior_mean, problem.prior_pairs(J)),
+        "posterior": GaussianField(res.map_point, problem.posterior_pairs_analytic(J)),
+    }
+
+
+class TestLinearPointObserver:
+    @pytest.mark.parametrize("alpha", [1, 2])
+    def test_matches_the_nodal_evaluation(self, alpha):
+        # the quadratic-form potential and Q1 agree with the potential and
+        # the QoI of kl_map(field, xi) on sparse points and on a dense one
+        # (all coordinates nonzero), on the prior and the posterior fields;
+        # Q2 is the square of the affine l^T m(xi), whose value on the
+        # points of odd modes alone is rounding noise (Q2's functional is
+        # orthogonal to them, and so are their coefficients), so it is
+        # checked against the size of the products l_i W_ij xi_j it sums
+        problem, fields = _linear_fields(alpha)
+        rng = rng_stream(10, 8)
+        for name, field in fields.items():
+            J = field.truncation
+            points = _sparse_points(rng, J, 60) + [
+                {j: float(rng.standard_normal()) for j in range(1, J + 1)}]
+            nodal = [kl_map(field, xi) for xi in points]
+            q1 = problem._point_observer(field, problem.qoi("q1"))(points)
+            for (q, phi), m in zip(q1, nodal):
+                assert phi == pytest.approx(problem.potential(m), rel=1e-12, abs=0)
+                assert q == pytest.approx(problem.qoi("q1")(m), rel=1e-12, abs=0)
+            l = problem.linear_functional("q2")
+            s = inverse_problem.NodalFunctional(l, lambda s: s).in_kl(field)
+            W = np.abs(field.pairs.vectors * field.sqrt_values)
+            q2 = problem._point_observer(field, problem.qoi("q2"))(points)
+            for xi, m, (q, _) in zip(points, nodal, q2):
+                terms = np.abs(field.mean) + sum(abs(x) * W[:, j - 1] for j, x in xi.items())
+                assert abs(s(xi) - float(l @ m)) <= 1e-13 * float(np.abs(l) @ terms)
+                assert q == float(s(xi) ** 2)
+
+    @pytest.mark.parametrize("dim", [0, 21])
+    def test_refuses_a_coordinate_outside_the_truncation(self, dim):
+        # as kl_map refuses it: dimension 0 must not read the coefficients
+        # of dimension 20
+        problem, fields = _linear_fields(1)
+        observe = problem._point_observer(fields["prior"], problem.qoi("q1"))
+        for evaluate in (observe, lambda points: kl_map(fields["prior"], points[0])):
+            with pytest.raises(ValueError,
+                               match=f"coordinate dimension {dim} outside truncation 20"):
+                evaluate([{dim: 1.0}])
+
+    def test_refuses_a_qoi_it_cannot_expand(self, linear6):
+        # the points evaluate the QoI's functional in KL coordinates, so a QoI
+        # that carries none is refused when the integrand is built
+        field = GaussianField(linear6.prior_mean, linear6.prior_pairs(8))
+        with pytest.raises(ValueError, match="QoI of l\\^T m"):
+            prior_weighted_integrand(linear6, field, lambda m: linear6.qoi("q1")(m))
 
 
 def test_linear_prior_pairs_are_read_off_one_spectrum(linear6):
