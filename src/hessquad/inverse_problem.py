@@ -212,12 +212,13 @@ class BayesProblem:
 
     def potential(self, m: np.ndarray) -> float:
         """Data-misfit potential 0.5 * ||y - G(m)||^2 / sigma^2, from one
-        forward state (one solve on the linear problem, the closed-form
-        pressure on the Darcy one)."""
+        forward state (one solve on the linear problem, one closed-form
+        observation on the Darcy one)."""
         return self.potential_of_state(self._forward_state(m))
 
-    def cost(self, m: np.ndarray) -> float:
-        return self.potential(m) + self.prior_cost(m)
+    def cost(self, m: np.ndarray, state=None) -> float:
+        state = state if state is not None else self._forward_state(m)
+        return self.potential_of_state(state) + self.prior_cost(m)
 
     def gradient(self, m: np.ndarray, state=None) -> np.ndarray:
         state = state if state is not None else self._forward_state(m)
@@ -253,7 +254,7 @@ class BayesProblem:
         cfg = cfg if cfg is not None else NewtonConfig()
         m = self.prior_mean.copy()
         state = self._forward_state(m)
-        cost_m = self.potential_of_state(state) + self.prior_cost(m)
+        cost_m = self.cost(m, state)
         history = [cost_m]
         g = self.gradient(m, state)
         g0_norm = math.sqrt(max(np.dot(g, self.apply_prior_precision_inv(g)), 0.0))
@@ -264,7 +265,7 @@ class BayesProblem:
         while not converged and it < cfg.max_newton:
             gauss_newton = it < _GAUSS_NEWTON_ITERS
             rtol = min(0.5, math.sqrt(g_norm / g0_norm)) if g0_norm > 0 else 0.5
-            step = self._solve_newton_system(state, g, rtol, gauss_newton)
+            step = self._solve_newton_system(m, state, g, rtol, gauss_newton)
             g_dot_step = float(np.dot(g, step))
             if g_dot_step >= 0:  # not a descent direction; fall back to -precond grad
                 step = -self.apply_prior_precision_inv(g)
@@ -282,7 +283,7 @@ class BayesProblem:
                 except ValueError:  # outside the domain: back off
                     t *= 0.5
                     continue
-                trial_cost = self.potential_of_state(trial_state) + self.prior_cost(m_trial)
+                trial_cost = self.cost(m_trial, trial_state)
                 if trial_cost <= cost_m + _ARMIJO_C * t * g_dot_step:
                     break
                 t *= 0.5
@@ -307,10 +308,11 @@ class BayesProblem:
         )
 
     def _solve_newton_system(
-        self, state, g: np.ndarray, rtol: float, gauss_newton: bool
+        self, m: np.ndarray, state, g: np.ndarray, rtol: float, gauss_newton: bool
     ) -> np.ndarray:
-        """Preconditioned CG on H step = -g with Steihaug negative-curvature
-        termination; preconditioner is the prior covariance."""
+        """Preconditioned CG on H step = -g, H the ``hessian_action`` at m,
+        with Steihaug negative-curvature termination; preconditioner is the
+        prior covariance."""
         x = np.zeros_like(g)
         r = -g.copy()
         z = self.apply_prior_precision_inv(r)
@@ -318,9 +320,7 @@ class BayesProblem:
         rz0 = rz
         p = z.copy()
         for i in range(_CG_MAX):
-            Hp = self.misfit_hessian_action(
-                state, p, gauss_newton=gauss_newton
-            ) + self.apply_prior_precision(p)
+            Hp = self.hessian_action(m, p, state=state, gauss_newton=gauss_newton)
             pHp = float(np.dot(p, Hp))
             if pHp <= 0:
                 if i == 0:
@@ -567,20 +567,29 @@ class LinearPoissonProblem(BayesProblem):
         Q1 = exp(l^T m), Q2 = (l^T m)^2, where s ** 2 keeps the arithmetic of
         the type of s (np.float64 multiplies, a Python float calls pow)."""
         return NodalFunctional(self.linear_functional(kind),
-                               math.exp if kind == "q1" else lambda s: float(s ** 2))
+                               math.exp if kind == "q1" else lambda s: float(s ** 2),
+                               kind)
 
 
 @dataclass(frozen=True, eq=False)
 class NodalFunctional:
     """A linear-problem QoI Q(m) = outer(l^T m) that keeps its nodal
     functional l (``functional``) and its outer map, so that a quadrature
-    point evaluates it in KL coordinates (``in_kl``)."""
+    point evaluates it in KL coordinates (``in_kl``).  An outer map that
+    overflows is refused by a ValueError that names the QoI and l^T m."""
 
     functional: np.ndarray
     outer: Callable[[float], float]
+    name: str
+
+    def _value(self, s: float) -> float:
+        try:
+            return self.outer(s)
+        except OverflowError:
+            raise ValueError(f"QoI {self.name} overflows: l^T m is {s:.6g}") from None
 
     def __call__(self, m: np.ndarray) -> float:
-        return self.outer(float(np.dot(self.functional, m)))
+        return self._value(float(np.dot(self.functional, m)))
 
     def in_kl(self, field: GaussianField) -> Callable[[Mapping[int, float]], float]:
         """``q(xi)`` = outer(s) at s = l^T m(xi) = base + sum_j coef_j xi_j
@@ -588,7 +597,7 @@ class NodalFunctional:
         of xi in their order, so s is a float base plus np.float64 terms.  A
         coordinate outside the truncation is refused as ``kl_map`` refuses it."""
         base, coefs = functional_coefficients(field, self.functional)
-        J, outer = field.truncation, self.outer
+        J, value = field.truncation, self._value
 
         def q(xi):
             s = base
@@ -596,7 +605,7 @@ class NodalFunctional:
                 if not 1 <= j <= J:
                     raise ValueError(f"coordinate dimension {j} outside truncation {J}")
                 s += coefs[j - 1] * x
-            return outer(s)
+            return value(s)
 
         return q
 
@@ -611,13 +620,14 @@ class DarcyProblem(BayesProblem):
     Prior N(prior_mean, A_prior^{-alpha}) on all nodes (``make_darcy_problem``
     builds the measurement-informed A_prior and prior mean of the benchmark);
     observations B u with iid N(0, sigma^2) noise.  With r_c = exp(-a_c) the
-    reciprocal conductivity of cell c, the nodal P1 pressure is u_i =
-    sum_{c>=i} r_c / T with T = sum_c r_c (``_pressure``), so B u, a QoI
-    linear in u and T are all linear functionals of r.  A quadrature point
-    works in KL coordinates, with no pressure formed (``_point_observer``).
+    reciprocal conductivity of cell c (a = P m, the midpoint average), the
+    nodal P1 pressure is u_i = sum_{c>=i} r_c / T with T = sum_c r_c, so
     B u = F r / T with F = B S, S the upper-triangular ones matrix (``_F``,
-    built once, its subnormal entries set to 0), so the misfit's gradient
-    and Hessian actions are closed forms in r and F, with no factorization
+    its subnormal entries set to 0), and a QoI l.u is (l S).r / T.  One
+    product gives these for one parameter (``_forward_state``: the MAP
+    solve, the eigensolves, the data) or for a batch of quadrature points
+    (``_point_observer``), with no pressure formed, and the misfit's
+    gradient and Hessian actions are closed forms in r and F
     (``misfit_gradient_of_state``).  The constructor refuses operators and
     data whose sizes do not match the mesh and B.
     """
@@ -651,23 +661,31 @@ class DarcyProblem(BayesProblem):
         self.y = np.asarray(y, dtype=float)
         self.M = mass_operator(mesh, dirichlet=False)
         self.prior_mean = np.asarray(prior_mean, dtype=float)
-        # F = B S: row k is the prefix sum of row k of B over the nodes
-        # 0..n-2; the last node drops out, as u is 0 there
-        self._F = np.cumsum(B[:, :-1], axis=1)
+        # [F; 1^T], the operator of one forward state, with F = B S a view
+        self._C = np.empty((B.shape[0] + 1, mesh.n_cells))
+        self._F = self._C[:-1]
+        self._F[:] = self._times_S(B)
         # a subnormal operand takes the CPU's slow path and adds nothing here
         self._F[np.abs(self._F) < np.finfo(float).tiny] = 0.0
+        self._C[-1] = 1.0
 
     class _State:
-        __slots__ = ("k", "u", "Bu")
+        __slots__ = ("r", "T", "Bu")
 
-        def __init__(self, k, u, Bu):
-            self.k, self.u, self.Bu = k, u, Bu
+        def __init__(self, r, T, Bu):
+            self.r, self.T, self.Bu = r, T, Bu
+
+    @staticmethod
+    def _times_S(l: np.ndarray) -> np.ndarray:
+        """l S, one entry per cell, for nodal rows l: the prefix sums of l
+        over the nodes 0..n-2 (the last drops out, as u is 0 there)."""
+        return np.cumsum(l[..., :-1], axis=-1)
 
     @staticmethod
     def _refuse(a: np.ndarray) -> NoReturn:
         """Raise the ValueError that says why the cell log-conductivities
         ``a`` carry no pressure: a non-finite entry, else a conductivity
-        exp(a) that overflows to inf, else reciprocals 1/exp(a) that do not
+        exp(a) that overflows to inf, else reciprocals exp(-a) that do not
         sum to a finite number."""
         if not np.isfinite(a).all():
             raise ValueError("parameter field must be finite")
@@ -677,56 +695,43 @@ class DarcyProblem(BayesProblem):
             "conductivity exp(m) underflows: the sum of 1/exp(m) is not finite"
         )
 
-    def _pressure(self, a: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Write the nodal pressure for the cell log-conductivities ``a``
-        into ``u`` and return the cell coefficients k = exp(a); ``a`` may be
-        ``u[:-1]`` itself, which is read before it is overwritten.
-
-        The P1 system with cell-constant k carries the same flux k_c (u_c -
-        u_{c+1}) / h through every cell, so its exact nodal solution is
-        u_i = sum_{c>=i} 1/k_c / sum_c 1/k_c: one reversed cumulative sum,
-        with u(0) = 1 and u(1) = 0 exactly and no factorization.  The cases
-        of ``_refuse`` are refused, so the caller ignores floating-point
-        warnings around it.
-        """
-        k = np.exp(a)
-        tail = (1.0 / k[::-1]).cumsum()[::-1]
-        if not (k.max() < math.inf and tail[0] < math.inf):  # False on nan too
-            self._refuse(a)
-        np.divide(tail, tail[0], out=u[:-1])
-        u[-1] = 0.0
-        return k
+    def _fold(self, R: np.ndarray, C_T: np.ndarray, cells: Callable[[int], np.ndarray]):
+        """R C^T after an in-place exp of R, whose rows are log r = -a for
+        one parameter each; C's last row is 1^T, so the last column is T.
+        The first row i whose conductivity overflows somewhere (a > log
+        DBL_MAX) or whose T is not finite is refused by
+        ``_refuse(cells(i))``, as R no longer holds its a."""
+        lowest = R.min(axis=1)  # -max(a) of each row
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            np.exp(R, out=R)
+            folded = R @ C_T
+        fine = (lowest >= -_LOG_DBL_MAX) & np.isfinite(folded[:, -1])  # False on nan
+        if not fine.all():
+            self._refuse(cells(int(fine.argmin())))
+        return folded
 
     def _forward_state(self, m: np.ndarray) -> "DarcyProblem._State":
-        """Forward state at ``m``: the cell coefficients k, u and B u, for
-        one parameter at a time (``forward``, the potential, the MAP solve,
-        the eigensolves); quadrature points go through ``_point_observer``,
-        which forms no pressure.  Gradient and Hessian actions read k and
-        B u."""
+        """The forward state at ``m``, the one-point case of
+        ``_point_observer``: r = exp(-a) at a = P m, and T and T B u = F r
+        from one product r [F; 1^T]^T.  The state holds r, T and B u, which
+        the gradient and Hessian actions read."""
         m = np.asarray(m, dtype=float)
-        u = np.empty(self.mesh.n_nodes)
-        with np.errstate(all="ignore"):  # _pressure refuses every bad case
-            a = 0.5 * (m[:-1] + m[1:])  # log of the midpoint conductivity
-            k = self._pressure(a, u)
-        return self._State(k, u, self.B @ u)
+        with np.errstate(invalid="ignore"):  # inf - inf: refused as non-finite
+            a = 0.5 * (m[:-1] + m[1:])
+        R = -a[None]
+        folded = self._fold(R, self._C.T, lambda i: a)[0]
+        return self._State(R[0], folded[-1], folded[:-1] / folded[-1])
 
     def _folded_operator(self, functional: np.ndarray) -> np.ndarray:
         """C = [B S; l S; 1^T] for the nodal functional l, one column per
-        cell, with S the upper-triangular ones matrix: r C^T = T (B u, l.u,
-        1) for the reciprocal conductivities r and T = sum_c r_c, because
-        u_i = sum_{c>=i} r_c / T.  B S is ``_F``, and l S is built the same
-        way.  The benchmark's B and l have no negative entries, and neither
-        has r, so r C^T has no cancellation."""
-        n_obs = self.B.shape[0]
-        C = np.empty((n_obs + 2, self.mesh.n_cells))
-        C[:n_obs] = self._F
-        np.cumsum(functional[:-1], out=C[n_obs])
-        C[-1] = 1.0
-        return C
+        cell: r C^T = T (B u, l.u, 1) for the reciprocal conductivities r.
+        B S is ``_F``.  The benchmark's B and l have no negative entries,
+        and neither has r, so r C^T has no cancellation."""
+        return np.insert(self._C, -1, self._times_S(functional), axis=0)
 
     def _point_observer(self, field, qoi):
         """``BayesProblem._point_observer`` with one sparse and one dense
-        product per batch and no pressure formed.
+        product per batch.
 
         The cell log-conductivities a are affine in xi.  The C-ordered
         ``basis`` holds them with their sign flipped, so that a point's row
@@ -736,15 +741,15 @@ class DarcyProblem(BayesProblem):
         layout.  A batch is one sparse X with a row per point, 1.0 in column
         0 and then the point's coordinates in its order, and R = X @ basis,
         which scipy fills as 0 + 1.0 mean and then one axpy x * column per
-        coordinate, in order.  One in-place exp turns R into r, and one
-        product R C^T with the folded operator (``_folded_operator``) gives
+        coordinate, in order.  ``_fold`` takes exp of R in place and its
+        product with the folded operator (``_folded_operator``), which gives
         every point's T B u, T Q and T.
 
         ``qoi`` must be a ``PressureFunctional`` (from ``qoi``), whose
         functional is folded into C; any other QoI is refused.  A coordinate
         outside the truncation is refused as ``kl_map`` refuses it, and a
-        batch with conductivities that ``_pressure`` would refuse raises its
-        error for the first such point."""
+        batch with conductivities that ``_forward_state`` would refuse
+        raises its error for the first such point."""
         if not isinstance(qoi, PressureFunctional):
             raise ValueError("a Darcy quadrature point needs a QoI linear in the "
                              f"pressure (DarcyProblem.qoi), got {qoi!r}")
@@ -769,15 +774,8 @@ class DarcyProblem(BayesProblem):
                 data.extend(xi.values())
                 indptr.append(len(indices))
             X = csr_array((data, indices, indptr), shape=(len(points), J + 1))
-            R = X @ basis
-            lowest = R.min(axis=1)  # -max(a) of each point
-            with np.errstate(over="ignore", invalid="ignore"):  # refused below
-                np.exp(R, out=R)
-                folded = R @ C_T  # per point: T B u, T Q, T
+            folded = self._fold(X @ basis, C_T, lambda i: -(X[[i]] @ basis)[0])
             T = folded[:, -1]
-            fine = (lowest >= -_LOG_DBL_MAX) & np.isfinite(T)  # False on nan too
-            if not fine.all():
-                self._refuse(-(X[[int(fine.argmin())]] @ basis)[0])
             r = self.y - folded[:, :-2] / T[:, None]
             potentials = scale * np.einsum("ij,ij->i", r, r)
             return list(zip((folded[:, -2] / T).tolist(), potentials.tolist()))
@@ -792,15 +790,12 @@ class DarcyProblem(BayesProblem):
         r = self.y - state.Bu
         return 0.5 / self.sigma**2 * float(np.dot(r, r))
 
-    def _gradient_in_cells(self, state) -> tuple[np.ndarray, float, np.ndarray]:
-        """r = exp(-a) and T = sum_c r_c at the state's cell
-        log-conductivities a, and s = r * e / T (entrywise), e = F^T res -
-        res.d with res = y - d and d = B u = F r / T: the misfit gradient in
-        a is s / sigma^2."""
-        r = 1.0 / state.k
-        T = r.sum()
+    def _gradient_in_cells(self, state) -> np.ndarray:
+        """s = r * e / T (entrywise) with the state's r and T, e = F^T res
+        - res.d, res = y - d and d = B u = F r / T: the misfit gradient in
+        the cell log-conductivities a is s / sigma^2."""
         res = self.y - state.Bu
-        return r, T, r * (self._F.T @ res - res @ state.Bu) / T
+        return state.r * (self._F.T @ res - res @ state.Bu) / state.T
 
     @staticmethod
     def _to_nodes(q: np.ndarray) -> np.ndarray:
@@ -812,7 +807,7 @@ class DarcyProblem(BayesProblem):
         return out
 
     def misfit_gradient_of_state(self, state) -> np.ndarray:
-        return self._to_nodes(self._gradient_in_cells(state)[2] / self.sigma**2)
+        return self._to_nodes(self._gradient_in_cells(state) / self.sigma**2)
 
     def misfit_hessian_action(
         self, state, mhat: np.ndarray, gauss_newton: bool = False
@@ -828,8 +823,8 @@ class DarcyProblem(BayesProblem):
         mhat = np.asarray(mhat, dtype=float)
         X = 0.5 * (mhat[:-1] + mhat[1:])
         X = X.reshape(len(X), -1)  # a vector as one column
-        r, T, s = self._gradient_in_cells(state)
-        d = state.Bu
+        r, T, d = state.r, state.T, state.Bu
+        s = self._gradient_in_cells(state)
         Z = r[:, None] * X
         GX = (self._F @ Z - np.outer(d, Z.sum(axis=0))) / T
         HX = r[:, None] * (self._F.T @ GX - d @ GX) / T
@@ -863,13 +858,14 @@ class PressureFunctional:
     """A Darcy QoI linear in the pressure, Q(m) = l.u(m), that keeps its
     nodal functional l (``functional``): the quadrature points fold l into
     their one observation product (``DarcyProblem._point_observer``).
-    Called with a nodal m it computes u(m) by ``_forward_state``."""
+    Called with a nodal m it is (l S).r / T at the forward state of m."""
 
     problem: DarcyProblem
     functional: np.ndarray
 
     def __call__(self, m: np.ndarray) -> float:
-        return float(np.dot(self.functional, self.problem._forward_state(m).u))
+        state = self.problem._forward_state(m)
+        return float(np.dot(self.problem._times_S(self.functional), state.r) / state.T)
 
 
 # ---------------------------------------------------------------------------

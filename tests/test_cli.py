@@ -1,13 +1,19 @@
+import contextlib
 import csv
+import dataclasses
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hessquad
 from hessquad.cli import main, write_marginals
@@ -187,6 +193,19 @@ def test_error_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_overflowing_qoi_names_the_qoi_and_the_point(tmp_path, capsys):
+    # a linear prior-path point whose Q1 = exp(l^T m) overflows ends the run
+    # with an error that names the QoI, l^T m and the point
+    cfg = {"mesh_exp": 5, "alpha": 2, "beta": 4.064e-4, "sigma": 1.281e-4, "seed": 27,
+           "mode": "prior", "construction": "apriori", "kl_dims": 4, "max_points": 1006}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["linear", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "QoI q1 overflows: l^T m is" in err and "at point {1: " in err
+    assert "math range error" not in err
+
+
 def test_setup_error_names_its_phase(tmp_path, capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("operator is not positive definite")
@@ -288,3 +307,91 @@ def test_write_marginals(tmp_path):
                                      np.linspace(-4.0, 4.0, n))
         assert (tmp_path / "m" / name).read_text() == text
         assert len(text.splitlines()) == 1 + n ** len(dims)
+
+
+def _log_uniform(lo, hi):
+    """Floats 10^e for e in [lo, hi], rounded to 4 significant digits."""
+    return st.floats(lo, hi).map(lambda e: float(f"{10.0**e:.4g}"))
+
+
+@st.composite
+def _small_configs(draw):
+    """(problem, config) of a small run: mesh 2^3-2^6, up to 1,500 points,
+    wide beta, sigma, gamma and kappa, every mode and construction, with or
+    without a tolerance."""
+    problem = draw(st.sampled_from(["linear", "darcy"]))
+    mesh_exp = draw(st.integers(3, 6))
+    n_params = 2**mesh_exp + (1 if problem == "darcy" else -1)
+    cfg = {
+        "mesh_exp": mesh_exp,
+        "alpha": draw(st.integers(1, 2)),
+        "beta": draw(_log_uniform(-4, 2)),
+        "sigma": draw(_log_uniform(-5, 0)),
+        "seed": draw(st.integers(0, 100)),
+        "mode": draw(st.sampled_from(["hessian", "prior"])),
+        "construction": draw(st.sampled_from(["apriori", "aposteriori"])),
+        "max_points": draw(st.integers(1, 1500)),
+        "tolerance": draw(st.none() | _log_uniform(-8, -1)),
+        "kl_dims": draw(st.none() | st.integers(1, n_params)),
+    }
+    if problem == "linear":
+        cfg["qoi"] = draw(st.sampled_from(["q1", "q2"]))
+    else:
+        cfg["gamma"] = draw(_log_uniform(-3, 2))
+        cfg["kappa"] = draw(st.just(0.0) | _log_uniform(-2, 5))
+        cfg["obs_count"] = draw(st.integers(1, 65))
+    return problem, cfg
+
+
+# what an error message must name: a config field, a phase (the setup's
+# three, or the closed-form reference) or a point
+_NAMED = ([f.name for f in dataclasses.fields(ExperimentConfig)]
+          + ["MAP solve", "prior eigensolve", "posterior eigensolve", "reference",
+             "at point"])
+
+
+def _numbers(value):
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [x for v in value for x in _numbers(v)]
+    return [value] if isinstance(value, (int, float)) and not isinstance(value, bool) else []
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_small_configs())
+# one config that fails in each named way: a point (overflowing Q1, refused
+# conductivity), the closed-form reference and the MAP solve
+@example(("linear", {"mesh_exp": 5, "alpha": 2, "beta": 4.064e-4, "sigma": 1.281e-4,
+                     "seed": 27, "mode": "prior", "construction": "apriori",
+                     "kl_dims": 4, "max_points": 1006}))
+@example(("darcy", {"mesh_exp": 3, "alpha": 2, "beta": 1.678e-3, "sigma": 4.776e-2,
+                    "seed": 53, "mode": "prior", "construction": "aposteriori",
+                    "max_points": 1110, "gamma": 1.678e-3, "kappa": 0.0,
+                    "obs_count": 49}))
+@example(("linear", {"mesh_exp": 6, "alpha": 2, "beta": 3.692e-4, "sigma": 1.0,
+                     "seed": 0, "mode": "hessian", "construction": "apriori",
+                     "max_points": 1}))
+@example(("darcy", {"mesh_exp": 5, "alpha": 2, "beta": 1e-4, "sigma": 1e-4, "seed": 0,
+                    "mode": "hessian", "construction": "aposteriori", "max_points": 295,
+                    "gamma": 0.1137, "kappa": 1.0, "obs_count": 35}))
+def test_config_sweep_ends_in_a_reported_outcome(problem_and_cfg):
+    # a run either ends with a stop reason and finite or null outputs (exit 0
+    # or 2), or fails with a message that names what failed (exit 1); it
+    # never ends on a bare math range error or linear-algebra error
+    problem, cfg = problem_and_cfg
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([problem, "--config", str(path), "--out", str(Path(tmp) / "o")])
+        message = err.getvalue()
+        assert "math range error" not in message and "LinAlgError" not in message, message
+        if code == 1:
+            assert any(name in message for name in _NAMED), message
+            return
+        assert code in (0, 2), (code, message)
+        summary = json.loads((Path(tmp) / "o" / "summary.json").read_text())
+        assert summary["stopped_on"]
+        assert all(map(math.isfinite, _numbers(summary)))

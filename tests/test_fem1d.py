@@ -15,18 +15,18 @@ from hessquad.fem1d import (
 )
 from hessquad.inverse_problem import (
     DarcyProblem,
-    assemble_observation_matrix,
     make_darcy_problem,
     make_linear_problem,
 )
 
 
 def darcy_problem(mesh: Mesh1D) -> DarcyProblem:
-    """A Darcy problem on ``mesh`` whose forward solve the tests probe."""
-    B = assemble_observation_matrix(mesh, np.array([0.5]), mesh.h)
+    """A Darcy problem on ``mesh`` whose forward map observes the whole
+    nodal pressure (B = I)."""
+    n = mesh.n_nodes
     return DarcyProblem(
-        mesh, alpha=1, A_prior=assemble(mesh, beta=1.0, gamma=1.0), B=B, sigma=1.0,
-        y=np.zeros(1), prior_mean=np.zeros(mesh.n_nodes),
+        mesh, alpha=1, A_prior=assemble(mesh, beta=1.0, gamma=1.0), B=np.eye(n),
+        sigma=1.0, y=np.zeros(n), prior_mean=np.zeros(n),
     )
 
 
@@ -40,7 +40,13 @@ def solve_poisson(m: np.ndarray, mesh: Mesh1D) -> np.ndarray:
 
 
 def darcy_pressure(m: np.ndarray, mesh: Mesh1D) -> np.ndarray:
-    return darcy_problem(mesh)._forward_state(m).u
+    """The nodal pressure, as ``forward`` observes it with B = I, which the
+    QoI u(0.5) of the same problem matches."""
+    problem = darcy_problem(mesh)
+    u = problem.forward(m)
+    assert problem.qoi()(m) == pytest.approx(u[mesh.n_cells // 2], rel=1e-15)
+    assert u[-1] == 0.0
+    return u
 
 
 class TestAssembly:

@@ -353,18 +353,18 @@ def test_quadrature_points_factor_nothing(darcy6_setup, path, monkeypatch):
 
     # a point works in KL coordinates: no KL map and no prior operator (the
     # Hessian path's prior cost is a quadratic form in xi); a step's points
-    # are observed with one product, so no point forms a pressure or a
-    # state; and no factorization or solve
+    # are observed with one product, so no point makes a forward state; and
+    # no factorization or solve
     counted(fem1d, "dpttrf")
     counted(fem1d.TriDiagOperator, "solve")
     counted(inverse_problem, "kl_map")
     counted(inverse_problem.BayesProblem, "prior_cost")
-    counted(inverse_problem.DarcyProblem, "_pressure")
+    counted(inverse_problem.DarcyProblem, "_forward_state")
     counted(inverse_problem.DarcyProblem._State, "__init__", label="_State")
     res = adapt(g, Construction.APOSTERIORI, AdaptConfig(max_points=300))
     assert res.n_points >= 300
     assert counts == {"dpttrf": 0, "solve": 0, "kl_map": 0, "prior_cost": 0,
-                      "_pressure": 0, "_State": 0}
+                      "_forward_state": 0, "_State": 0}
 
 
 def _stiffness(k, mesh):
@@ -433,10 +433,11 @@ def _lagrangian_derivatives(problem, m, mhat, gauss_newton):
     return mass(k * du * dp), mass(q)
 
 
-# Largest nodal difference between the closed-form pressure and the LDL^T
+# Largest difference between the closed-form forward map and the LDL^T
 # solve, by mesh exponent: the rounding of the LDL^T path, which grows with
-# the mesh (measured on the fields of test_closed_form_pressure_matches_ldlt:
-# 1.3e-14 at 2^6 and 6.8e-13 at 2^10).
+# the mesh (measured on the fields of test_closed_form_pressure_matches_ldlt,
+# on B u and on u(0.5): 1.3e-14 and 1.2e-14 at 2^6, 6.8e-13 and 6.6e-13 at
+# 2^10).
 _LDLT_ATOL = {6: 5e-14, 10: 2e-12}
 
 
@@ -470,27 +471,34 @@ class TestDarcyForward:
     @pytest.mark.parametrize("mesh_exp", [6, 10])
     def test_closed_form_pressure_matches_ldlt(self, mesh_exp):
         # the LDL^T solve of the assembled stiffness is the oracle, at its
-        # own rounding
+        # own rounding, for the observations B u = F r / T and the QoI
+        # u(0.5) = (l S).r / T; the boundary values hold to rounding
         problem = make_darcy_problem(mesh_exp=mesh_exp, seed=0)
+        n, mid = problem.mesh.n_nodes, problem.mesh.n_cells // 2
+        at_0, at_1 = (inverse_problem.PressureFunctional(problem, np.eye(n)[i])
+                      for i in (0, -1))
         for m in _rough_fields(mesh_exp):
-            state = problem._forward_state(m)
-            np.testing.assert_allclose(state.u, _parent_forward_state(problem, m)[0],
+            u, Bu, _ = _parent_forward_state(problem, m)
+            np.testing.assert_allclose(problem.forward(m), Bu,
                                        rtol=0, atol=_LDLT_ATOL[mesh_exp])
-            assert state.u[0] == 1.0 and state.u[-1] == 0.0
+            assert abs(problem.qoi()(m) - u[mid]) <= _LDLT_ATOL[mesh_exp]
+            assert at_0(m) == pytest.approx(1.0, rel=1e-15) and at_1(m) == 0.0
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
                         reason="np.longdouble has no extra precision here")
     @pytest.mark.parametrize("mesh_exp", [6, 10])
     def test_closed_form_pressure_is_exact_to_rounding(self, mesh_exp):
         # against an extended-precision solve of the same system the closed
-        # form errs by a few ulps (measured: 4.3e-16 at 2^6, 1.1e-15 at
-        # 2^10), where the LDL^T solve errs by up to 1.3e-14 and 6.8e-13
+        # form errs by a few ulps (measured on B u and u(0.5): 4.3e-16 and
+        # 1.8e-16 at 2^6, 1.1e-15 and 5.7e-16 at 2^10), where the LDL^T
+        # solve errs by up to 1.3e-14 and 6.8e-13
         problem = make_darcy_problem(mesh_exp=mesh_exp, seed=0)
+        B, mid = problem.B.astype(np.longdouble), problem.mesh.n_cells // 2
         for m in _rough_fields(mesh_exp):
             k = np.exp(0.5 * (m[:-1] + m[1:]))
-            err = np.max(np.abs(problem._forward_state(m).u
-                                - _extended_precision_pressure(k, problem.mesh)))
-            assert err <= 1e-14
+            u = _extended_precision_pressure(k, problem.mesh)
+            assert np.max(np.abs(problem.forward(m) - B @ u)) <= 1e-14
+            assert abs(problem.qoi()(m) - u[mid]) <= 1e-14
 
     @pytest.mark.parametrize("value, refused", [
         (800.0, "overflows"),
@@ -508,8 +516,9 @@ class TestDarcyForward:
         for m in (np.full(n, value), spike):
             with pytest.raises(ValueError, match=rf"conductivity exp\(m\) {refused}"):
                 darcy6._forward_state(m)
-        with pytest.raises(ValueError, match="parameter field must be finite"):
-            darcy6._forward_state(np.r_[np.nan, np.zeros(n - 1)])
+        for bad in (np.nan, np.inf):  # inf next to -inf averages to nan
+            with pytest.raises(ValueError, match="parameter field must be finite"):
+                darcy6._forward_state(np.r_[bad, -bad, np.zeros(n - 2)])
 
     @pytest.mark.parametrize("x, refused", [
         (2.0, "overflows"), (-2.0, "underflows"),
@@ -798,37 +807,39 @@ class TestFoldedObservation:
     @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
                         reason="np.longdouble has no extra precision here")
     def test_is_as_accurate_as_the_pressure_form(self, darcy10_setup):
-        # on cell rows of the benchmark posterior field, exp(-a) C^T gives
-        # B u, u(0.5) and T = sum exp(-a) no less accurately than the
-        # per-point closed-form pressure (_pressure, then B @ u) against an
-        # extended-precision evaluation of the same rows (measured over 300
-        # points, largest relative error, folded against pressure form:
-        # B u 1.9e-15 against 2.9e-15, u(0.5) 1.1e-15 against 2.3e-15, T
-        # 9.2e-16 against 2.5e-15)
+        # on the benchmark posterior field, the batch's exp(-a) C^T and the
+        # nodal forward state (forward, the QoI and the state's T) give B u,
+        # u(0.5) and T = sum exp(-a) no less accurately than the deleted
+        # pressure form (a reversed cumulative sum of 1/k, then B @ u) did,
+        # against an extended-precision evaluation of the same rows:
+        # ``pressure_form`` holds its largest relative errors over these 300
+        # points, measured before it was deleted.  Measured now, batch and
+        # nodal: B u 1.8e-15 and 2.0e-15, u(0.5) 1.2e-15 and 1.6e-15, T
+        # 1.1e-15 and 1.6e-15
+        pressure_form = {"Bu": 2.78e-15, "q": 2.53e-15, "T": 2.48e-15}
         problem, field = darcy10_setup.problem, darcy10_setup.posterior_field
         mid = problem.mesh.n_cells // 2
-        C = problem._folded_operator(problem.qoi().functional)
+        qoi = problem.qoi()
+        C = problem._folded_operator(qoi.functional)
         B = problem.B.astype(np.longdouble)
         points = _sparse_points(rng_stream(10, 0), 200, 300)
         fields = [kl_map(field, xi) for xi in points]
         rows = np.array([0.5 * (m[:-1] + m[1:]) for m in fields])
         folded = np.exp(-rows) @ C.T
         worst = {}
-        for a, (*TBu, TQ, T) in zip(rows, folded):
+        for m, a, (*TBu, TQ, T) in zip(fields, rows, folded):
             r = np.exp(-a.astype(np.longdouble))
             u = np.zeros(len(a) + 1, dtype=np.longdouble)
             u[:-1] = r[::-1].cumsum()[::-1] / r.sum()
-            u_p = np.empty(len(a) + 1)
-            k = problem._pressure(a, u_p)
             for form, got in (
-                ("folded", (np.array(TBu) / T, TQ / T, T)),
-                ("pressure", (problem.B @ u_p, u_p[mid], (1.0 / k[::-1]).cumsum()[-1])),
+                ("batch", (np.array(TBu) / T, TQ / T, T)),
+                ("nodal", (problem.forward(m), qoi(m), problem._forward_state(m).T)),
             ):
                 for name, x, ref in zip(("Bu", "q", "T"), got, (B @ u, u[mid], r.sum())):
                     err = float(np.max(np.abs(x - ref) / np.abs(ref)))
                     worst[form, name] = max(worst.get((form, name), 0.0), err)
-        for name in ("Bu", "q", "T"):
-            assert worst["folded", name] <= worst["pressure", name]
+        for (form, name), err in worst.items():
+            assert err <= pressure_form[name], (form, name, err)
 
 
 def test_closed_form_darcy_derivatives_match_the_lagrangian(darcy6):
@@ -915,7 +926,7 @@ class TestLinearPointObserver:
                 assert phi == pytest.approx(problem.potential(m), rel=1e-12, abs=0)
                 assert q == pytest.approx(problem.qoi("q1")(m), rel=1e-12, abs=0)
             l = problem.linear_functional("q2")
-            s = inverse_problem.NodalFunctional(l, lambda s: s).in_kl(field)
+            s = inverse_problem.NodalFunctional(l, lambda s: s, "l^T m").in_kl(field)
             W = np.abs(field.pairs.vectors * field.sqrt_values)
             q2 = problem._point_observer(field, problem.qoi("q2"))(points)
             for xi, m, (q, _) in zip(points, nodal, q2):
@@ -933,6 +944,23 @@ class TestLinearPointObserver:
             with pytest.raises(ValueError,
                                match=f"coordinate dimension {dim} outside truncation 20"):
                 evaluate([{dim: 1.0}])
+
+    def test_refuses_an_overflowing_qoi_by_name(self, linear6):
+        # Q1 = exp(l^T m) overflows past l^T m = log(DBL_MAX) = 709.78: a
+        # nodal call and a point in KL coordinates both raise a ValueError
+        # that names the QoI and l^T m, not a bare math range error, and a
+        # value below the edge keeps the bits of math.exp
+        n = linear6.mesh.n_interior
+        qoi = linear6.qoi("q1")
+        center = n // 2  # the node x = 0.5, where l is 1
+        field = GaussianField(np.zeros(n), gaussian_measure.EigenPairs(
+            np.array([100.0**2]), np.eye(n)[:, [center]]))
+        q = qoi.in_kl(field)
+        for evaluate, at in ((qoi, lambda s: np.eye(n)[center] * s),
+                             (q, lambda s: {1: s / 100.0})):
+            assert evaluate(at(709.0)) == math.exp(709.0)
+            with pytest.raises(ValueError, match=r"^QoI q1 overflows: l\^T m is 710$"):
+                evaluate(at(710.0))
 
     def test_refuses_a_qoi_it_cannot_expand(self, linear6):
         # the points evaluate the QoI's functional in KL coordinates, so a QoI
