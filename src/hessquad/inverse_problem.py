@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Mapping, NoReturn
+from typing import Callable, Mapping
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -243,8 +243,9 @@ class BayesProblem:
         Hessian; CG inner solves preconditioned by the prior covariance with
         an Eisenstat-Walker forcing term and Steihaug termination on negative
         curvature; Armijo backtracking line search, in which a trial point
-        that ``_forward_state`` refuses (a ValueError) fails the test like a
-        point that does not decrease the cost enough (Nocedal & Wright 2006,
+        that ``_forward_state`` refuses (a ValueError: on Darcy a non-finite
+        parameter, on the linear problem none) fails the test like a point
+        that does not decrease the cost enough (Nocedal & Wright 2006,
         sec. 3.5).  Terminates on the prior-preconditioned gradient norm, or
         when the Newton decrement -g.step falls to the roundoff floor of the
         cost; a step that fails ``_MAX_BACKTRACKS`` trials ends the solve
@@ -610,8 +611,10 @@ class NodalFunctional:
         return q
 
 
-# exp(a) overflows to inf exactly when a > log(DBL_MAX) = 709.78...
-_LOG_DBL_MAX = math.log(np.finfo(float).max)
+# a row of log r = -a whose largest entry lies within this bound of 0 is
+# folded as it is: T <= n e^64 cannot overflow, and the largest r >= e^-64
+# is a normal number; any other row is first shifted by its largest entry
+_UNSHIFTED = 64.0
 
 
 class DarcyProblem(BayesProblem):
@@ -681,45 +684,36 @@ class DarcyProblem(BayesProblem):
         over the nodes 0..n-2 (the last drops out, as u is 0 there)."""
         return np.cumsum(l[..., :-1], axis=-1)
 
-    @staticmethod
-    def _refuse(a: np.ndarray) -> NoReturn:
-        """Raise the ValueError that says why the cell log-conductivities
-        ``a`` carry no pressure: a non-finite entry, else a conductivity
-        exp(a) that overflows to inf, else reciprocals exp(-a) that do not
-        sum to a finite number."""
-        if not np.isfinite(a).all():
-            raise ValueError("parameter field must be finite")
-        if a.max() > _LOG_DBL_MAX:
-            raise ValueError("conductivity exp(m) overflows to inf")
-        raise ValueError(
-            "conductivity exp(m) underflows: the sum of 1/exp(m) is not finite"
-        )
-
-    def _fold(self, R: np.ndarray, C_T: np.ndarray, cells: Callable[[int], np.ndarray]):
+    def _fold(self, R: np.ndarray, C_T: np.ndarray) -> np.ndarray:
         """R C^T after an in-place exp of R, whose rows are log r = -a for
         one parameter each; C's last row is 1^T, so the last column is T.
-        The first row i whose conductivity overflows somewhere (a > log
-        DBL_MAX) or whose T is not finite is refused by
-        ``_refuse(cells(i))``, as R no longer holds its a."""
-        lowest = R.min(axis=1)  # -max(a) of each row
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below
-            np.exp(R, out=R)
-            folded = R @ C_T
-        fine = (lowest >= -_LOG_DBL_MAX) & np.isfinite(folded[:, -1])  # False on nan
-        if not fine.all():
-            self._refuse(cells(int(fine.argmin())))
-        return folded
+        A row whose max(-a) leaves [-_UNSHIFTED, _UNSHIFTED] is first
+        shifted by it (the log-sum-exp shift): every number read from a
+        fold is a ratio to T, which the shift leaves as it is, and the
+        shifted row has T in [1, n], so no finite a is out of range."""
+        top = R.max(axis=1)  # max(-a) of each row; nan stays nan
+        far = np.abs(top) > _UNSHIFTED
+        if far.any():
+            # exp(-inf) = 0 is r's limit; a non-finite row gives nan values
+            with np.errstate(over="ignore", invalid="ignore"):
+                R[far] -= top[far, None]
+        np.exp(R, out=R)
+        return R @ C_T
 
     def _forward_state(self, m: np.ndarray) -> "DarcyProblem._State":
         """The forward state at ``m``, the one-point case of
         ``_point_observer``: r = exp(-a) at a = P m, and T and T B u = F r
         from one product r [F; 1^T]^T.  The state holds r, T and B u, which
-        the gradient and Hessian actions read."""
+        the gradient and Hessian actions read; both are r and T scaled by
+        one factor when ``_fold`` shifts the row.  A non-finite a is
+        refused."""
         m = np.asarray(m, dtype=float)
-        with np.errstate(invalid="ignore"):  # inf - inf: refused as non-finite
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
             a = 0.5 * (m[:-1] + m[1:])
+        if not np.isfinite(a).all():
+            raise ValueError("parameter field must be finite")
         R = -a[None]
-        folded = self._fold(R, self._C.T, lambda i: a)[0]
+        folded = self._fold(R, self._C.T)[0]
         return self._State(R[0], folded[-1], folded[:-1] / folded[-1])
 
     def _folded_operator(self, functional: np.ndarray) -> np.ndarray:
@@ -747,9 +741,9 @@ class DarcyProblem(BayesProblem):
 
         ``qoi`` must be a ``PressureFunctional`` (from ``qoi``), whose
         functional is folded into C; any other QoI is refused.  A coordinate
-        outside the truncation is refused as ``kl_map`` refuses it, and a
-        batch with conductivities that ``_forward_state`` would refuse
-        raises its error for the first such point."""
+        outside the truncation is refused as ``kl_map`` refuses it.  Every
+        finite a is in range (``_fold`` shifts a far row); a non-finite one
+        gives nan values, which ``PointCache`` refuses by naming the point."""
         if not isinstance(qoi, PressureFunctional):
             raise ValueError("a Darcy quadrature point needs a QoI linear in the "
                              f"pressure (DarcyProblem.qoi), got {qoi!r}")
@@ -774,7 +768,7 @@ class DarcyProblem(BayesProblem):
                 data.extend(xi.values())
                 indptr.append(len(indices))
             X = csr_array((data, indices, indptr), shape=(len(points), J + 1))
-            folded = self._fold(X @ basis, C_T, lambda i: -(X[[i]] @ basis)[0])
+            folded = self._fold(X @ basis, C_T)
             T = folded[:, -1]
             r = self.y - folded[:, :-2] / T[:, None]
             potentials = scale * np.einsum("ij,ij->i", r, r)

@@ -206,6 +206,22 @@ def test_overflowing_qoi_names_the_qoi_and_the_point(tmp_path, capsys):
     assert "math range error" not in err
 
 
+def test_wide_prior_darcy_run_reaches_its_budget(tmp_path):
+    # on this wide prior some cell log-conductivity of the first level-1
+    # point (xi_1 = -sqrt(3)) is below -log(DBL_MAX), where exp(-a)
+    # overflows; the forward map is scale-free, so the run goes on to its
+    # budget with a finite posterior mean
+    cfg = {"mesh_exp": 3, "alpha": 2, "beta": 1.678e-3, "sigma": 4.776e-2, "seed": 53,
+           "mode": "prior", "construction": "aposteriori", "max_points": 1110,
+           "gamma": 1.678e-3, "kappa": 0.0, "obs_count": 49}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["darcy", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["n_points"] == 1141 and summary["stopped_on"] == "max_points"
+    assert math.isfinite(summary["posterior_mean_qoi"])
+
+
 def test_setup_error_names_its_phase(tmp_path, capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("operator is not positive definite")
@@ -360,8 +376,9 @@ def _numbers(value):
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(_small_configs())
-# one config that fails in each named way: a point (overflowing Q1, refused
-# conductivity), the closed-form reference and the MAP solve
+# one config that fails in each named way: a point (overflowing Q1), the
+# closed-form reference and the MAP solve; and a wide-prior Darcy config,
+# whose points leave exp's float range and are evaluated all the same
 @example(("linear", {"mesh_exp": 5, "alpha": 2, "beta": 4.064e-4, "sigma": 1.281e-4,
                      "seed": 27, "mode": "prior", "construction": "apriori",
                      "kl_dims": 4, "max_points": 1006}))
@@ -378,7 +395,9 @@ def _numbers(value):
 def test_config_sweep_ends_in_a_reported_outcome(problem_and_cfg):
     # a run either ends with a stop reason and finite or null outputs (exit 0
     # or 2), or fails with a message that names what failed (exit 1); it
-    # never ends on a bare math range error or linear-algebra error
+    # never ends on a bare math range error or linear-algebra error, and a
+    # Darcy point, whose forward map is defined at every finite parameter,
+    # never fails
     problem, cfg = problem_and_cfg
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cfg.json"
@@ -390,6 +409,7 @@ def test_config_sweep_ends_in_a_reported_outcome(problem_and_cfg):
         assert "math range error" not in message and "LinAlgError" not in message, message
         if code == 1:
             assert any(name in message for name in _NAMED), message
+            assert not (problem == "darcy" and "at point" in message), message
             return
         assert code in (0, 2), (code, message)
         summary = json.loads((Path(tmp) / "o" / "summary.json").read_text())

@@ -227,7 +227,7 @@ class TestFindMap:
 
 class _Refusing(LinearPoissonProblem):
     """A linear problem whose forward state is refused, as the Darcy one
-    refuses a conductivity out of range, at any m farther than ``radius``
+    refuses a non-finite parameter, at any m farther than ``radius``
     from 0; it records the norm of every m it is asked for, and with
     ``penalty`` it adds that to the potential of every m but 0."""
 
@@ -238,7 +238,7 @@ class _Refusing(LinearPoissonProblem):
     def _forward_state(self, m):
         self.norms.append(float(np.linalg.norm(m)))
         if self.norms[-1] > self.radius:
-            raise ValueError("conductivity exp(m) overflows to inf")
+            raise ValueError("parameter field must be finite")
         return super()._forward_state(m)
 
     def potential_of_state(self, state):
@@ -500,6 +500,64 @@ class TestDarcyForward:
             assert np.max(np.abs(problem.forward(m) - B @ u)) <= 1e-14
             assert abs(problem.qoi()(m) - u[mid]) <= 1e-14
 
+    @pytest.mark.parametrize("mesh_exp", [6, 10])
+    def test_forward_is_scale_free(self, mesh_exp):
+        # B u = F r / T and u(0.5) = (l S).r / T do not change when r =
+        # exp(-a) is scaled, so adding c to m changes nothing, however far
+        # exp(c) leaves float range.  On a 2^-30 grid m + c and its cell
+        # averages are exact, so every c past the window shifts to the same
+        # row, which peaks at r = 1, and gives the same bits; against m,
+        # whose row is not shifted, only rounding moves (measured: 5.6e-16
+        # at 2^6, 1.6e-15 at 2^10).  Unshifted, exp(-a) at c = 720 is
+        # subnormal and B u erred by 1.7e-12 at 2^6
+        problem = make_darcy_problem(mesh_exp=mesh_exp, seed=0)
+        qoi = problem.qoi()
+        for m in _rough_fields(mesh_exp):
+            m = np.round(m * 2**30) / 2**30
+            far = problem.forward(m + 720.0)
+            assert abs(far - problem.forward(m)).max() <= 1e-14
+            for c in (720.0, -720.0, 800.0, -800.0, 5000.0, -5000.0):
+                assert problem._forward_state(m + c).r.max() == 1.0
+                assert np.array_equal(problem.forward(m + c), far)
+                assert abs(qoi(m + c) - qoi(m)) <= 1e-14
+
+    def test_forward_is_continuous_across_the_window_edge(self, darcy6):
+        # a row whose max(-a) lies just inside the window is folded as it
+        # is, one just outside is shifted to peak at r = 1: the two agree to
+        # rounding (measured: 4.4e-16)
+        m = darcy6.prior_mean + 0.3 * rng_stream(10, 4).standard_normal(darcy6.mesh.n_nodes)
+        top = (-0.5 * (m[:-1] + m[1:])).max()
+        for edge in (inverse_problem._UNSHIFTED, -inverse_problem._UNSHIFTED):
+            step = math.copysign(2.0**-20, edge)
+            inside = darcy6._forward_state(m + (top - edge + step))
+            outside = darcy6._forward_state(m + (top - edge - step))
+            assert inside.r.max() != 1.0 and outside.r.max() == 1.0
+            assert abs(inside.Bu - outside.Bu).max() <= 1e-14
+
+    def test_derivatives_read_a_shifted_state(self, darcy6):
+        # the gradient and Hessian actions read r and T of the state, which
+        # a shift scales by one factor: past the window they equal their
+        # values at m (measured: 7.2e-15 relative on the gradient, 1.9e-15
+        # on the actions)
+        def close(a, b):
+            return np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+        problem, rng = darcy6, rng_stream(10, 2)
+        n = problem.mesh.n_nodes
+        for _ in range(3):
+            m = problem.prior_mean + 0.3 * rng.standard_normal(n)
+            m = np.round(m * 2**30) / 2**30  # m + c exact, as above
+            X = rng.standard_normal((n, 4))
+            at_m = problem._forward_state(m)
+            for c in (720.0, -720.0, 5000.0, -5000.0):
+                state = problem._forward_state(m + c)
+                assert state.r.max() == 1.0
+                assert close(problem.misfit_gradient_of_state(state),
+                             problem.misfit_gradient_of_state(at_m))
+                for gauss_newton in (False, True):
+                    assert close(problem.misfit_hessian_action(state, X, gauss_newton),
+                                 problem.misfit_hessian_action(at_m, X, gauss_newton))
+
     @pytest.mark.parametrize("value, refused", [
         (800.0, "overflows"),
         (-800.0, "underflows"),
@@ -507,45 +565,61 @@ class TestDarcyForward:
         (-720.0, "underflows"),
     ])
     def test_refuses_a_conductivity_out_of_range(self, darcy6, value, refused):
-        # exp(m) = inf would carry no pressure drop and exp(m) = 0 none of
-        # the flux; the LDL^T factor that the closed form replaced refused
-        # both (non-finite entries, not positive definite).  At |m| = 720,
-        # exp(-|m|) is subnormal but not 0
+        # exp(m) is out of range for any float only at m = +-inf, which is
+        # refused by name: alone, next to its opposite (inf next to -inf
+        # averages to nan) or everywhere, as is a nan.  A finite m whose
+        # exp(m) merely overflows, or at |m| = 720 is subnormal, is evaluated,
+        # as the fold is scale-free: a constant m gives the values at 0, and a
+        # spike of 2 value at one node those of a spike of +-80, whose
+        # exp(-+40) moves nothing past rounding (measured: 1.1e-16)
         n = darcy6.mesh.n_nodes
-        spike = np.r_[np.zeros(n // 2), 2 * value, np.zeros(n // 2)]
-        for m in (np.full(n, value), spike):
-            with pytest.raises(ValueError, match=rf"conductivity exp\(m\) {refused}"):
-                darcy6._forward_state(m)
-        for bad in (np.nan, np.inf):  # inf next to -inf averages to nan
-            with pytest.raises(ValueError, match="parameter field must be finite"):
-                darcy6._forward_state(np.r_[bad, -bad, np.zeros(n - 2)])
+        qoi = darcy6.qoi()
+
+        def spike(height):
+            return np.r_[np.zeros(n // 2), height, np.zeros(n // 2)]
+
+        for m, like in ((np.full(n, value), np.zeros(n)),
+                        (spike(2 * value), spike(math.copysign(80.0, value)))):
+            assert abs(darcy6.forward(m) - darcy6.forward(like)).max() <= 1e-14
+            assert abs(qoi(m) - qoi(like)) <= 1e-14
+        bad = {"overflows": math.inf, "underflows": -math.inf}[refused]
+        for m in (spike(bad), np.r_[bad, -bad, np.zeros(n - 2)], np.full(n, bad),
+                  spike(np.nan)):
+            for evaluate in (darcy6.forward, qoi):
+                with pytest.raises(ValueError, match="parameter field must be finite"):
+                    evaluate(m)
 
     @pytest.mark.parametrize("x, refused", [
         (2.0, "overflows"), (-2.0, "underflows"),
         (1.8, "overflows"), (-1.8, "underflows"),
     ])
     def test_refused_conductivity_names_the_point(self, darcy6, x, refused):
-        # m(xi) = 400 xi_1: finite at xi = 0, out of range at |xi_1| = 2,
-        # where exp(-800) is 0, and at |xi_1| = 1.8, where exp(-720) = 2e-313
-        # is subnormal but not 0: exp(a) overflows for a > 709.78 while
-        # exp(-a) only reaches 0 near a = 745, so a refusal that looked for
-        # a zero reciprocal conductivity would pass a = 720
+        # m(xi) = m0 + 400 xi_1: at |xi_1| = 2 exp(-a) leaves float range,
+        # and at 1.8 it is subnormal, points that are evaluated as the fold is
+        # scale-free: a batch that holds one, and one 6.25 times as far, gives
+        # each point's values on its own (measured: 2.6e-16) and, as a
+        # constant added to m changes nothing, the values at xi = 0.  Only
+        # xi_1 = +-inf puts exp(m) out of range for any float: in the middle
+        # of a batch the point named is that one, not the batch's first
         n = darcy6.mesh.n_nodes
-        field = GaussianField(np.zeros(n), gaussian_measure.EigenPairs(
+        m0 = np.round(_rough_fields(6)[0] * 2**30) / 2**30
+        field = GaussianField(m0, gaussian_measure.EigenPairs(
             np.array([400.0**2]), np.ones((n, 1))))
+        observe = darcy6._point_observer(field, darcy6.qoi())
+        points = [{}, {1: x / 4}, {1: x}, {1: 6.25 * x}]
+        batch = observe(points)
+        np.testing.assert_allclose(batch, [observe([xi])[0] for xi in points],
+                                   rtol=1e-12, atol=0)
+        np.testing.assert_allclose(batch, [batch[0]] * len(points), rtol=1e-12, atol=0)
         g = prior_weighted_integrand(darcy6, field, darcy6.qoi())
+        keys = [tuple(xi.items()) for xi in points]
         cache = PointCache(g)
-        cache.fill([()])
-        assert all(map(math.isfinite, cache.value(())))
-        with pytest.raises(IntegrandError, match=rf"conductivity exp\(m\) {refused}") as err:
-            cache.fill([((1, x),)])
-        assert err.value.point == {1: x}
-        # in the middle of a batch the point named is the refused one, not
-        # the batch's first, with the refusal chained
-        with pytest.raises(IntegrandError, match=rf"conductivity exp\(m\) {refused}") as err:
-            PointCache(g).fill([(), ((1, x / 4),), ((1, x),)])
-        assert err.value.point == {1: x}
-        assert isinstance(err.value.__cause__, ValueError)
+        cache.fill(keys)
+        assert all(math.isfinite(v) for key in keys for v in cache.value(key))
+        beyond = {"overflows": math.inf, "underflows": -math.inf}[refused]
+        with pytest.raises(IntegrandError, match="non-finite value") as err:
+            PointCache(g).fill(keys[:3] + [((1, beyond),)])
+        assert err.value.point == {1: beyond}
 
     @pytest.mark.parametrize("field, make_bad, message", [
         pytest.param("B", lambda p: p.B[:, :-1], "B must have one column per node",
